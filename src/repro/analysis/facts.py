@@ -128,7 +128,10 @@ class _Extractor:
     def __init__(self) -> None:
         self.facts = FileFacts()
         self.seen_functions: list[str] = []
-        self.known_functions: set[str] = set()
+        #: qualified names of in-file functions, in file order (a dict
+        #: used as an ordered set: call resolution falls back to the
+        #: first definition, which must not depend on the hash seed)
+        self.known_functions: dict[str, None] = {}
         self._site_counter = 0
         self._heap_counter = 0
         #: statement index currently being visited (for def sites)
@@ -154,7 +157,7 @@ class _Extractor:
             elif child.kind in ("FunctionDef", "MethodDecl"):
                 fname = _func_name(child)
                 qualified = f"{class_name}.{fname}" if class_name else fname
-                self.known_functions.add(qualified)
+                self.known_functions.setdefault(qualified)
                 self._collect_functions(child, class_name)
             else:
                 self._collect_functions(child, class_name)
@@ -449,7 +452,7 @@ class _Extractor:
             if info is not None and "__init__" in info.methods:
                 self.facts.resolves_to.append((site, f"{callee_name}.__init__"))
         else:
-            resolved = self._resolve_in_file(callee_name, callee)
+            resolved = self._resolve_in_file(callee_name, callee, func)
             if resolved is not None:
                 self.facts.resolves_to.append((site, resolved))
             else:
@@ -469,12 +472,22 @@ class _Extractor:
                 self._visit_call(nested, func)
         return site
 
-    def _resolve_in_file(self, callee_name: str, callee: Node) -> str | None:
-        """Resolve a call to a function defined in the same file."""
+    def _resolve_in_file(
+        self, callee_name: str, callee: Node, func: str
+    ) -> str | None:
+        """Resolve a call to a function defined in the same file.
+
+        A method call binds to the caller's own class first
+        (``self.check()`` inside ``A.run`` means ``A.check``), and
+        otherwise to the first same-named method in file order.
+        """
         if callee_name in self.known_functions:
             return callee_name
         # Method call: resolve by name within the file's classes.
         if callee.kind in ("AttributeLoad", "FieldAccess") and callee.children:
+            owner = func.rpartition(".")[0]
+            if owner and f"{owner}.{callee_name}" in self.known_functions:
+                return f"{owner}.{callee_name}"
             for fn in self.known_functions:
                 if fn.endswith("." + callee_name):
                     return fn

@@ -98,3 +98,41 @@ class TestJavaOrigins:
         src = "class A { A(String publickKey) { this.publicKey = publickKey; } }"
         env = compute_origins(parse_java(src)).by_function["A.__init__"]
         assert env["publickKey"] == "Str"
+
+
+class TestInFileCallResolution:
+    """Same-named methods in two classes: each call binds to the
+    caller's own class, independent of the process hash seed."""
+
+    SOURCE = (
+        "class ResponseValidator:\n"
+        "    def assertTrue(self, value, expected):\n"
+        "        if value != expected:\n"
+        "            self.errors += 1\n"
+        "    def check_weight(self, record):\n"
+        "        self.assertTrue(record.weight, 3)\n"
+        "\n"
+        "class DeviceValidator:\n"
+        "    def assertTrue(self, value, expected):\n"
+        "        if value != expected:\n"
+        "            self.errors += 1\n"
+        "    def check_weight(self, record):\n"
+        "        self.assertTrue(record.weight, 89)\n"
+    )
+
+    def test_each_method_receives_its_own_callers_literal(self):
+        by_function = python_origins(self.SOURCE).by_function
+        for cls in ("ResponseValidator", "DeviceValidator"):
+            assert by_function[f"{cls}.assertTrue"]["expected"] == "Num"
+
+    def test_call_binds_to_callers_class(self):
+        from repro.analysis.facts import extract_facts
+
+        facts = extract_facts(parse_module(self.SOURCE))
+        resolved = {
+            site.partition("@")[2]: callee for site, callee in facts.resolves_to
+        }
+        assert resolved == {
+            "ResponseValidator.check_weight": "ResponseValidator.assertTrue",
+            "DeviceValidator.check_weight": "DeviceValidator.assertTrue",
+        }

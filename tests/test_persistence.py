@@ -242,3 +242,42 @@ class TestDegradedLoad:
         path.write_text(json.dumps(doc))
         with pytest.raises(PersistenceError):
             load_namer(path, degraded_ok=True)
+
+
+class TestHashSeedIndependence:
+    """Mined artifacts are a function of the corpus and config alone:
+    separate processes (CLI runs, spawned workers, cluster replicas)
+    with different ``PYTHONHASHSEED`` values must write the same bytes."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from repro.core.namer import Namer, NamerConfig\n"
+        "from repro.core.persistence import save_namer\n"
+        "from repro.corpus.generator import GeneratorConfig, "
+        "generate_python_corpus\n"
+        "from repro.mining.miner import MiningConfig\n"
+        "corpus = generate_python_corpus(\n"
+        "    GeneratorConfig(num_repos=12, issue_rate=0.15, seed=99))\n"
+        "namer = Namer(NamerConfig(mining=MiningConfig(\n"
+        "    min_pattern_support=10, min_path_frequency=5)))\n"
+        "namer.mine(corpus)\n"
+        "save_namer(namer, sys.argv[1])\n"
+    )
+
+    def test_small_corpus_artifact_is_seed_independent(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        blobs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, str(out)],
+                env=env,
+                check=True,
+                timeout=300,
+            )
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
