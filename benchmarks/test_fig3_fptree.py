@@ -2,8 +2,10 @@
 
 The transaction multiset reproduces the is_last counts of Figure 3(a)
 (NP2=33, NP5=15, NP4=14, NP6=13) and the extracted pattern table must
-equal Figure 3(b) exactly.  The benchmark times tree growth plus
-pattern generation.
+equal Figure 3(b) exactly.  As in the miner, NP1..NP6 are interned and
+the tree grows over int transactions; Algorithm 2's output is resolved
+back to paths.  The benchmark times tree growth plus pattern
+generation.
 """
 
 from conftest import print_table
@@ -11,7 +13,8 @@ from conftest import print_table
 from repro.core.namepath import NamePath, PathStep
 from repro.core.patterns import PatternKind
 from repro.mining.fptree import FPTree
-from repro.mining.miner import generate_patterns
+from repro.mining.interner import PathInterner
+from repro.mining.miner import generate_patterns_ids
 
 
 def np_(name: str) -> NamePath:
@@ -22,27 +25,35 @@ NP1, NP2, NP3, NP4, NP5, NP6 = (np_(f"NP{i}") for i in range(1, 7))
 
 
 def grow_and_generate():
+    interner = PathInterner([NP1, NP2, NP3, NP4, NP5, NP6])
+    id1, id2, id3, id4, id5, id6 = (
+        interner.id_of(p) for p in (NP1, NP2, NP3, NP4, NP5, NP6)
+    )
     tree = FPTree()
     for _ in range(33):
-        tree.update([NP1, NP2])
+        tree.update([id1, id2])
     for _ in range(15):
-        tree.update([NP1, NP3, NP5])
+        tree.update([id1, id3, id5])
     for _ in range(13):
-        tree.update([NP1, NP3, NP4, NP6])
-    tree.update([NP1, NP3, NP4])
-    patterns = generate_patterns(
-        tree.root, [], PatternKind.CONFUSING_WORD, condition_subsets="full"
+        tree.update([id1, id3, id4, id6])
+    tree.update([id1, id3, id4])
+    candidates = generate_patterns_ids(
+        tree.root,
+        PatternKind.CONFUSING_WORD,
+        interner.ensure_symbolic(),
+        condition_subsets="full",
     )
-    return tree, patterns
+    return tree, candidates, interner
 
 
 def test_figure3_fptree(benchmark):
-    tree, patterns = benchmark(grow_and_generate)
+    tree, candidates, interner = benchmark(grow_and_generate)
 
+    resolve = interner.resolve
     rows = {
-        (tuple(sorted(p.condition)), next(iter(p.deduction)), p.support)
-        for p in patterns
-        if p.condition
+        (tuple(sorted(map(resolve, cond))), resolve(deduct[0]), support)
+        for cond, deduct, support in candidates
+        if cond
     }
     expected = {
         ((NP1,), NP2, 33),

@@ -103,16 +103,15 @@ def test_parallel_detection_throughput(detection_batch):
             f"missed floor: {speedup:.2f}x < {min_speedup}x "
             f"(enforcement disabled)"
         )
-    # Preserve the HA cluster record (test_perf_cluster_ha.py), the
-    # automaton record (test_perf_automaton.py), and the interned-
-    # backend record (test_perf_interner.py) when already in the
-    # file — the four benchmarks share BENCH_serving.json.
+    # Preserve the HA cluster record (test_perf_cluster_ha.py) and the
+    # frozen-artifact record (test_perf_frozen.py) when already in the
+    # file — the three benchmarks share BENCH_serving.json.
     if BENCH_OUT.exists():
         try:
             prior = json.loads(BENCH_OUT.read_text())
         except ValueError:
             prior = {}
-        for key in ("cluster", "automaton", "interned"):
+        for key in ("cluster", "frozen"):
             if key in prior:
                 record[key] = prior[key]
     BENCH_OUT.write_text(json.dumps(record, indent=2) + "\n")

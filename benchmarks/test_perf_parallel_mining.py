@@ -162,17 +162,6 @@ def test_parallel_mining_speedup(mining_input):
             f"missed floor: {speedup:.2f}x < {min_speedup}x "
             f"(enforcement disabled)"
         )
-    # Preserve the automaton prune record (test_perf_automaton.py) and
-    # the interned-backend record (test_perf_interner.py) when present —
-    # the three benchmarks share BENCH_mining.json.
-    if BENCH_OUT.exists():
-        try:
-            prior = json.loads(BENCH_OUT.read_text())
-        except ValueError:
-            prior = {}
-        for key in ("automaton", "interned"):
-            if key in prior:
-                record[key] = prior[key]
     BENCH_OUT.write_text(json.dumps(record, indent=2) + "\n")
 
     headline = (

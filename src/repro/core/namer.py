@@ -45,13 +45,10 @@ from repro.core.reports import Report
 from repro.core.stats_index import FileStatsView, StatsIndex
 from repro.core.transform import TransformConfig
 from repro.corpus.model import Corpus, Repository
+from repro.mining import PIPELINE_VERSION
 from repro.mining.confusing_pairs import ConfusingPairStore, mine_confusing_pairs
-from repro.mining.interner import INTERNER_SCHEMA, PathInterner
-from repro.mining.matcher import (
-    PatternMatcher,
-    prefix_frequencies,
-    prefix_frequencies_ids,
-)
+from repro.mining.interner import PathInterner
+from repro.mining.matcher import PatternMatcher, prefix_frequencies_ids
 from repro.mining.miner import MiningConfig, PatternMiner
 from repro.ml.linear import LinearSVM
 from repro.ml.pipeline import ClassifierPipeline
@@ -263,7 +260,7 @@ class Namer:
             self._transform_config(),
             cfg.pointsto,
             cfg.mining.max_paths_per_statement,
-            f"interner{INTERNER_SCHEMA}",
+            f"pipeline{PIPELINE_VERSION}",
         )
 
     @staticmethod
@@ -407,10 +404,9 @@ class Namer:
         # corpus it was mined from — the stats pass and all subsequent
         # detection reuse this selectivity-tuned index, with the corpus
         # interner attached so every later scan reads ID tables.  The
-        # interned frequency table matches prefix_frequencies(paths)
-        # key-for-key: symbolic IDs are assigned in first-occurrence
-        # order of their concrete paths, which is exactly the order the
-        # object pass first meets each prefix.
+        # frequency table's keys come in first-seen prefix order:
+        # symbolic IDs are assigned in first-occurrence order of their
+        # concrete paths.
         self.matcher = PatternMatcher(
             patterns,
             prefix_counts=prefix_frequencies_ids(id_lists, interner),
@@ -1040,36 +1036,28 @@ def _match_file(matcher, entries):
     """The match half of one file's detect pass: deduped violations plus
     the file-local statistics index.
 
-    With :attr:`PatternMatcher.use_frozen` the fused scan walks every
-    statement once (vectorized for fully-interned statements) and feeds
-    both the violation list and the statistics build from the same
-    relation rows; the legacy path scans twice (``violations`` then
-    ``StatsIndex.build``).  Outputs are byte-identical either way — the
-    differential suite in ``tests/test_frozen.py`` pins it.
+    One fused scan walks every statement once and feeds both the
+    violation list and the statistics build.  When every statement is
+    fully interned the relation counts come back pre-aggregated per
+    pattern index (no per-relation tuples) and the lazy view defers
+    key-keyed lookup tables to the (rare) files whose violations
+    actually get featurized; paths past the interner cap take the
+    scalar overflow walk and an index built from its relation rows.
     """
-    if getattr(matcher, "use_frozen", False) and matcher._automaton is not None:
-        scanned = matcher.scan_entries_stats(entries)
-        if scanned is not None:
-            # every statement fully interned: relation counts come back
-            # pre-aggregated per pattern index, no per-relation tuples,
-            # and the lazy view defers key-keyed lookup tables to the
-            # (rare) files whose violations actually get featurized
-            viol_rows, aggregates = scanned
-            found = [v for row in viol_rows for v in row]
-            return (
-                _dedup_violations(found),
-                FileStatsView(matcher, entries, aggregates),
-            )
-        viol_rows, rel_rows = matcher.scan_entries(entries)
+    scanned = matcher.scan_entries_stats(entries)
+    if scanned is not None:
+        viol_rows, aggregates = scanned
         found = [v for row in viol_rows for v in row]
         return (
             _dedup_violations(found),
-            StatsIndex.build_from_relations(matcher, entries, rel_rows),
+            FileStatsView(matcher, entries, aggregates),
         )
-    found = []
-    for stmt, paths, ids in entries:
-        found.extend(matcher.violations(stmt, paths, ids))
-    return _dedup_violations(found), StatsIndex.build(matcher, entries)
+    viol_rows, rel_rows = matcher.scan_entries(entries)
+    found = [v for row in viol_rows for v in row]
+    return (
+        _dedup_violations(found),
+        StatsIndex.build_from_relations(matcher, entries, rel_rows),
+    )
 
 
 def _detect_shard(task):

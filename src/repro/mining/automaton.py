@@ -1,14 +1,9 @@
 """A compiled matching automaton over an entire pattern set.
 
-The anchor index of :mod:`repro.mining.matcher` made candidate *lookup*
-cheap, but every surviving candidate still paid a full
-``check_pattern``: one prefix-tuple hash per condition and deduction
-path, against a per-statement dict rebuilt for every scan.  Profiling
-shows essentially every candidate the selectivity index admits really
-does match, so the per-candidate check — not the candidate count — is
-the serial match phase.
-
-:class:`MatchAutomaton` compiles the whole pattern set once:
+Checking each pattern on its own costs one prefix-tuple hash per
+condition and deduction path, against a per-statement dict rebuilt for
+every scan.  :class:`MatchAutomaton` compiles the whole pattern set
+once instead:
 
 * **Shared trie.**  Every condition and deduction prefix of every
   pattern is inserted into one trie keyed by :class:`PathStep`; a
@@ -18,34 +13,38 @@ the serial match phase.
 * **Per-node bitmask guards.**  Each node carries the OR of the
   step-kind bits along its prefix; a statement's available mask is
   accumulated during the walk and candidates missing a required bit
-  are dropped with one AND (the same guard semantics the legacy
-  matcher applies, computed as a by-product of the walk).
-* **Pattern-id accept sets.**  Each pattern is anchored (same
-  rarest-prefix rule as the legacy index) at one deduction prefix; the
-  anchor's trie node holds the accept set of pattern ids to consider
-  when a statement path ends exactly there.
+  (an AST step kind, or a concrete condition end subtoken) are dropped
+  with one AND.
+* **Pattern-id accept sets.**  Each pattern is anchored at its rarest
+  deduction prefix; the anchor's trie node holds the accept set of
+  pattern ids to consider when a statement path ends exactly there.
 * **Integer-domain relation checks.**  Conditions and deductions are
   pre-resolved to ``(node id, interned end-token id)`` pairs at build
   time, so completing a candidate is a handful of integer array reads —
-  an inlined, pre-resolved ``check_pattern`` with exactly its
-  semantics (the differential suite in ``tests/test_automaton.py``
-  pins byte-identical output against the legacy path).
+  an inlined, pre-resolved ``check_pattern`` with exactly its semantics
+  (``tests/test_automaton.py`` holds the two against each other).
+* **Interned paths.**  Every automaton carries a
+  :class:`~repro.mining.interner.PathInterner`; each vocabulary entry
+  is resolved against the trie once into per-ID tables, so scanning a
+  statement reads one table row per path, and whole files scan in one
+  vectorized batch walk over a CSR view of the trie.  Paths past the
+  interner's cap take a scalar overflow walk with identical results.
 
-**Order-pinning invariant.**  Surviving candidates are emitted in the
-historical order — (statement-path position of the first occurrence of
-the pattern's lexicographically smallest deduction prefix, pattern
-index) — so statistics counters, artifacts, reports, and quarantine
-records are byte-identical to the legacy matcher for any worker count,
-start method, or cache temperature.  Scans record the *first*
-occurrence position of a prefix (ordering) but the *last* occurrence's
-end token (lookup), mirroring ``paths_by_prefix`` where a later
-duplicate prefix overwrites an earlier one.
+**Order-pinning invariant.**  Surviving candidates are emitted in a
+fixed order — (statement-path position of the first occurrence of the
+pattern's lexicographically smallest deduction prefix, pattern index) —
+so statistics counters, artifacts, reports, and quarantine records are
+identical for any anchor layout, worker count, start method, or cache
+temperature.  Scans record the *first* occurrence position of a prefix
+(ordering) but the *last* occurrence's end token (lookup), mirroring
+``paths_by_prefix`` where a later duplicate prefix overwrites an
+earlier one.
 
 The automaton is picklable (scan scratch arrays are dropped and
 rebuilt lazily) so one compiled structure ships to a worker pool once
-and serves every task.  :data:`AUTOMATON_SCHEMA` participates in the
-content-cache keys of results produced through the automaton; bump it
-whenever a change here could alter any output byte.
+and serves every task.  :data:`repro.mining.PIPELINE_VERSION`
+participates in the content-cache keys of results produced through the
+automaton; bump it whenever a change here could alter any output byte.
 """
 
 from __future__ import annotations
@@ -65,18 +64,12 @@ from repro.core.patterns import (
     Violation,
 )
 from repro.lang.astir import StatementAst
+from repro.mining.interner import PathInterner
 
-__all__ = ["AUTOMATON_SCHEMA", "BatchTables", "MatchAutomaton"]
+__all__ = ["BatchTables", "MatchAutomaton"]
 
 #: Floor for the serve-time interning cap (see :meth:`attach_interner`).
 _MIN_INTERN_CAP = 1 << 16
-
-#: Schema version of the compiled automaton.  Mixed into the cache keys
-#: of everything matched through it (the miner's prune entries, the
-#: serving engine's persistent detect results) so a semantic change
-#: here can never serve stale bytes — bump on any change that could
-#: alter matching output.
-AUTOMATON_SCHEMA = 1
 
 _NO_MATCH = Relation.NO_MATCH
 _SATISFIED = Relation.SATISFIED
@@ -169,7 +162,7 @@ class MatchAutomaton:
         self._node_prefix: list[tuple[PathStep, ...]] = [()]
         self._step_bits: dict[str, int] = {}
         #: concrete condition end token -> guard bit (statement ends
-        #: only *look up* here, as in the legacy matcher)
+        #: only *look up* here)
         self._end_bits: dict[str, int] = {}
         self._num_bits = 0
         #: end token -> interned id for integer equality checks
@@ -191,14 +184,14 @@ class MatchAutomaton:
         #: assigned by :meth:`finalize`
         self._accepts: dict[int, list[int]] = {}
         self._finalized = False
-        #: attached :class:`~repro.mining.interner.PathInterner` (or
-        #: ``None``): enables the ID-domain scan, where per-path trie
-        #: descents collapse into per-ID table reads
-        self._interner = None
-        self._intern_cap = 0
         for pattern in self.patterns:
             self._compile(pattern)
         self._scan_ready = False
+        #: the attached :class:`~repro.mining.interner.PathInterner`:
+        #: per-path trie descents collapse into per-ID table reads.  A
+        #: fresh serve-time table until a caller attaches a corpus one.
+        self._interner = None
+        self.attach_interner(PathInterner())
 
     # ------------------------------------------------------------------
     # Construction
@@ -285,9 +278,9 @@ class MatchAutomaton:
 
     def finalize(self, rarity) -> None:
         """Assign every pattern's accept set to its anchor node: the
-        rarest deduction prefix under ``rarity`` (ties lexicographic) —
-        the exact anchor rule of the legacy index.  Anchor choice can
-        change candidate-list length but never output."""
+        rarest deduction prefix under ``rarity`` (ties lexicographic).
+        Anchor choice can change candidate-list length but never
+        output."""
         self._accepts = {}
         get = rarity.get
         for idx, prefixes in enumerate(self._ded_prefixes):
@@ -305,8 +298,8 @@ class MatchAutomaton:
     # ------------------------------------------------------------------
 
     def attach_interner(self, interner, cap: int | None = None) -> None:
-        """Attach a :class:`~repro.mining.interner.PathInterner` and
-        switch scanning to the ID domain.
+        """Attach (or replace) the :class:`~repro.mining.interner.PathInterner`
+        scans run through.
 
         Each vocabulary entry is resolved against the trie exactly once
         (node id, end-token id, guard bit, casefolded end) into flat
@@ -316,7 +309,7 @@ class MatchAutomaton:
         lazily as the vocabulary grows.
 
         ``cap`` bounds serve-time vocabulary growth: unknown paths past
-        it scan through the legacy trie walk instead of interning
+        it scan through the scalar overflow walk instead of interning
         (default: twice the attached vocabulary, with a floor, so a
         long-lived service memoizes real traffic but hostile input
         cannot grow the table forever).  Re-attaching the same interner
@@ -347,27 +340,24 @@ class MatchAutomaton:
         self._fold_ids: dict[str, int] = {"": 0}
         self._pid_np = None
 
-    def ids_of(self, paths: Sequence[NamePath]) -> list[int] | None:
+    def ids_of(self, paths: Sequence[NamePath]) -> list[int]:
         """Pre-resolve a statement's paths to interned IDs (``-1`` for
         paths the capped interner refuses), extending the per-ID tables
-        to cover the result; ``None`` without an attached interner.
-        The ``extract`` half of a detect scan — hand the result to
-        :meth:`relations` / :meth:`violations` as ``ids``."""
-        interner = self._interner
-        if interner is None:
-            return None
+        to cover the result.  The ``extract`` half of a detect scan —
+        hand the result to :meth:`relations` / :meth:`violations` as
+        ``ids``."""
         cap = self._intern_cap
-        intern = interner.intern_capped
+        intern = self._interner.intern_capped
         ids = [intern(path, cap) for path in paths]
         # getattr: the tables are scratch state, dropped on pickle.
         pid_node = getattr(self, "_pid_node", None)
-        if pid_node is None or len(pid_node) < len(interner):
+        if pid_node is None or len(pid_node) < len(self._interner):
             self._extend_pid_tables()
         return ids
 
     def _extend_pid_tables(self) -> None:
         """Resolve vocabulary entries ``len(tables)..len(interner)-1``
-        against the trie.  Values mirror exactly what one legacy scan
+        against the trie.  Values mirror exactly what one overflow-walk
         step computes for the same path — the scan loops then agree
         byte-for-byte whichever branch handled a path."""
         if not hasattr(self, "_pid_node"):
@@ -438,91 +428,17 @@ class MatchAutomaton:
         self._pat_stamp = [0] * len(self.patterns)
         self._scan_ready = True
 
-    def _scan(self, paths: Sequence[NamePath]) -> list[int]:
-        """Walk every statement path through the trie once and return
-        the surviving candidate pattern ids in the pinned historical
-        order.  Stamp arrays stay valid (for the relation checks) until
-        the next scan."""
-        if not self._scan_ready:
-            self._prepare_scan()
-        if not self._finalized:
-            raise RuntimeError("finalize() must run before matching")
-        gen = self._gen + 1
-        self._gen = gen
-        children = self._children
-        stamp = self._stamp
-        posa = self._pos
-        enda = self._end
-        tida = self._tid
-        folda = self._folded
-        node_mask = self._node_mask
-        end_bits = self._end_bits
-        end_tid = self._end_tid
-        accepts = self._accepts
-        pat_stamp = self._pat_stamp
-        stmt_mask = 0
-        cand: list[int] = []
-        for pos, path in enumerate(paths):
-            node = 0
-            for step in path.prefix:
-                nxt = children[node].get(step)
-                if nxt is None:
-                    node = -1
-                    break
-                node = nxt
-            end = path.end
-            if end is not None:
-                bit = end_bits.get(end)
-                if bit is not None:
-                    stmt_mask |= bit
-            if node < 0:
-                continue
-            stmt_mask |= node_mask[node]
-            # First occurrence pins the ordering position; the last
-            # occurrence's end wins the lookup (paths_by_prefix parity).
-            if stamp[node] != gen:
-                stamp[node] = gen
-                posa[node] = pos
-            enda[node] = end
-            if end is not None:
-                tida[node] = end_tid.get(end, _TID_UNKNOWN)
-                folda[node] = end.casefold()
-            else:
-                tida[node] = _TID_UNKNOWN
-                folda[node] = ""
-            bucket = accepts.get(node)
-            if bucket is not None:
-                for idx in bucket:
-                    if pat_stamp[idx] != gen:
-                        pat_stamp[idx] = gen
-                        cand.append(idx)
-        if not cand:
-            return cand
-        req_masks = self._req_masks
-        order_node = self._order_node
-        ordered: list[tuple[int, int]] = []
-        for idx in cand:
-            required = req_masks[idx]
-            if required & stmt_mask != required:
-                continue
-            onode = order_node[idx]
-            if stamp[onode] != gen:
-                # The ordering prefix is a deduction prefix; absence
-                # proves NO_MATCH.
-                continue
-            ordered.append((posa[onode], idx))
-        ordered.sort()
-        return [idx for _, idx in ordered]
-
     def _scan_ids(
         self, ids: Sequence[int], paths: Sequence[NamePath]
     ) -> list[int]:
-        """:meth:`_scan` in the ID domain: each non-negative ID is one
-        set of table reads instead of a trie descent; a ``-1`` (path
-        the capped interner refused) falls back to the legacy walk of
-        ``paths[pos]`` inline.  Every scratch write mirrors ``_scan``
-        exactly, so the relation checks and candidate order agree
-        byte-for-byte whichever loop scanned the statement."""
+        """Scan one statement and return the surviving candidate pattern
+        ids in the pinned order.  Each non-negative ID is one set of
+        table reads; a ``-1`` (path the capped interner refused) walks
+        ``paths[pos]`` through the trie inline — the overflow walk —
+        with scratch writes identical to the table branch, so the
+        relation checks and candidate order agree byte-for-byte
+        whichever branch handled a path.  Stamp arrays stay valid (for
+        the relation checks) until the next scan."""
         if not self._scan_ready:
             self._prepare_scan()
         if not self._finalized:
@@ -642,9 +558,9 @@ class MatchAutomaton:
         ids: Sequence[int] | None = None,
     ) -> list[tuple[int, Relation]]:
         """``(pattern index, relation)`` for every matching pattern, in
-        the pinned candidate order; NO_MATCH candidates are dropped —
-        exactly what the legacy ``check_all`` yields.  Pass pre-resolved
-        ``ids`` (from :meth:`ids_of`) to scan in the ID domain."""
+        the pinned candidate order; NO_MATCH candidates are dropped.
+        Pass pre-resolved ``ids`` (from :meth:`ids_of`) to skip the
+        resolution."""
         out: list[tuple[int, Relation]] = []
         relation = self._relation
         candidates = self._candidates(paths, ids)
@@ -658,30 +574,9 @@ class MatchAutomaton:
     def _candidates(
         self, paths: Sequence[NamePath], ids: Sequence[int] | None
     ) -> list[int]:
-        """Scan dispatch: the ID loop when the caller pre-resolved IDs
-        *or* an interner is attached (resolved inline — one dict read
-        per path replaces a trie descent), the legacy loop otherwise."""
         if ids is None:
-            if self._interner is None:
-                return self._scan(paths)
             ids = self.ids_of(paths)
         return self._scan_ids(ids, paths)
-
-    def relations_ids(self, ids: Sequence[int]) -> list[tuple[int, Relation]]:
-        """:meth:`relations` for a fully-interned statement (every ID
-        non-negative — the corpus-mining case, where the interner covers
-        the whole corpus by construction).  ``ids`` should be a plain
-        list; callers holding numpy arrays convert with ``.tolist()``
-        once so the hot loop reads native ints."""
-        out: list[tuple[int, Relation]] = []
-        relation = self._relation
-        candidates = self._scan_ids(ids, ())
-        gen = self._gen
-        for idx in candidates:
-            rel = relation(idx, gen)
-            if rel is not _NO_MATCH:
-                out.append((idx, rel))
-        return out
 
     def _violation_for(self, idx: int, stmt: StatementAst) -> Violation:
         """Build the Violation for a VIOLATED candidate from the current
@@ -713,8 +608,9 @@ class MatchAutomaton:
         paths: Sequence[NamePath],
         ids: Sequence[int] | None = None,
     ) -> list[Violation]:
-        """All pattern violations of one statement, byte-identical to
-        running ``find_violation`` over the legacy candidate order."""
+        """All pattern violations of one statement, in the pinned
+        candidate order — ``find_violation`` for each matching
+        pattern."""
         found: list[Violation] = []
         relation = self._relation
         candidates = self._candidates(paths, ids)
@@ -1032,8 +928,8 @@ class MatchAutomaton:
     def relations_batch(
         self, id_rows: Sequence[Sequence[int]]
     ) -> list[list[tuple[int, Relation]]]:
-        """:meth:`relations_ids` for many fully-interned statements in
-        one vectorized pass — one ``(pattern index, relation)`` list per
+        """:meth:`relations` for many fully-interned statements in one
+        vectorized pass — one ``(pattern index, relation)`` list per
         input row, each in the pinned candidate order."""
         rows: list[list[tuple[int, Relation]]] = [[] for _ in id_rows]
         core = self._batch_core(id_rows)

@@ -4,7 +4,8 @@ The miner inserts *transactions* — a sorted condition-path list followed
 by the deduction path(s) — into an FP tree.  Each tree node stores one
 name path and the number of transactions whose prefix reaches it; the
 node at which a transaction ends is flagged ``is_last``, which is what
-:func:`repro.mining.miner.generate_patterns` (Algorithm 2) keys on.
+:func:`repro.mining.miner.generate_patterns_ids` (Algorithm 2) keys
+on.
 
 This mirrors Han et al.'s FP-tree [24] and Leung et al.'s constrained
 variant [32], specialized to the condition/deduction split: deduction
@@ -12,14 +13,11 @@ paths always come last in a transaction, so every ``is_last`` node's
 final one or two visited paths are the deduction.
 
 The tree is agnostic to what a transaction item *is* — nodes key
-children by the item value.  The legacy miner inserts
-:class:`~repro.core.namepath.NamePath` objects; the interned backend
-(``PatternMiner(use_interner=True)``, the default) inserts dense
-``int`` IDs from :class:`repro.mining.interner.PathInterner`, which
-hash and compare in a few nanoseconds instead of tuple-hashing every
-path field.  Both produce structurally identical trees because the
-interner assigns IDs in first-occurrence order, preserving insertion
-and child-dict order.
+children by the item value.  The miner inserts dense ``int`` IDs from
+:class:`repro.mining.interner.PathInterner`, which hash and compare in
+a few nanoseconds instead of tuple-hashing every path field; the
+interner assigns IDs in first-occurrence order, so insertion and
+child-dict order follow the corpus.
 """
 
 from __future__ import annotations

@@ -1,30 +1,27 @@
 """Dense integer IDs for name paths (the interned hot-path domain).
 
-Every mining pass hashes and compares rich :class:`NamePath` objects:
-``Counter[NamePath]`` frequency counts, FP-tree children keyed by
-``NamePath`` dicts, transaction keys of ``NamePath`` tuples, and
-automaton scans that re-hash path prefixes per statement.  The
-:class:`PathInterner` replaces object identity with a dense integer ID
-assigned in **first-occurrence order** over the corpus, so that every
+Hashing and comparing rich :class:`NamePath` objects in every mining
+pass — frequency counts, FP-tree children, transaction keys, automaton
+scans that re-hash path prefixes per statement — would dominate mining.
+The :class:`PathInterner` assigns each distinct path a dense integer ID
+in **first-occurrence order** over the corpus, so the hot loops run on
+integers — ``numpy.bincount`` for frequency, int-tuple keys for growth,
+table lookups instead of trie descents for matching — while every
 ordering-sensitive structure downstream (FP-tree child dicts, merged
-transaction dicts, candidate enumeration) stays byte-identical to the
-object-path code while the hot loops degrade to integer indexing —
-``numpy.bincount`` for frequency, int-tuple keys for growth, and table
-lookups instead of trie descents for matching.
+transaction dicts, candidate enumeration) follows corpus order.
 
-Three invariants make the substitution safe:
+Three invariants make this safe:
 
 * **First-occurrence IDs.**  ``build()`` walks the corpus paths in
   statement order; the n-th *distinct* path gets ID ``n``.  Contiguous
   shard merges remap through :meth:`intern` in shard order, which
-  reproduces exactly the serial assignment (the same argument the
-  frequency-Counter merge makes today).
+  reproduces exactly the serial assignment.
 * **Order-compatible ranks.**  ``sort_ranks()`` orders the vocabulary
   by ``(prefix, end is not None, end or "")``.  Within one statement
-  all path prefixes are distinct, so the legacy ``sorted(paths)``
-  calls never compare end tokens of equal prefixes — the rank order
-  and the ``NamePath`` dataclass order agree on every comparison the
-  miner actually performs, making ``sorted(ids, key=rank)`` reproduce
+  all path prefixes are distinct, so a ``sorted(paths)`` over one
+  statement never compares end tokens of equal prefixes — the rank
+  order and the ``NamePath`` dataclass order agree on every comparison
+  the miner performs, making ``sorted(ids, key=rank)`` reproduce
   ``sorted(paths)`` exactly.
 * **Vocabulary-carrying summaries.**  Global IDs depend on preceding
   shards, so cache entries and shard summaries that must be pure
@@ -32,8 +29,8 @@ Three invariants make the substitution safe:
   first-occurrence vocabulary slice; the parent remaps through its own
   interner on merge (see :class:`ShardPathCounts`).
 
-:data:`INTERNER_SCHEMA` is salted into the cache keys of every level
-whose entries are produced through the interned pipeline
+:data:`repro.mining.PIPELINE_VERSION` is salted into the cache keys of
+every level whose entries are produced through interned IDs
 (prepare/frequency/growth/prune/detect); bump it whenever a change
 here could alter any output byte.
 """
@@ -46,12 +43,7 @@ import numpy as np
 
 from repro.core.namepath import NamePath
 
-__all__ = ["INTERNER_SCHEMA", "PathInterner", "ShardPathCounts"]
-
-#: Schema version of the interned representation.  Mixed into the cache
-#: keys of everything computed through ID arrays so a semantic change
-#: here can never serve stale bytes.
-INTERNER_SCHEMA = 1
+__all__ = ["PathInterner", "ShardPathCounts"]
 
 
 class PathInterner:
@@ -178,9 +170,9 @@ class PathInterner:
 
         Agrees with the ``NamePath`` dataclass order on every pair of
         distinct-prefix paths and on every pair of concrete equal-prefix
-        paths — the only comparisons the legacy ``sorted()`` calls in
-        the growth pass perform — so sorting IDs by rank reproduces the
-        legacy transaction order byte-for-byte.  Recomputed (cheaply,
+        paths — the only comparisons a ``sorted(paths)`` over one
+        statement performs — so sorting IDs by rank reproduces
+        ``sorted(paths)`` order exactly.  Recomputed (cheaply,
         once) whenever the vocabulary has grown.
         """
         cached = self._tables_upto.get("rank")

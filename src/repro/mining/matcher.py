@@ -1,92 +1,55 @@
-"""Fast candidate lookup for pattern matching.
+"""The pattern matcher behind every prune pass and detect scan.
 
 Matching every mined pattern against every statement is quadratic; with
-tens of thousands of patterns it dominates everything else.  Matching a
-pattern requires every deduction prefix to appear among the statement's
-path prefixes, so indexing patterns by one deduction prefix (the
-*anchor*) gives a complete candidate filter: a statement can only match
-patterns anchored at one of its own prefixes.
+tens of thousands of patterns it dominates everything else.
+:class:`PatternMatcher` compiles the whole pattern set into one
+:class:`~repro.mining.automaton.MatchAutomaton` (shared trie plus
+integer-domain relation checks) so each statement is scanned once for
+all patterns.
 
-Two refinements keep the candidate lists short (this is the hot loop of
-both the miner's prune pass and every serve-time match):
+Matching a pattern requires every deduction prefix to appear among the
+statement's path prefixes, so each pattern is *anchored* at one
+deduction prefix: a statement only considers patterns anchored at one
+of its own prefixes.  Any deduction prefix is a sound anchor, so each
+pattern anchors at its *rarest* one — rarest by corpus occurrence when
+the caller supplies a prefix-frequency table (``prefix_counts``), by
+occurrence across the pattern set otherwise.
 
-* **Selectivity-aware anchors.**  Any deduction prefix is a sound
-  anchor, so each pattern anchors at its *rarest* one — rarest by
-  corpus occurrence when the caller supplies a prefix-frequency table
-  (``prefix_counts``), by occurrence across the pattern set otherwise.
-  A statement then pulls in only the patterns whose least likely
-  prefix it actually contains, instead of every pattern that happens
-  to share a common one.
-* **Step-kind bitmask guard.**  Every pattern precomputes a bitmask of
-  the AST step kinds (and concrete condition end subtokens) it cannot
-  match without; a statement's own mask is computed once and candidates
-  missing a required bit are rejected with one AND instead of a full
-  ``check_pattern``.
-
-Neither refinement may change *output*: candidate enumeration order is
-part of the downstream contract (statistics counters serialize in
-first-seen order), so :meth:`PatternMatcher.candidate_indices` orders
-candidates by the statement-path position of the pattern's
-**lexicographically smallest** deduction prefix (the historical anchor)
-and then by pattern index — the exact order the lexicographic anchor
-index produced — independent of which prefix physically anchors the
-pattern.  Artifacts mined before and after the selectivity rework are
-byte-identical.
-
-By default the matcher also compiles the whole pattern set into one
-:class:`~repro.mining.automaton.MatchAutomaton` (shared trie +
-integer-domain relation checks) and routes :meth:`check_all`,
-:meth:`violations`, and :meth:`relations` through it — same candidates,
-same order, same bytes, a fraction of the time.  ``use_automaton=False``
-keeps the per-candidate ``check_pattern`` path alive for differential
-testing (``tests/test_automaton.py`` pins the two byte-identical).
+The anchor choice may never change *output*: candidate enumeration
+order is part of the downstream contract (statistics counters serialize
+in first-seen order), so candidates come out ordered by the
+statement-path position of the pattern's **lexicographically smallest**
+deduction prefix and then by pattern index, whichever prefix physically
+anchors the pattern.  The committed golden digests
+(``tests/golden_digests.json``) pin the resulting bytes.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.namepath import NamePath, PathStep, paths_by_prefix
-from repro.core.patterns import (
-    NamePattern,
-    Relation,
-    Violation,
-    check_pattern,
-    find_violation,
-)
+from repro.core.namepath import NamePath, PathStep
+from repro.core.patterns import NamePattern, Relation, Violation
 from repro.lang.astir import StatementAst
 from repro.mining.automaton import MatchAutomaton
 from repro.mining.interner import PathInterner
 from repro.parallel.merge import merge_counters
 
-__all__ = ["PatternMatcher", "prefix_frequencies", "prefix_frequencies_ids"]
-
-
-def prefix_frequencies(
-    path_lists: Iterable[Sequence[NamePath]],
-) -> Counter[tuple[PathStep, ...]]:
-    """Corpus-frequency table of path prefixes: how many statement
-    paths carry each prefix.  One pass over the corpus, shared by every
-    matcher built over it — the selectivity signal for anchor choice."""
-    counts: Counter[tuple[PathStep, ...]] = Counter()
-    for paths in path_lists:
-        for path in paths:
-            counts[path.prefix] += 1
-    return counts
+__all__ = ["PatternMatcher", "prefix_frequencies_ids"]
 
 
 def prefix_frequencies_ids(
     id_lists: Sequence[np.ndarray], interner: PathInterner
 ) -> Counter[tuple[PathStep, ...]]:
-    """:func:`prefix_frequencies` over interned ID arrays: one
-    ``bincount`` over the symbolic-ID projection (two paths share a
-    prefix iff their symbolic variants share an ID) instead of hashing
-    every prefix tuple per occurrence.  Values — and therefore every
-    anchor choice made against them — are identical to the object pass.
-    """
+    """Corpus-frequency table of path prefixes — how many statement
+    paths carry each prefix, keyed in first-seen order — from interned
+    ID arrays: one ``bincount`` over the symbolic-ID projection (two
+    paths share a prefix iff their symbolic variants share an ID).  The
+    selectivity signal for anchor choice, shared by every matcher built
+    over the corpus."""
     counts: Counter[tuple[PathStep, ...]] = Counter()
     if not id_lists:
         return counts
@@ -99,55 +62,38 @@ def prefix_frequencies_ids(
 
 
 class PatternMatcher:
-    """A selectivity-aware anchor index over a fixed pattern set.
+    """A compiled, selectivity-anchored matcher over a fixed pattern set.
 
     ``prefix_counts`` is an optional corpus prefix-frequency table (see
-    :func:`prefix_frequencies`); with one, anchors are chosen by real
-    corpus rarity.  Without one, the matcher falls back to prefix
+    :func:`prefix_frequencies_ids`); with one, anchors are chosen by
+    real corpus rarity.  Without one, the matcher falls back to prefix
     frequency across its own pattern set — a weaker but still useful
     selectivity proxy (e.g. when loading saved artifacts, where no
     corpus is in sight).  Matched patterns, violations, and their order
     are identical either way; only candidate-list length changes.
+
+    ``interner`` attaches a corpus :class:`PathInterner` (mining holds
+    one); otherwise the automaton keeps its own serve-time table, which
+    memoizes the paths real traffic presents up to its cap.
     """
 
     def __init__(
         self,
         patterns: Sequence[NamePattern],
         prefix_counts: Mapping[tuple[PathStep, ...], int] | None = None,
-        use_automaton: bool = True,
         interner: PathInterner | None = None,
-        use_interner: bool = True,
-        use_frozen: bool = True,
     ) -> None:
         pattern_list = list(patterns)
-        automaton = MatchAutomaton(pattern_list) if use_automaton else None
-        #: route detect/prune scans through the fused single-scan /
-        #: vectorized batch walk (requires the automaton).  ``False``
-        #: retains the two-pass scalar path for the differential suite.
-        self.use_frozen = bool(use_frozen) and automaton is not None
-        if automaton is not None and use_interner:
-            # A corpus interner when the caller holds one (mining), a
-            # fresh table otherwise (artifact loads / serving — it then
-            # memoizes the paths real traffic presents, up to the cap).
-            automaton.attach_interner(
-                interner if interner is not None else PathInterner()
-            )
+        automaton = MatchAutomaton(pattern_list)
+        if interner is not None:
+            automaton.attach_interner(interner)
         #: deduction-prefix occurrences across this matcher's own
         #: patterns — the fallback rarity table, and the table
-        #: :meth:`merge` sums instead of recounting.  With a compiled
-        #: automaton the table is read off its trie accept-node
-        #: counters (same values, same first-seen key order) instead of
-        #: re-walking the pattern set.
-        if automaton is not None:
-            own_counts = automaton.deduction_prefix_counts()
-        else:
-            own_counts = Counter()
-            for pattern in pattern_list:
-                for d in pattern.deduction:
-                    own_counts[d.prefix] += 1
+        #: :meth:`merge` sums instead of recounting — read off the
+        #: automaton's trie accept-node counters.
         self._init_from_parts(
             pattern_list,
-            own_counts,
+            automaton.deduction_prefix_counts(),
             Counter(prefix_counts) if prefix_counts is not None else None,
             automaton,
         )
@@ -157,148 +103,28 @@ class PatternMatcher:
         patterns: list[NamePattern],
         prefix_counts: Counter[tuple[PathStep, ...]],
         corpus_counts: Counter[tuple[PathStep, ...]] | None,
-        automaton: MatchAutomaton | None = None,
+        automaton: MatchAutomaton,
     ) -> None:
-        """Build every index from already-counted frequency tables."""
+        """Finalize the automaton against already-counted tables."""
         self.patterns = patterns
         self.prefix_counts = prefix_counts
         self._corpus_counts = corpus_counts
         self._automaton = automaton
-        if not hasattr(self, "use_frozen"):
-            self.use_frozen = automaton is not None
-        rarity = corpus_counts if corpus_counts is not None else prefix_counts
-        if automaton is not None and not automaton._finalized:
-            automaton.finalize(rarity)
-        self._build_anchor_index()
-
-    def _build_anchor_index(self) -> None:
-        """The legacy selectivity index (anchor buckets, order prefixes,
-        feature bitmasks).  Matchers rebuilt from a frozen artifact skip
-        this until :meth:`candidate_indices` actually needs it — the
-        automaton serves every hot path without it."""
-        rarity = (
-            self._corpus_counts
-            if self._corpus_counts is not None
-            else self.prefix_counts
-        )
-        self._by_anchor: dict[tuple[PathStep, ...], list[int]] = defaultdict(list)
-        #: per pattern: the lexicographically smallest deduction prefix —
-        #: the *ordering* anchor, kept fixed so enumeration order never
-        #: depends on the selectivity layout
-        self._order_prefix: list[tuple[PathStep, ...]] = []
-        #: bit per required feature (AST step kind, or a concrete
-        #: condition end subtoken), assigned in first-seen order
-        self._feature_bits: dict = {}
-        #: per pattern: OR of the bits it cannot match without
-        self._masks: list[int] = []
-        for idx, pattern in enumerate(self.patterns):
-            prefixes = sorted(d.prefix for d in pattern.deduction)
-            self._order_prefix.append(prefixes[0])
-            anchor = min(prefixes, key=lambda p: (rarity.get(p, 0), p))
-            self._by_anchor[anchor].append(idx)
-            self._masks.append(self._pattern_mask(pattern))
-
-    def _pattern_mask(self, pattern: NamePattern) -> int:
-        """Required-feature bitmask: a statement lacking any of these
-        bits cannot contain the pattern's condition and deduction paths,
-        whatever the prefixes are."""
-        bits = self._feature_bits
-        mask = 0
-        for path in (*pattern.condition, *pattern.deduction):
-            for step in path.prefix:
-                bit = bits.get(step.value)
-                if bit is None:
-                    bit = bits[step.value] = 1 << len(bits)
-                mask |= bit
-        for c in pattern.condition:
-            # A concrete condition end must appear verbatim among the
-            # statement's (all-concrete) path ends for `equal` to hold.
-            if c.end is not None:
-                key = ("end", c.end)
-                bit = bits.get(key)
-                if bit is None:
-                    bit = bits[key] = 1 << len(bits)
-                mask |= bit
-        return mask
-
-    def _statement_mask(self, paths: Sequence[NamePath]) -> int:
-        """The statement's available-feature bitmask (features unknown
-        to this matcher carry no bit and are simply ignored)."""
-        bits = self._feature_bits
-        mask = 0
-        for path in paths:
-            for step in path.prefix:
-                bit = bits.get(step.value)
-                if bit is not None:
-                    mask |= bit
-            bit = bits.get(("end", path.end))
-            if bit is not None:
-                mask |= bit
-        return mask
-
-    def candidate_indices(self, paths: Sequence[NamePath]) -> list[int]:
-        """Indices of patterns that could match a statement with these
-        paths.  Complete (never misses a match) but not exact.
-
-        Enumeration order is the downstream contract: by statement-path
-        position of each pattern's lexicographically smallest deduction
-        prefix, then pattern index — invariant under anchor layout.
-        """
-        if getattr(self, "_by_anchor", None) is None:
-            self._build_anchor_index()
-        hits: list[int] = []
-        seen: set[int] = set()
-        for path in paths:
-            bucket = self._by_anchor.get(path.prefix)
-            if bucket:
-                for idx in bucket:
-                    if idx not in seen:
-                        seen.add(idx)
-                        hits.append(idx)
-        if not hits:
-            return hits
-        stmt_mask = self._statement_mask(paths)
-        # first-occurrence positions: a duplicated prefix orders its
-        # patterns at its earliest appearance, as path iteration did
-        positions: dict[tuple[PathStep, ...], int] = {}
-        for pos, path in enumerate(paths):
-            if path.prefix not in positions:
-                positions[path.prefix] = pos
-        masks = self._masks
-        order_prefix = self._order_prefix
-        ordered: list[tuple[int, int]] = []
-        for idx in hits:
-            required = masks[idx]
-            if required & stmt_mask != required:
-                continue
-            pos = positions.get(order_prefix[idx])
-            if pos is None:
-                # The ordering prefix is itself a deduction prefix, so
-                # its absence proves NO_MATCH — a free extra filter.
-                continue
-            ordered.append((pos, idx))
-        ordered.sort()
-        return [idx for _, idx in ordered]
-
-    def candidates(self, paths: Sequence[NamePath]) -> Iterable[NamePattern]:
-        for idx in self.candidate_indices(paths):
-            yield self.patterns[idx]
+        if not automaton._finalized:
+            automaton.finalize(
+                corpus_counts if corpus_counts is not None else prefix_counts
+            )
 
     def attach_interner(
         self, interner: PathInterner, cap: int | None = None
     ) -> None:
-        """Attach (or replace) the automaton's path interner; a no-op
-        without a compiled automaton (the legacy path has no ID scan)."""
-        if self._automaton is not None:
-            self._automaton.attach_interner(interner, cap)
+        """Attach (or replace) the automaton's path interner."""
+        self._automaton.attach_interner(interner, cap)
 
-    def prepare_ids(self, paths: Sequence[NamePath]) -> list[int] | None:
-        """Pre-resolve a statement's paths to interned IDs for the ID
-        scan (``None`` when no interner is attached — callers pass the
-        result straight back as ``ids``, so no-interner degrades to the
-        per-path scan transparently)."""
-        if self._automaton is None:
-            return None
+    def prepare_ids(self, paths: Sequence[NamePath]) -> list[int]:
+        """Pre-resolve a statement's paths to interned IDs (``-1`` for
+        paths the capped interner refuses); callers pass the result
+        back as ``ids``."""
         return self._automaton.ids_of(paths)
 
     def relations(
@@ -306,30 +132,10 @@ class PatternMatcher:
         paths: Sequence[NamePath],
         ids: Sequence[int] | None = None,
     ) -> list[tuple[int, Relation]]:
-        """``(pattern index, relation)`` for every candidate that
-        matches, in the pinned candidate order.  Routed through the
-        compiled automaton when one exists (in the ID domain when the
-        caller passes pre-resolved ``ids``); the legacy path builds the
-        statement's prefix index once (lazily, on the first candidate —
-        against a small pattern slice most statements have no candidates
-        at all) and runs ``check_pattern`` per candidate."""
-        if self._automaton is not None:
-            return self._automaton.relations(paths, ids)
-        index = None
-        out: list[tuple[int, Relation]] = []
-        for idx in self.candidate_indices(paths):
-            if index is None:
-                index = paths_by_prefix(paths)
-            relation = check_pattern(self.patterns[idx], paths, index)
-            if relation is not Relation.NO_MATCH:
-                out.append((idx, relation))
-        return out
-
-    def relations_ids(self, ids: Sequence[int]) -> list[tuple[int, Relation]]:
-        """:meth:`relations` for a fully-interned statement (all IDs
-        non-negative; no path objects needed) — the miner's prune loop.
-        Requires a compiled automaton with an attached interner."""
-        return self._automaton.relations_ids(ids)
+        """``(pattern index, relation)`` for every pattern that matches,
+        in the pinned candidate order (resolving ``ids`` first when the
+        caller did not)."""
+        return self._automaton.relations(paths, ids)
 
     def check_all(
         self,
@@ -347,31 +153,18 @@ class PatternMatcher:
         ids: Sequence[int] | None = None,
     ) -> list[Violation]:
         """All pattern violations triggered by one statement."""
-        if self._automaton is not None:
-            return self._automaton.violations(stmt, paths, ids)
-        index = None
-        found = []
-        for pattern in self.candidates(paths):
-            if index is None:
-                index = paths_by_prefix(paths)
-            violation = find_violation(pattern, stmt, paths, index)
-            if violation is not None:
-                found.append(violation)
-        return found
+        return self._automaton.violations(stmt, paths, ids)
 
     def scan_entries(
         self, entries: Sequence[tuple]
     ) -> tuple[list[list[Violation]], list[list[tuple[int, Relation]]]]:
         """Fused detect scan over ``(stmt, paths, ids)`` triples: one
         pass yields both the per-statement violations and the
-        ``(pattern index, relation)`` lists the statistics build needs —
-        where the legacy path scanned every statement twice.
+        ``(pattern index, relation)`` lists the statistics build needs.
 
         Fully-interned statements (every ID non-negative) go through
-        the vectorized batch walk in one call; statements the capped
-        interner refused (or scanned without an interner) take the
-        scalar single-scan loop.  Requires a compiled automaton
-        (callers gate on :attr:`use_frozen`).
+        the vectorized batch walk in one call; statements with paths
+        the capped interner refused take the scalar overflow walk.
         """
         automaton = self._automaton
         viol_rows: list[list[Violation]] = [[] for _ in entries]
@@ -379,7 +172,7 @@ class PatternMatcher:
         batch_pos: list[int] = []
         batch_ids: list[Sequence[int]] = []
         for i, (stmt, paths, ids) in enumerate(entries):
-            if ids is not None and (not ids or min(ids) >= 0):
+            if not ids or min(ids) >= 0:
                 batch_pos.append(i)
                 batch_ids.append(ids)
             else:
@@ -398,13 +191,13 @@ class PatternMatcher:
         """:meth:`scan_entries` with the relation half pre-aggregated
         into per-table ``(pattern indices, counts)`` arrays (matches /
         satisfactions / violations).  Only valid when *every* entry is
-        fully interned — mixed batches would need the scalar walk's
+        fully interned — mixed batches would need the overflow walk's
         relation stream folded in — so it returns ``None`` then and
         the caller falls back to :meth:`scan_entries`.
         """
         id_rows: list[Sequence[int]] = []
         for _, _, ids in entries:
-            if ids is None or (ids and min(ids) < 0):
+            if ids and min(ids) < 0:
                 return None
             id_rows.append(ids)
         stmts = [entry[0] for entry in entries]
@@ -413,8 +206,8 @@ class PatternMatcher:
     def relations_batch(
         self, id_rows: Sequence[Sequence[int]]
     ) -> list[list[tuple[int, Relation]]]:
-        """Vectorized :meth:`relations_ids` over many fully-interned
-        statements (the miner's prune counters)."""
+        """:meth:`relations` for many fully-interned statements in one
+        vectorized walk (the miner's prune counters)."""
         return self._automaton.relations_batch(id_rows)
 
     def __len__(self) -> int:
@@ -428,11 +221,11 @@ class PatternMatcher:
         prefix occurrence counts are additive, so summing the shard
         tables in shard order reproduces exactly the table (keys in the
         same first-seen order) a flat build over the concatenated
-        pattern list would count — and therefore the same anchors,
-        masks, and candidate order.  Corpus tables, when present, are
-        summed the same way; rarity *order* is scale-invariant, so
-        shards built over one shared corpus table merge to the same
-        anchor choices a flat build over that table makes.
+        pattern list would count — and therefore the same anchors and
+        candidate order.  Corpus tables, when present, are summed the
+        same way; rarity *order* is scale-invariant, so shards built
+        over one shared corpus table merge to the same anchor choices a
+        flat build over that table makes.
         """
         parts = list(matchers)
         combined: list[NamePattern] = []
@@ -444,17 +237,12 @@ class PatternMatcher:
             corpus_counts = merge_counters(
                 m._corpus_counts for m in parts if m._corpus_counts is not None
             )
-        automaton = None
-        if all(m._automaton is not None for m in parts):
-            automaton = MatchAutomaton(combined)
-            if any(m._automaton._interner is not None for m in parts):
-                # Parts may share one corpus interner — reuse it when
-                # they agree, else start a fresh serve-time table.
-                interners = {id(m._automaton._interner) for m in parts}
-                if len(interners) == 1:
-                    automaton.attach_interner(parts[0]._automaton._interner)
-                else:
-                    automaton.attach_interner(PathInterner())
+        automaton = MatchAutomaton(combined)
+        # Parts sharing one corpus interner keep it; otherwise the
+        # merged automaton starts its own serve-time table.
+        interners = {id(m._automaton._interner) for m in parts}
+        if len(interners) == 1:
+            automaton.attach_interner(parts[0]._automaton._interner)
         merged = PatternMatcher.__new__(PatternMatcher)
         merged._init_from_parts(combined, pattern_counts, corpus_counts, automaton)
         return merged

@@ -48,7 +48,6 @@ __all__ = [
     "SharedContext",
     "SharedSlice",
     "default_workers",
-    "register_teardown_hook",
     "resolve_context",
     "resolve_shard",
 ]
@@ -66,21 +65,6 @@ SHARDS_PER_WORKER = 2
 #: write) in every worker of that pool.
 _SHARED: dict[int, Sequence] = {}
 _SHARED_KEYS = itertools.count(1)
-
-#: Called whenever an executor closes.  Task modules register a clear
-#: for their process-local caches here (e.g. the miner's extracted-path
-#: cache): pool teardown then releases memory those caches grew in this
-#: process — which is where inline (serial) tasks ran, and where a
-#: fork-shared parent accumulates state the next pool would inherit.
-_TEARDOWN_HOOKS: list[Callable[[], None]] = []
-
-
-def register_teardown_hook(fn: Callable[[], None]) -> None:
-    """Register ``fn`` to run every time a :class:`ShardExecutor`
-    closes.  Idempotent per function object."""
-    if fn not in _TEARDOWN_HOOKS:
-        _TEARDOWN_HOOKS.append(fn)
-
 
 def default_workers() -> int:
     """Worker count when the caller does not choose: every core the
@@ -295,8 +279,6 @@ class ShardExecutor:
         for key in self._context_values:
             _SHARED.pop(key, None)
         self._context_values.clear()
-        for hook in _TEARDOWN_HOOKS:
-            hook()
 
     def __enter__(self) -> "ShardExecutor":
         return self

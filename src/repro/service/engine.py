@@ -25,14 +25,12 @@ from dataclasses import dataclass, field
 
 from repro.cache import ContentCache
 from repro.core.namer import Namer
-from repro.mining.automaton import AUTOMATON_SCHEMA
+from repro.mining import PIPELINE_VERSION
 from repro.mining.frozen import (
-    FROZEN_SCHEMA,
     FrozenError,
     default_frozen_path,
     load_frozen_namer,
 )
-from repro.mining.interner import INTERNER_SCHEMA
 from repro.core.persistence import PersistenceError, load_namer
 from repro.core.prepare import PreparedFile, PrepareError, prepare_file_checked
 from repro.corpus.model import SourceFile
@@ -465,16 +463,12 @@ class AnalysisEngine:
     @staticmethod
     def _detect_key(fp: str, request: AnalysisRequest) -> str:
         """Persistent detect-cache key: artifact fingerprint + request
-        content + the matching-automaton, interner, and frozen-layout
-        schemas — reports are produced through the compiled automaton
-        scanning interned path IDs via the fused batch walk, so a
-        semantic change to any of the three must miss rather than
-        replay bytes matched under the old schema."""
+        content + the pipeline version — reports are produced through
+        the compiled automaton scanning interned path IDs, so a change
+        there must miss rather than replay bytes matched under the old
+        version."""
         return ContentCache.key(
-            fp,
-            f"automaton{AUTOMATON_SCHEMA}|interner{INTERNER_SCHEMA}|"
-            f"frozen{FROZEN_SCHEMA}|"
-            f"{request.cache_key()}",
+            fp, f"pipeline{PIPELINE_VERSION}|{request.cache_key()}"
         )
 
     def _disk_get(self, request: AnalysisRequest) -> AnalysisResult | None:

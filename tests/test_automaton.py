@@ -1,13 +1,12 @@
-"""Differential suite: compiled automaton vs legacy matcher.
+"""The compiled automaton against the paper's definitions.
 
-The compiled :class:`MatchAutomaton` replaces per-candidate
+The compiled :class:`MatchAutomaton` replaces per-pattern
 ``check_pattern`` with integer-domain checks against one shared trie.
-Nothing about its *output* may differ from the legacy path —
-candidates, relations, violations, report bytes, quarantine records,
-prune counts, enumeration order — for any pattern subset, worker
-count, or cache temperature.  ``PatternMatcher(use_automaton=False)``
-keeps the legacy path alive precisely so these tests can hold the two
-against each other byte for byte.
+Nothing about its *output* may differ from the definitions —
+relations, violations, prune counts, enumeration order — for any
+pattern subset, so every test here holds the automaton against the
+slow spec oracle in ``tests/spec_oracle.py``; report bytes and
+quarantine records are held against the committed golden digests.
 """
 
 from __future__ import annotations
@@ -18,19 +17,24 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.namer import Namer, NamerConfig
+from repro.core.patterns import Relation, check_pattern
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
-from repro.mining.automaton import AUTOMATON_SCHEMA, MatchAutomaton
-from repro.mining.matcher import PatternMatcher, prefix_frequencies
-from repro.mining.miner import MiningConfig, _count_matches, _count_matches_with
+from repro.mining import PIPELINE_VERSION
+from repro.mining.automaton import MatchAutomaton
+from repro.mining.interner import PathInterner
+from repro.mining.matcher import PatternMatcher, prefix_frequencies_ids
+from repro.mining.miner import MiningConfig, _count_matches_ids
 from repro.parallel.executor import (
     ShardExecutor,
     SharedContext,
     resolve_context,
 )
-from repro.resilience.faults import FAULTS, FaultPlan, FaultSpec
-from repro.resilience.quarantine import Quarantine
+from tests import goldens as g
+from tests.spec_oracle import spec_counts, spec_relations, spec_violations
 
 
 @pytest.fixture(scope="module")
@@ -59,87 +63,96 @@ def statements(trained_namer):
     ]
 
 
-def legacy_twin(matcher: PatternMatcher) -> PatternMatcher:
-    """The legacy-path matcher over the same patterns and rarity table."""
-    return PatternMatcher(
-        matcher.patterns,
-        prefix_counts=matcher._corpus_counts,
-        use_automaton=False,
-    )
-
-
 def report_blob(groups) -> str:
     return json.dumps(
         [[r.to_json() for r in g] for g in groups], sort_keys=True
     )
 
 
+def assert_matches_spec(matcher: PatternMatcher, statements) -> int:
+    """Relations and violations of every statement equal the spec
+    oracle's, order included; returns the number of relations seen."""
+    matched = 0
+    for stmt, paths in statements:
+        relations = matcher.relations(paths)
+        assert relations == spec_relations(matcher.patterns, paths)
+        assert matcher.violations(stmt, paths) == spec_violations(
+            matcher.patterns, stmt, paths
+        )
+        matched += len(relations)
+    return matched
+
+
 class TestDifferentialRelations:
-    """relations()/violations() parity, statement by statement."""
+    """relations()/violations() against the spec, statement by statement."""
 
     def test_full_pattern_set(self, trained_namer, statements):
-        auto = trained_namer.matcher
-        assert auto._automaton is not None
-        legacy = legacy_twin(auto)
-        assert legacy._automaton is None
-        matched = 0
-        for stmt, paths in statements:
-            rel_a = auto.relations(paths)
-            rel_l = legacy.relations(paths)
-            assert rel_a == rel_l
-            matched += len(rel_a)
-            assert auto.violations(stmt, paths) == legacy.violations(
-                stmt, paths
-            )
-        assert matched, "corpus must exercise the matchers"
+        matched = assert_matches_spec(trained_namer.matcher, statements)
+        assert matched, "corpus must exercise the matcher"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_pattern_subsets(self, trained_namer, statements, seed):
         patterns = trained_namer.matcher.patterns
         rng = random.Random(seed)
         subset = rng.sample(patterns, max(1, len(patterns) // 3))
-        auto = PatternMatcher(subset)
-        legacy = PatternMatcher(subset, use_automaton=False)
-        for stmt, paths in statements:
-            assert auto.relations(paths) == legacy.relations(paths)
-            assert auto.violations(stmt, paths) == legacy.violations(
-                stmt, paths
+        assert_matches_spec(PatternMatcher(subset), statements)
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_relation_sets_equal_check_pattern(
+        self, trained_namer, statements, data
+    ):
+        """Over random pattern subsets, the set of automaton relations
+        is exactly the set of ``check_pattern`` results with NO_MATCH
+        dropped (the goldens pin the order)."""
+        patterns = trained_namer.matcher.patterns
+        chosen = data.draw(
+            st.lists(
+                st.integers(0, len(patterns) - 1),
+                min_size=1,
+                max_size=len(patterns),
+                unique=True,
             )
+        )
+        subset = [patterns[i] for i in chosen]
+        matcher = PatternMatcher(subset)
+        for _, paths in statements:
+            expected = {
+                (idx, relation)
+                for idx, pattern in enumerate(subset)
+                if (relation := check_pattern(pattern, paths))
+                is not Relation.NO_MATCH
+            }
+            assert set(matcher.relations(paths)) == expected
 
     def test_empty_pattern_set(self, statements):
-        auto = PatternMatcher([])
-        legacy = PatternMatcher([], use_automaton=False)
+        matcher = PatternMatcher([])
         for stmt, paths in statements[:50]:
-            assert auto.relations(paths) == []
-            assert auto.violations(stmt, paths) == []
-            assert legacy.relations(paths) == []
+            assert matcher.relations(paths) == []
+            assert matcher.violations(stmt, paths) == []
 
     def test_single_pattern_set(self, trained_namer, statements):
         for pattern in trained_namer.matcher.patterns[:5]:
-            auto = PatternMatcher([pattern])
-            legacy = PatternMatcher([pattern], use_automaton=False)
-            for stmt, paths in statements:
-                assert auto.relations(paths) == legacy.relations(paths)
+            assert_matches_spec(PatternMatcher([pattern]), statements)
 
     def test_duplicate_prefix_statement_paths(self, trained_namer, statements):
         """A statement carrying the same prefix twice orders candidates
-        at the first occurrence but resolves lookups at the last — both
-        backends, identically."""
-        auto = trained_namer.matcher
-        legacy = legacy_twin(auto)
+        at the first occurrence but resolves lookups at the last."""
         checked = 0
+        doctored = []
         for stmt, paths in statements:
             if len(paths) < 2:
                 continue
-            doctored = list(paths) + [paths[0], paths[-1]]
-            assert auto.relations(doctored) == legacy.relations(doctored)
-            assert auto.violations(stmt, doctored) == legacy.violations(
-                stmt, doctored
-            )
+            doctored.append((stmt, list(paths) + [paths[0], paths[-1]]))
             checked += 1
             if checked >= 40:
                 break
         assert checked, "need statements with at least two paths"
+        assert_matches_spec(trained_namer.matcher, doctored)
 
     def test_shared_anchor_buckets_exist(self, trained_namer):
         """The mined set must actually exercise shared accept sets —
@@ -159,20 +172,24 @@ class TestDifferentialRelations:
 
 
 class TestDifferentialReports:
-    """End-to-end detect_many parity, serial and parallel."""
+    """End-to-end detect_many against the goldens, serial and parallel,
+    through a matcher anchored by pattern-set rarity instead of corpus
+    rarity (anchor layout must never reach the bytes)."""
+
+    @pytest.fixture
+    def fallback_anchored(self, fitted_namer):
+        original = fitted_namer.matcher
+        fitted_namer.matcher = PatternMatcher(original.patterns)
+        try:
+            yield fitted_namer
+        finally:
+            fitted_namer.matcher = original
 
     @pytest.mark.parametrize("workers", [1, 2, 7])
-    def test_byte_identical_reports(self, trained_namer, workers):
-        namer = trained_namer
-        auto = namer.matcher
-        legacy = legacy_twin(auto)
-        try:
-            namer.matcher = legacy
-            expected = report_blob(namer.detect_many(namer.prepared))
-        finally:
-            namer.matcher = auto
-        got = report_blob(namer.detect_many(namer.prepared, workers=workers))
-        assert got == expected
+    def test_byte_identical_reports(self, fallback_anchored, workers):
+        namer = fallback_anchored
+        got = g.report_digests(namer, namer.prepared, workers=workers)
+        assert got == g.load_goldens()["python"]["reports"]
 
     def test_repeat_scan_replay_identical(self, trained_namer):
         """Two detect passes over the same namer (warm scan arrays,
@@ -183,107 +200,59 @@ class TestDifferentialReports:
         assert second == first
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_quarantine_parity_under_faults(self, trained_namer, workers):
-        plan = FaultPlan(
-            [
-                FaultSpec(site="core.detect", rate=0.4),
-                FaultSpec(site="core.featurize", rate=0.3),
-            ],
-            seed=5,
+    def test_quarantine_parity_under_faults(self, fallback_anchored, workers):
+        namer = fallback_anchored
+        expected = g.load_goldens()["python"]["faults"]
+        reports, records = g.detect_under_faults(
+            namer, namer.prepared, workers=workers
         )
-        namer = trained_namer
-        auto = namer.matcher
-
-        def run():
-            with FAULTS.armed(plan):
-                quarantine = Quarantine()
-                groups = namer.detect_many(
-                    namer.prepared, quarantine=quarantine, workers=workers
-                )
-            return report_blob(groups), [
-                (r.path, r.stage, r.kind, r.repo) for r in quarantine.records
-            ]
-
-        try:
-            namer.matcher = legacy_twin(auto)
-            expected_blob, expected_records = run()
-        finally:
-            namer.matcher = auto
-        got_blob, got_records = run()
-        assert expected_records, "plan must actually trip to prove parity"
-        assert got_records == expected_records
-        assert got_blob == expected_blob
+        assert records == expected["detect_quarantine"]
+        assert reports == expected["reports"]
 
 
 class TestPruneParity:
     """The miner's prune counts through the shared automaton matcher."""
 
-    def test_count_matches_backend_parity(self, trained_namer, statements):
-        patterns = trained_namer.matcher.patterns
-        path_lists = [paths for _, paths in statements]
-        auto_counts = _count_matches(path_lists, patterns)
-        legacy = PatternMatcher(
-            patterns,
-            prefix_counts=prefix_frequencies(path_lists),
-            use_automaton=False,
+    @pytest.fixture(scope="class")
+    def interned(self, statements):
+        interner, id_lists = PathInterner.build(
+            [paths for _, paths in statements]
         )
-        assert _count_matches_with(legacy, path_lists) == auto_counts
+        interner.ensure_symbolic()
+        return interner, id_lists, [ids.tolist() for ids in id_lists]
 
-    def test_counts_anchor_independent(self, trained_namer, statements):
+    def test_count_matches_backend_parity(
+        self, trained_namer, statements, interned
+    ):
+        patterns = trained_namer.matcher.patterns
+        interner, id_lists, id_rows = interned
+        matcher = PatternMatcher(
+            patterns,
+            prefix_counts=prefix_frequencies_ids(id_lists, interner),
+            interner=interner,
+        )
+        expected = spec_counts(patterns, [paths for _, paths in statements])
+        got = _count_matches_ids(matcher, id_rows)
+        assert got == expected
+        # Key order is part of the prune-cache entry bytes.
+        assert [list(c) for c in got] == [list(c) for c in expected]
+
+    def test_counts_anchor_independent(self, trained_namer, interned):
         """Corpus-rarity anchors and fallback anchors must count
         identically — the invariant that lets one shared matcher serve
         every shard layout and the cache."""
         patterns = trained_namer.matcher.patterns
-        path_lists = [paths for _, paths in statements]
-        with_corpus = _count_matches(path_lists, patterns)
-        fallback_matcher = PatternMatcher(patterns)  # pattern-set rarity
-        assert _count_matches_with(fallback_matcher, path_lists) == with_corpus
-
-    def test_mined_artifacts_identical_across_backends(self):
-        """mine() itself (stats index included) produces byte-identical
-        artifacts whether matchers compile the automaton or not."""
-        from repro.core.persistence import namer_to_document
-
-        corpus = generate_python_corpus(
-            GeneratorConfig(num_repos=4, issue_rate=0.15, seed=9)
+        interner, id_lists, id_rows = interned
+        with_corpus = _count_matches_ids(
+            PatternMatcher(
+                patterns,
+                prefix_counts=prefix_frequencies_ids(id_lists, interner),
+                interner=interner,
+            ),
+            id_rows,
         )
-        config = NamerConfig(
-            mining=MiningConfig(min_pattern_support=6, min_path_frequency=4)
-        )
-        namer = Namer(config)
-        namer.mine(corpus)
-        doc = namer_to_document(namer)
-        legacy_namer = Namer(config)
-        import repro.mining.matcher as matcher_mod
-        import repro.mining.miner as miner_mod
-
-        original = matcher_mod.PatternMatcher.__init__
-        miner_original = miner_mod.PatternMiner.__init__
-
-        def forced_legacy(
-            self, patterns, prefix_counts=None, use_automaton=True, **kwargs
-        ):
-            original(self, patterns, prefix_counts, use_automaton=False)
-
-        def forced_object_miner(self, *args, **kwargs):
-            # An automaton-less matcher has no ID scan, so the miner
-            # must take the object-path pipeline alongside it.
-            kwargs["use_interner"] = False
-            miner_original(self, *args, **kwargs)
-
-        matcher_mod.PatternMatcher.__init__ = forced_legacy
-        miner_mod.PatternMiner.__init__ = forced_object_miner
-        try:
-            legacy_namer.mine(corpus)
-        finally:
-            matcher_mod.PatternMatcher.__init__ = original
-            miner_mod.PatternMiner.__init__ = miner_original
-        legacy_doc = namer_to_document(legacy_namer)
-        doc.pop("phase_timings", None)
-        legacy_doc.pop("phase_timings", None)
-        assert json.dumps(doc, sort_keys=True) == json.dumps(
-            legacy_doc, sort_keys=True
-        )
+        fallback = PatternMatcher(patterns, interner=interner)
+        assert _count_matches_ids(fallback, id_rows) == with_corpus
 
 
 class TestFallbackFrequencies:
@@ -340,15 +309,6 @@ class TestMergeAndPickle:
         for _, paths in statements[:100]:
             assert merged.relations(paths) == flat.relations(paths)
 
-    def test_merge_with_legacy_part_stays_legacy(self, trained_namer):
-        patterns = trained_namer.matcher.patterns
-        parts = [
-            PatternMatcher(patterns[:2]),
-            PatternMatcher(patterns[2:4], use_automaton=False),
-        ]
-        merged = PatternMatcher.merge(parts)
-        assert merged._automaton is None
-
     def test_pickle_roundtrip(self, trained_namer, statements):
         """A matcher that has already scanned must pickle without its
         scratch state and match identically on the other side — the
@@ -375,7 +335,7 @@ class TestMergeAndPickle:
             automaton.relations([])
 
     def test_schema_constant_is_int(self):
-        assert isinstance(AUTOMATON_SCHEMA, int)
+        assert isinstance(PIPELINE_VERSION, int)
 
 
 class TestSharedContext:

@@ -1,43 +1,34 @@
-"""Differential suite: interned ID pipeline vs object-path pipeline.
+"""Interned path IDs: the table and its ID-domain consumers.
 
-:class:`PathInterner` replaces ``NamePath`` hashing in the mining and
-detection hot loops with dense integer IDs assigned in first-occurrence
-order.  Nothing about the *output* may differ from the object-path
-code — frequency tables, FP-tree transactions, pattern supports, prune
-counts, reports, quarantine records — for any worker count or cache
-temperature.  ``PatternMiner(use_interner=False)`` and
-``PatternMatcher(use_interner=False)`` keep the object pipeline alive
-precisely so these tests can hold the two against each other byte for
-byte, mirroring the automaton differential suite in
-``tests/test_automaton.py``.
+:class:`PathInterner` assigns every distinct ``NamePath`` a dense
+integer ID in first-occurrence order, and the mining and detection hot
+loops run on those IDs.  These tests pin the table's invariants
+directly, hold the ID-domain scans against the spec oracle
+(``tests/spec_oracle.py``), and hold reports and quarantine records
+against the committed golden digests.
 """
 
 from __future__ import annotations
 
-import json
 import pickle
-from contextlib import contextmanager
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core.namer import Namer, NamerConfig
-from repro.core.persistence import namer_to_document
+from repro.core.patterns import PatternKind
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
+from repro.mining import PIPELINE_VERSION
 from repro.mining.interner import (
-    INTERNER_SCHEMA,
     PathInterner,
     ShardPathCounts,
     merge_shard_path_counts,
 )
-from repro.mining.matcher import (
-    PatternMatcher,
-    prefix_frequencies,
-    prefix_frequencies_ids,
-)
-from repro.mining.miner import MiningConfig
-from repro.resilience.faults import FAULTS, FaultPlan, FaultSpec
-from repro.resilience.quarantine import Quarantine
+from repro.mining.matcher import prefix_frequencies_ids
+from repro.mining.miner import MiningConfig, PatternMiner
+from tests import goldens as g
+from tests.spec_oracle import spec_relations, spec_violations
 
 SMALL = MiningConfig(min_pattern_support=8, min_path_frequency=4)
 
@@ -69,47 +60,16 @@ def path_lists(statements):
     return [paths for _, paths in statements]
 
 
-@contextmanager
-def object_pipeline():
-    """Force the object-path backend: every miner and matcher built
-    inside the block gets ``use_interner=False`` (the automaton stays
-    on — this isolates the interned representation, not the trie)."""
-    import repro.mining.matcher as matcher_mod
-    import repro.mining.miner as miner_mod
-
-    matcher_original = matcher_mod.PatternMatcher.__init__
-    miner_original = miner_mod.PatternMiner.__init__
-
-    def object_matcher(self, *args, **kwargs):
-        kwargs["use_interner"] = False
-        matcher_original(self, *args, **kwargs)
-
-    def object_miner(self, *args, **kwargs):
-        kwargs["use_interner"] = False
-        miner_original(self, *args, **kwargs)
-
-    matcher_mod.PatternMatcher.__init__ = object_matcher
-    miner_mod.PatternMiner.__init__ = object_miner
+@pytest.fixture
+def serving_interner(fitted_namer):
+    """The golden corpus's namer scanning through a fresh serve-time
+    interner that grows with the traffic, instead of the corpus one."""
+    original = fitted_namer.matcher._automaton._interner
+    fitted_namer.matcher.attach_interner(PathInterner())
     try:
-        yield
+        yield fitted_namer
     finally:
-        matcher_mod.PatternMatcher.__init__ = matcher_original
-        miner_mod.PatternMiner.__init__ = miner_original
-
-
-def object_twin(matcher: PatternMatcher) -> PatternMatcher:
-    """The object-scan matcher over the same patterns and rarity table."""
-    return PatternMatcher(
-        matcher.patterns,
-        prefix_counts=matcher._corpus_counts,
-        use_interner=False,
-    )
-
-
-def report_blob(groups) -> str:
-    return json.dumps(
-        [[r.to_json() for r in g] for g in groups], sort_keys=True
-    )
+        fitted_namer.matcher.attach_interner(original)
 
 
 class TestPathInterner:
@@ -231,7 +191,7 @@ class TestPathInterner:
         assert loaded.fold_table() == interner.fold_table()
 
     def test_schema_constant_is_int(self):
-        assert isinstance(INTERNER_SCHEMA, int)
+        assert isinstance(PIPELINE_VERSION, int)
 
 
 class TestShardMerge:
@@ -288,13 +248,16 @@ class TestShardMerge:
 
 
 class TestFrequencyParity:
-    """The vectorized prefix-frequency table vs the Counter walk."""
+    """The vectorized prefix-frequency table vs a direct count."""
 
     def test_prefix_frequencies_ids_parity(self, path_lists):
         interner, id_lists = PathInterner.build(path_lists)
         interner.ensure_symbolic()
         got = prefix_frequencies_ids(id_lists, interner)
-        expected = prefix_frequencies(path_lists)
+        expected: Counter = Counter()
+        for paths in path_lists:
+            for path in paths:
+                expected[path.prefix] += 1
         assert got == expected
         # First-seen key order is part of the merge/serialization
         # contract, not just the values.
@@ -305,99 +268,73 @@ class TestFrequencyParity:
 
 
 class TestMinedArtifactParity:
-    """mine() end to end: interned default vs object pipeline."""
+    """PatternMiner.mine entry points: extracting the paths itself,
+    taking extracted paths, or taking a prebuilt corpus interner all
+    mine the same patterns, serially and sharded."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_documents_identical(self, workers):
-        corpus = generate_python_corpus(
-            GeneratorConfig(num_repos=4, issue_rate=0.15, seed=11)
-        )
-        config = NamerConfig(
-            mining=MiningConfig(min_pattern_support=6, min_path_frequency=4),
-            workers=workers,
-        )
-        interned = Namer(config)
-        interned.mine(corpus)
-        doc = namer_to_document(interned)
-        object_namer = Namer(config)
-        with object_pipeline():
-            object_namer.mine(corpus)
-        object_doc = namer_to_document(object_namer)
-        doc.pop("phase_timings", None)
-        object_doc.pop("phase_timings", None)
-        assert json.dumps(doc, sort_keys=True) == json.dumps(
-            object_doc, sort_keys=True
+    def test_documents_identical(self, trained_namer, workers):
+        statements = [
+            ps.stmt for pf in trained_namer.prepared for ps in pf.statements
+        ]
+        paths = [
+            ps.paths for pf in trained_namer.prepared for ps in pf.statements
+        ]
+        interner, id_lists = PathInterner.build(paths)
+        pairs = [("True", "Equal"), ("Equal", "True")]
+
+        def mined(**kwargs):
+            miner = PatternMiner(SMALL, confusing_pairs=pairs)
+            return [
+                (p.key(), p.support)
+                for kind in PatternKind
+                for p in miner.mine(
+                    statements, kind, workers=workers, **kwargs
+                ).patterns
+            ]
+
+        reference = mined(paths=paths)
+        assert reference, "corpus must mine patterns"
+        assert mined() == reference
+        assert mined(paths=paths, interner=interner, id_lists=id_lists) == (
+            reference
         )
 
 
 class TestDifferentialDetect:
-    """Detection through pre-resolved IDs vs per-path object scans."""
+    """Detection through pre-resolved IDs."""
 
     def test_relations_parity(self, trained_namer, statements):
         interned = trained_namer.matcher
-        assert interned._automaton is not None
-        assert interned._automaton._interner is not None
-        twin = object_twin(interned)
-        assert twin._automaton._interner is None
-        assert twin.prepare_ids(statements[0][1]) is None
         matched = 0
         for stmt, paths in statements:
             ids = interned.prepare_ids(paths)
-            assert ids is not None
+            assert min(ids, default=0) >= 0
             rel = interned.relations(paths, ids)
-            assert rel == twin.relations(paths)
+            assert rel == spec_relations(interned.patterns, paths)
             # The auto-resolving route (no ids passed) agrees too.
             assert interned.relations(paths) == rel
             matched += len(rel)
-            assert interned.violations(stmt, paths, ids) == twin.violations(
-                stmt, paths
+            assert interned.violations(stmt, paths, ids) == spec_violations(
+                interned.patterns, stmt, paths
             )
         assert matched, "corpus must exercise the matchers"
 
     @pytest.mark.parametrize("workers", [1, 2, 7])
-    def test_byte_identical_reports(self, trained_namer, workers):
-        namer = trained_namer
-        interned = namer.matcher
-        twin = object_twin(interned)
-        try:
-            namer.matcher = twin
-            expected = report_blob(namer.detect_many(namer.prepared))
-        finally:
-            namer.matcher = interned
-        got = report_blob(namer.detect_many(namer.prepared, workers=workers))
-        assert got == expected
+    def test_byte_identical_reports(self, serving_interner, workers):
+        namer = serving_interner
+        got = g.report_digests(namer, namer.prepared, workers=workers)
+        assert got == g.load_goldens()["python"]["reports"]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_quarantine_parity_under_faults(self, trained_namer, workers):
-        plan = FaultPlan(
-            [
-                FaultSpec(site="core.detect", rate=0.4),
-                FaultSpec(site="core.featurize", rate=0.3),
-            ],
-            seed=5,
+    def test_quarantine_parity_under_faults(self, serving_interner, workers):
+        namer = serving_interner
+        expected = g.load_goldens()["python"]["faults"]
+        reports, records = g.detect_under_faults(
+            namer, namer.prepared, workers=workers
         )
-        namer = trained_namer
-        interned = namer.matcher
-
-        def run():
-            with FAULTS.armed(plan):
-                quarantine = Quarantine()
-                groups = namer.detect_many(
-                    namer.prepared, quarantine=quarantine, workers=workers
-                )
-            return report_blob(groups), [
-                (r.path, r.stage, r.kind, r.repo) for r in quarantine.records
-            ]
-
-        try:
-            namer.matcher = object_twin(interned)
-            expected_blob, expected_records = run()
-        finally:
-            namer.matcher = interned
-        got_blob, got_records = run()
-        assert expected_records, "plan must actually trip to prove parity"
-        assert got_records == expected_records
-        assert got_blob == expected_blob
+        assert records == expected["detect_quarantine"]
+        assert reports == expected["reports"]
 
     def test_pickle_keeps_interner_drops_tables(self, trained_namer):
         """A matcher crossing the process boundary keeps its vocabulary

@@ -1,4 +1,4 @@
-"""Tests for the anchor-indexed pattern matcher."""
+"""Tests for the selectivity-anchored pattern matcher."""
 
 from collections import Counter
 
@@ -6,8 +6,28 @@ from repro.core.namepath import extract_name_paths
 from repro.core.patterns import PatternKind, Relation, check_pattern
 from repro.core.transform import transform_statement
 from repro.lang.python_frontend import parse_statement
-from repro.mining.matcher import PatternMatcher, prefix_frequencies
+from repro.mining.matcher import PatternMatcher
 from repro.mining.miner import MiningConfig, PatternMiner
+from tests.spec_oracle import spec_relations
+
+
+def prefix_frequencies(path_lists):
+    """Corpus prefix-frequency table, counted directly."""
+    counts = Counter()
+    for paths in path_lists:
+        for path in paths:
+            counts[path.prefix] += 1
+    return counts
+
+
+def anchors(matcher: PatternMatcher) -> dict:
+    """pattern index -> the deduction prefix its accept set sits at."""
+    automaton = matcher._automaton
+    return {
+        idx: automaton._node_prefix[node]
+        for node, bucket in automaton._accepts.items()
+        for idx in bucket
+    }
 
 
 def build_world():
@@ -39,8 +59,8 @@ class TestPatternMatcher:
                 for p in patterns
                 if check_pattern(p, paths) is not Relation.NO_MATCH
             }
-            filtered = {id(p) for p in matcher.candidates(paths)}
-            assert brute <= filtered
+            found = {id(p) for p, _ in matcher.check_all(paths)}
+            assert brute == found
 
     def test_check_all_excludes_no_match(self):
         stmts, patterns = build_world()
@@ -75,11 +95,7 @@ class TestSelectivityIndex:
         path_lists = [extract_name_paths(s, max_paths=10) for s in stmts]
         counts = prefix_frequencies(path_lists)
         matcher = PatternMatcher(patterns, prefix_counts=counts)
-        anchor_of = {
-            idx: anchor
-            for anchor, bucket in matcher._by_anchor.items()
-            for idx in bucket
-        }
+        anchor_of = anchors(matcher)
         for idx, pattern in enumerate(patterns):
             expected = min(
                 (d.prefix for d in pattern.deduction),
@@ -104,20 +120,12 @@ class TestSelectivityIndex:
         matcher = PatternMatcher(patterns)
         for stmt in stmts[:10]:
             paths = extract_name_paths(stmt, max_paths=10)
-            brute = {
-                id(p)
-                for p in patterns
-                if check_pattern(p, paths) is not Relation.NO_MATCH
-            }
-            filtered = {id(p) for p in matcher.candidates(paths)}
-            assert brute <= filtered
+            assert matcher.relations(paths) == spec_relations(patterns, paths)
 
     def test_enumeration_order_is_anchor_independent(self):
         """Candidate order is part of the artifact-bytes contract: a
-        matcher with corpus-tuned anchors must enumerate the surviving
-        candidates of every statement in the same order as one with
-        fallback anchors, and any candidate either filter drops must be
-        a NO_MATCH."""
+        matcher with corpus-tuned anchors must report every statement's
+        relations in the same order as one with fallback anchors."""
         stmts, patterns = build_world()
         path_lists = [extract_name_paths(s, max_paths=10) for s in stmts]
         plain = PatternMatcher(patterns)
@@ -125,15 +133,7 @@ class TestSelectivityIndex:
             patterns, prefix_counts=prefix_frequencies(path_lists)
         )
         for paths in path_lists:
-            plain_idx = list(plain.candidate_indices(paths))
-            tuned_idx = list(tuned.candidate_indices(paths))
-            common = [i for i in plain_idx if i in set(tuned_idx)]
-            assert common == [i for i in tuned_idx if i in set(plain_idx)]
-            for only_one_side in set(plain_idx) ^ set(tuned_idx):
-                assert (
-                    check_pattern(patterns[only_one_side], paths)
-                    is Relation.NO_MATCH
-                )
+            assert plain.relations(paths) == tuned.relations(paths)
 
     def test_merge_equals_flat_build(self):
         """merge(shards) must reproduce a flat build exactly — anchors,
@@ -152,11 +152,9 @@ class TestSelectivityIndex:
         )
         assert merged.prefix_counts == flat.prefix_counts
         assert list(merged.prefix_counts) == list(flat.prefix_counts)
-        assert merged._by_anchor == flat._by_anchor
+        assert anchors(merged) == anchors(flat)
         for paths in path_lists:
-            assert list(merged.candidate_indices(paths)) == list(
-                flat.candidate_indices(paths)
-            )
+            assert merged.relations(paths) == flat.relations(paths)
 
     def test_merge_sums_corpus_tables(self):
         """Shards built over one corpus table merge to the same anchor
@@ -174,7 +172,7 @@ class TestSelectivityIndex:
                 PatternMatcher(patterns[half:], prefix_counts=counts),
             ]
         )
-        assert merged._by_anchor == flat._by_anchor
+        assert anchors(merged) == anchors(flat)
 
     def test_duplicate_prefix_orders_at_first_occurrence(self):
         """A prefix appearing at two statement positions must order its
@@ -183,6 +181,4 @@ class TestSelectivityIndex:
         matcher = PatternMatcher(patterns)
         paths = extract_name_paths(stmts[0], max_paths=10)
         doubled = list(paths) + list(paths)
-        assert list(matcher.candidate_indices(doubled)) == list(
-            matcher.candidate_indices(paths)
-        )
+        assert matcher.relations(doubled) == matcher.relations(paths)

@@ -19,7 +19,8 @@ from repro.core.namer import Namer, NamerConfig
 from repro.core.patterns import PatternKind
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
 from repro.mining.fptree import FPTree
-from repro.mining.miner import MiningConfig, PatternMiner, generate_patterns
+from repro.mining.interner import PathInterner
+from repro.mining.miner import MiningConfig, PatternMiner, generate_patterns_ids
 from repro.parallel.executor import ShardExecutor, default_workers
 from repro.parallel.merge import (
     merge_count_pairs,
@@ -167,7 +168,10 @@ class TestProfiler:
         profiler = PhaseProfiler()
         miner = PatternMiner(SMALL, confusing_pairs=[("True", "Equal")])
         miner.mine(idiom_corpus(20), PatternKind.CONFUSING_WORD, profiler=profiler)
+        # Without a caller-built interner the miner interns the corpus
+        # itself, under its own phase row.
         assert {row.phase for row in profiler.rows()} == {
+            "intern",
             "frequency",
             "growth",
             "generate",
@@ -477,27 +481,18 @@ class TestDeepTree:
             NamePath(prefix=(PathStep("Call", i),), end="word")
             for i in range(depth)
         ]
+        interner = PathInterner(chain)
         tree = FPTree()
-        tree.update(chain)
-        patterns = generate_patterns(
+        tree.update([interner.id_of(p) for p in chain])
+        candidates = generate_patterns_ids(
             tree.root,
-            [],
             PatternKind.CONFUSING_WORD,
+            interner.ensure_symbolic(),
             max_condition_paths=3,
             condition_subsets="full",
         )
-        assert len(patterns) == 1
-        (pattern,) = patterns
-        assert len(pattern.condition) == 3
-        assert pattern.support == 1
-
-    def test_visited_list_restored(self):
-        chain = [
-            NamePath(prefix=(PathStep("Call", i),), end="word") for i in range(5)
-        ]
-        tree = FPTree()
-        tree.update(chain)
-        visited = [NamePath(prefix=(PathStep("Outer", 0),), end="ctx")]
-        before = list(visited)
-        generate_patterns(tree.root, visited, PatternKind.CONFUSING_WORD)
-        assert visited == before
+        assert len(candidates) == 1
+        ((cond, deduct, support),) = candidates
+        assert len(cond) == 3
+        assert interner.resolve(deduct[0]) == chain[-1]
+        assert support == 1
