@@ -461,7 +461,6 @@ def _serve_cluster(args: argparse.Namespace) -> int:
             queue_capacity=args.queue_capacity,
             cache_entries=args.cache_size,
             strict_artifacts=args.strict_artifacts,
-            use_frozen=not args.no_frozen,
             fault_plan_path=args.fault_plan,
             quiet=False,
             start=False,
@@ -509,7 +508,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             index_path=args.index,
             degraded_ok=not args.strict_artifacts,
-            use_frozen=not args.no_frozen,
         )
     except PersistenceError as exc:
         return _fail(str(exc), code=2)
@@ -810,11 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict-artifacts", action="store_true",
         help="refuse to start on a corrupt classifier section instead "
         "of serving degraded pattern-only results",
-    )
-    serve.add_argument(
-        "--no-frozen", action="store_true",
-        help="ignore any <artifacts>.frozen sibling blob; always decode "
-        "the JSON artifact",
     )
     serve.add_argument(
         "--index", default=None, metavar="DB",

@@ -36,7 +36,8 @@ __all__ = ["CACHE_SCHEMA_VERSION", "CacheLevelStats", "ContentCache"]
 
 #: Bumped whenever the pickled payload layout of any level changes;
 #: part of every key, so old entries become unreachable (not corrupt).
-CACHE_SCHEMA_VERSION = 1
+#: v2: statistics counters keyed by pattern index.
+CACHE_SCHEMA_VERSION = 2
 
 _HEADER_LIMIT = 4096  # a header line is ~200 bytes; cap reads defensively
 

@@ -42,7 +42,7 @@ from repro.core.namepath import extract_name_paths
 from repro.core.prepare import PreparedFile, prepare_corpus
 from repro.core.patterns import PatternKind, Violation
 from repro.core.reports import Report
-from repro.core.stats_index import FileStatsView, StatsIndex
+from repro.core.stats_index import StatsIndex
 from repro.core.transform import TransformConfig
 from repro.corpus.model import Corpus, Repository
 from repro.mining import PIPELINE_VERSION
@@ -334,7 +334,6 @@ class Namer:
         miner = PatternMiner(
             cfg.mining, confusing_pairs=self.pairs.pairs(cfg.min_pair_count)
         )
-        file_keys: list[str] | None = None
         with ShardExecutor(cfg.workers) as executor:
             # Shards are whole repositories, packed into contiguous
             # balanced spans — deterministic, and repo-aligned so shard
@@ -414,81 +413,10 @@ class Namer:
         )
 
         with profiler.phase("stats", items=len(statements)):
-            # The statistics index and the summary's violation scan are
-            # both pure functions of (prepared files, mined patterns).
-            # With an aligned shard plan the index is cached per
-            # statement shard — a one-file edit re-counts only that
-            # file's shard — and merged in shard order, which keeps the
-            # counter ordering (and so the serialized artifact)
-            # byte-identical to a single global build.
-            if cache is not None and shard_keys is not None:
-                stats_salt = fingerprint_of(
-                    pattern_fingerprint(p) for p in patterns
-                )
-                # Corpus-level memo over the shard entries: a zero-change
-                # warm run loads the already-merged index in one read.
-                merged_key = ContentCache.key(
-                    fingerprint_of(shard_keys), stats_salt
-                )
-                merged = cache.get("stats", merged_key)
-                if merged is not None:
-                    self.stats, violation_counts = merged
-                else:
-                    shard_entries = []
-                    offsets = []
-                    pos = 0
-                    for pf in self.prepared:
-                        offsets.append(pos)
-                        pos += len(pf.statements)
-                    for (start, stop), shard_key in zip(spans, shard_keys):
-                        entry_key = ContentCache.key(shard_key, stats_salt)
-                        entry = cache.get("stats", entry_key)
-                        if entry is None:
-                            shard_files = [
-                                pf
-                                for pf, offset in zip(self.prepared, offsets)
-                                if start <= offset < stop and pf.statements
-                            ]
-                            entry = self._stats_shard(shard_files)
-                            cache.put("stats", entry_key, entry)
-                        shard_entries.append(entry)
-                    self.stats = StatsIndex.merge(
-                        e[0] for e in shard_entries
-                    )
-                    # Sets union across shards exactly as the global
-                    # scan's sets accumulate across files, so the
-                    # summary tallies match a fresh build (including
-                    # path collisions across repos, which dedupe the
-                    # same way).
-                    violation_counts = (
-                        sum(e[1] for e in shard_entries),
-                        len(set().union(*(e[2] for e in shard_entries))),
-                        len(set().union(*(e[3] for e in shard_entries))),
-                    )
-                    cache.put(
-                        "stats", merged_key, (self.stats, violation_counts)
-                    )
-            elif cache is not None:
-                # No aligned shard plan (a span split a file): fall back
-                # to one corpus-wide entry keyed by every file key.
-                stats_key = ContentCache.key(
-                    fingerprint_of(file_keys),
-                    fingerprint_of(
-                        pattern_fingerprint(p) for p in patterns
-                    ),
-                )
-                stats_entry = cache.get("stats", stats_key)
-                if stats_entry is None:
-                    self.stats = self._build_stats()
-                    violation_counts = self._violation_counts()
-                    cache.put(
-                        "stats", stats_key, (self.stats, violation_counts)
-                    )
-                else:
-                    self.stats, violation_counts = stats_entry
-            else:
-                self.stats = self._build_stats()
-                violation_counts = self._violation_counts()
+            self.stats, violation_counts = self._mine_stats(
+                spans, shard_keys, id_lists
+            )
+            self.stats.bind(self.matcher)
         self.summary = self._summarize(
             consistency, confusing, corpus, violation_counts
         )
@@ -497,70 +425,85 @@ class Namer:
             self.summary.cache_stats = cache.stats_json()
         return self.summary
 
-    def _build_stats(self) -> StatsIndex:
-        """One-pass global statistics index over the prepared corpus."""
-        assert self.matcher is not None
-        return StatsIndex.build(
-            self.matcher,
-            (
-                (ps.stmt, ps.paths)
-                for pf in self.prepared
-                for ps in pf.statements
-            ),
-        )
+    def _mine_stats(
+        self, spans, shard_keys: list[str] | None, id_lists
+    ) -> tuple[StatsIndex, tuple[int, int, int]]:
+        """The corpus statistics index plus the summary's violation
+        tallies — (statements, files, repos) with at least one
+        violation — from one :func:`_match_file` scan per file, over
+        the statements' corpus-interned ``id_lists``.
 
-    def _stats_shard(
-        self, prepared_files: list
-    ) -> tuple[StatsIndex, int, set, set]:
-        """Shard-local statistics plus the violation-scan partials that
-        merge into :meth:`_violation_counts`' tallies: (index, violating
-        statement count, violating file paths, violating repo names)."""
-        assert self.matcher is not None
-        matcher = self.matcher
-        # Resolve each statement's interned IDs once and reuse them for
-        # both scans below (the stats build and the violation tally).
-        file_entries = [
-            [
-                (ps.stmt, ps.paths, matcher.prepare_ids(ps.paths))
-                for ps in pf.statements
-            ]
-            for pf in prepared_files
-        ]
-        index = StatsIndex.build(
-            matcher,
-            (entry for entries in file_entries for entry in entries),
-        )
-        stmts_with = 0
-        files_with = set()
-        repos_with = set()
-        for pf, entries in zip(prepared_files, file_entries):
-            file_hit = False
-            for stmt, paths, ids in entries:
-                if matcher.violations(stmt, paths, ids):
-                    stmts_with += 1
-                    file_hit = True
-            if file_hit:
-                files_with.add(pf.path)
-                repos_with.add(pf.repo)
-        return index, stmts_with, files_with, repos_with
-
-    def _violation_counts(self) -> tuple[int, int, int]:
-        """Scan the mined corpus for the summary's violation tallies:
-        (statements, files, repos) with at least one violation."""
-        assert self.matcher is not None
-        files_with = set()
-        repos_with = set()
-        stmts_with = 0
+        Both are pure functions of (prepared files, mined patterns).
+        With the cache on, each shard's part is cached under its
+        content key — a one-file edit re-scans only that file's shard —
+        and a corpus-level memo over the shard keys loads a zero-change
+        warm run in one read.  Parts merge in corpus order, which keeps
+        the counter ordering (and so the serialized artifact)
+        byte-identical to one pass over the whole corpus.
+        """
+        files = []  # (prepared file, its statements' ID rows, offset)
+        pos = 0
         for pf in self.prepared:
-            file_hit = False
-            for ps in pf.statements:
-                if self.matcher.violations(ps.stmt, ps.paths):
-                    stmts_with += 1
-                    file_hit = True
-            if file_hit:
+            stop = pos + len(pf.statements)
+            files.append((pf, id_lists[pos:stop], pos))
+            pos = stop
+        cache = self.content_cache
+        if cache is None:
+            parts = [self._stats_shard(files)]
+        else:
+            stats_salt = fingerprint_of(
+                pattern_fingerprint(p) for p in self.matcher.patterns
+            )
+            merged_key = ContentCache.key(fingerprint_of(shard_keys), stats_salt)
+            merged = cache.get("stats", merged_key)
+            if merged is not None:
+                return merged
+            parts = []
+            for (start, stop), shard_key in zip(spans, shard_keys):
+                entry_key = ContentCache.key(shard_key, stats_salt)
+                part = cache.get("stats", entry_key)
+                if part is None:
+                    part = self._stats_shard(
+                        [f for f in files if start <= f[2] < stop and f[1]]
+                    )
+                    cache.put("stats", entry_key, part)
+                parts.append(part)
+        stats = StatsIndex.merge(part[0] for part in parts)
+        # Sets union across shards exactly as one corpus-wide tally
+        # would (path collisions across repos dedupe the same way).
+        violation_counts = (
+            sum(part[1] for part in parts),
+            len(set().union(*(part[2] for part in parts))),
+            len(set().union(*(part[3] for part in parts))),
+        )
+        if cache is not None:
+            cache.put("stats", merged_key, (stats, violation_counts))
+        return stats, violation_counts
+
+    def _stats_shard(self, files: list) -> tuple[StatsIndex, int, set, set]:
+        """One shard's statistics plus its violation-tally partials:
+        (index, violating statement count, violating file paths,
+        violating repo names)."""
+        matcher = self.matcher
+        indexes = []
+        stmts_with = 0
+        files_with = set()
+        repos_with = set()
+        for pf, id_rows, _ in files:
+            rows, index = _match_file(
+                matcher,
+                [
+                    (ps.stmt, ps.paths, ids.tolist())
+                    for ps, ids in zip(pf.statements, id_rows)
+                ],
+            )
+            indexes.append(index)
+            hits = sum(1 for row in rows if row)
+            if hits:
+                stmts_with += hits
                 files_with.add(pf.path)
                 repos_with.add(pf.repo)
-        return stmts_with, len(files_with), len(repos_with)
+        return StatsIndex.merge(indexes), stmts_with, files_with, repos_with
 
     def _summarize(
         self,
@@ -844,7 +787,8 @@ class Namer:
                 ]
                 extract_seconds += time.perf_counter() - started
                 started = time.perf_counter()
-                group, stats = _match_file(matcher, entries)
+                rows, stats = _match_file(matcher, entries)
+                group = _dedup_violations([v for row in rows for v in row])
             except Exception as exc:
                 if quarantine is None:
                     raise
@@ -1033,31 +977,14 @@ def _dedup_violations(violations: list[Violation]) -> list[Violation]:
 
 
 def _match_file(matcher, entries):
-    """The match half of one file's detect pass: deduped violations plus
-    the file-local statistics index.
-
-    One fused scan walks every statement once and feeds both the
-    violation list and the statistics build.  When every statement is
-    fully interned the relation counts come back pre-aggregated per
-    pattern index (no per-relation tuples) and the lazy view defers
-    key-keyed lookup tables to the (rare) files whose violations
-    actually get featurized; paths past the interner cap take the
-    scalar overflow walk and an index built from its relation rows.
-    """
-    scanned = matcher.scan_entries_stats(entries)
-    if scanned is not None:
-        viol_rows, aggregates = scanned
-        found = [v for row in viol_rows for v in row]
-        return (
-            _dedup_violations(found),
-            FileStatsView(matcher, entries, aggregates),
-        )
-    viol_rows, rel_rows = matcher.scan_entries(entries)
-    found = [v for row in viol_rows for v in row]
-    return (
-        _dedup_violations(found),
-        StatsIndex.build_from_relations(matcher, entries, rel_rows),
-    )
+    """One file's match pass: per-statement violation rows plus the
+    file's statistics index, from one
+    :meth:`~repro.mining.matcher.PatternMatcher.scan_entries` scan of
+    its ``(stmt, paths, ids)`` entries.  Detection dedups the rows into
+    reports; the mining stats pass merges the indexes and tallies the
+    rows."""
+    viol_rows, aggregates = matcher.scan_entries(entries)
+    return viol_rows, StatsIndex.build(entries, aggregates).bind(matcher)
 
 
 def _detect_shard(task):
@@ -1084,6 +1011,8 @@ def _detect_shard(task):
     elif current is None or current.to_json() != plan_json:
         FAULTS.arm(FaultPlan.from_json(plan_json))
     matcher, stats, pairs, max_paths = resolve_context(ctx_payload)
+    # A pickled context arrives unbound (see StatsIndex.__getstate__).
+    stats.bind(matcher)
     files = resolve_shard(files_payload)
     entries = []
     extract_seconds = 0.0
@@ -1100,7 +1029,8 @@ def _detect_shard(task):
             ]
             extract_seconds += time.perf_counter() - started
             started = time.perf_counter()
-            group, local = _match_file(matcher, stmt_entries)
+            rows, local = _match_file(matcher, stmt_entries)
+            group = _dedup_violations([v for row in rows for v in row])
         except Exception as exc:
             if not capture:
                 raise

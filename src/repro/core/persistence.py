@@ -10,6 +10,7 @@ inference.  This module serializes all four to a single JSON document
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Any
 
@@ -29,6 +30,7 @@ from repro.resilience.checkpoint import atomic_write_text, document_checksum
 from repro.resilience.faults import fault_check
 
 __all__ = [
+    "artifact_checksum",
     "save_namer",
     "load_namer",
     "namer_to_document",
@@ -96,32 +98,15 @@ def _pattern_from_json(data: dict) -> NamePattern:
 # ----------------------------------------------------------------------
 
 
-def _stats_to_json(stats: StatsIndex, patterns: list[NamePattern]) -> dict:
-    """Pattern keys are not JSON-safe; encode them as indices into the
-    saved pattern list."""
-    key_to_index = {p.key(): i for i, p in enumerate(patterns)}
-
-    def encode_counter(counter, scoped: bool) -> list:
-        rows = []
-        for key, count in counter.items():
-            if scoped:
-                scope, pattern_key = key
-                index = key_to_index.get(pattern_key)
-                if index is None:
-                    continue
-                rows.append([scope, index, count])
-            else:
-                index = key_to_index.get(key)
-                if index is None:
-                    continue
-                rows.append([index, count])
-        return rows
+def _stats_to_json(stats: StatsIndex) -> dict:
+    """Counters are keyed by pattern index already; rows keep their
+    insertion order."""
 
     def encode_table(table) -> dict:
         return {
-            "file": encode_counter(table["file"], scoped=True),
-            "repo": encode_counter(table["repo"], scoped=True),
-            "dataset": encode_counter(table["dataset"], scoped=False),
+            "file": [[scope, idx, count] for (scope, idx), count in table["file"].items()],
+            "repo": [[scope, idx, count] for (scope, idx), count in table["repo"].items()],
+            "dataset": [[idx, count] for idx, count in table["dataset"].items()],
         }
 
     return {
@@ -136,17 +121,16 @@ def _stats_to_json(stats: StatsIndex, patterns: list[NamePattern]) -> dict:
     }
 
 
-def _stats_from_json(data: dict, patterns: list[NamePattern]) -> StatsIndex:
+def _stats_from_json(data: dict) -> StatsIndex:
     stats = StatsIndex()
-    keys = [p.key() for p in patterns]
 
     def decode_table(table_data: dict, target: dict) -> None:
-        for scope, index, count in table_data["file"]:
-            target["file"][(scope, keys[index])] = count
-        for scope, index, count in table_data["repo"]:
-            target["repo"][(scope, keys[index])] = count
+        for level in ("file", "repo"):
+            counter = target[level]
+            for scope, index, count in table_data[level]:
+                counter[(scope, index)] = count
         for index, count in table_data["dataset"]:
-            target["dataset"][keys[index]] = count
+            target["dataset"][index] = count
 
     decode_table(data["matches"], stats.matches)
     decode_table(data["satisfactions"], stats.satisfactions)
@@ -218,7 +202,7 @@ def namer_to_document(namer: Namer) -> dict[str, Any]:
         },
         "patterns": [_pattern_to_json(p) for p in patterns],
         "pairs": [[m, c, n] for (m, c), n in namer.pairs.counts.items()],
-        "stats": _stats_to_json(namer.stats, patterns),
+        "stats": _stats_to_json(namer.stats),
         "classifier": _classifier_to_json(namer.classifier),
     }
 
@@ -235,6 +219,22 @@ def save_document(document: dict[str, Any], path: str | Path) -> None:
     }
     stamped.update((k, v) for k, v in document.items() if k != "schema_version")
     atomic_write_text(path, json.dumps(stamped))
+
+
+def artifact_checksum(path: str | Path) -> str | None:
+    """The checksum :func:`save_document` stamped on the artifact at
+    ``path``, read from the file's first bytes without decoding the
+    rest; ``None`` when the file is unreadable or carries no stamp."""
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(256)
+    except OSError:
+        return None
+    match = _STAMP.match(head)
+    return match.group(1).decode() if match else None
+
+
+_STAMP = re.compile(rb'\{"schema_version": \d+, "checksum": "([0-9a-f]{64})"')
 
 
 def save_namer(namer: Namer, path: str | Path) -> None:
@@ -278,7 +278,8 @@ def namer_from_document(
         namer.pairs = ConfusingPairStore()
         for mistaken, correct, count in document["pairs"]:
             namer.pairs.add(mistaken, correct, count)
-        namer.stats = _stats_from_json(document["stats"], patterns)
+        namer.stats = _stats_from_json(document["stats"])
+        namer.stats.bind(namer.matcher)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, PersistenceError):
             raise

@@ -2,32 +2,36 @@
 
 Most of Table 1's features are counts of matches, satisfactions and
 violations of a pattern at three levels — the file containing the
-statement, its repository, and the entire mining dataset.  This index
-is built in one pass over the corpus: every statement is checked
-against its candidate patterns and the outcome is recorded at all three
-levels, alongside identical-statement counts (features 2-3).
+statement, its repository, and the entire mining dataset.  One file's
+index is built from one matcher scan of its statements
+(:meth:`~repro.mining.matcher.PatternMatcher.scan_entries`); the corpus
+index is the shard-ordered :meth:`StatsIndex.merge` of those, alongside
+identical-statement counts (features 2-3).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from repro.core.namepath import NamePath
-from repro.core.patterns import NamePattern, Relation
+from repro.core.patterns import NamePattern
 from repro.lang.astir import StatementAst
-from repro.mining.matcher import PatternMatcher
 
-__all__ = ["FileStatsView", "StatsIndex"]
+__all__ = ["StatsIndex"]
 
 
 @dataclass
 class StatsIndex:
     """Match/satisfaction/violation counts per pattern and level.
 
-    Pattern identity is the pattern's :meth:`~NamePattern.key`, so the
-    index survives re-created pattern objects.
+    Counters are keyed by pattern *index* — ``(scope, index)`` at file
+    and repo level, ``index`` at dataset level — the same integers the
+    JSON artifact and the frozen blob store.  Queries take the pattern
+    itself and resolve it through ``pattern_index``, the matcher's
+    :attr:`~repro.mining.matcher.PatternMatcher.pattern_index` table,
+    attached with :meth:`bind`.  The table is never pickled, so cache
+    entries hold counts only.
     """
 
     matches: dict[str, Counter] = field(
@@ -43,90 +47,60 @@ class StatsIndex:
         default_factory=lambda: {"file": Counter(), "repo": Counter()}
     )
     total_statements: int = 0
+    pattern_index: Mapping[tuple, int] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     # ------------------------------------------------------------------
 
     @classmethod
     def build(
         cls,
-        matcher: PatternMatcher,
-        statements: Iterable[tuple],
+        entries: Sequence[tuple],
+        aggregates: tuple[Mapping[int, int], Mapping[int, int], Mapping[int, int]],
     ) -> "StatsIndex":
-        """Scan ``(statement, paths)`` pairs — or ``(statement, paths,
-        ids)`` triples when the caller already resolved the statement's
-        interned path IDs — and accumulate all counters."""
-        index = cls()
-        for entry in statements:
-            index.add_statement(matcher, *entry)
-        return index
+        """One file's index from its ``(stmt, ...)`` entries and the
+        ``(matches, satisfactions, violations)`` aggregates
+        :meth:`~repro.mining.matcher.PatternMatcher.scan_entries`
+        returned for them: ``{pattern index: count}`` dicts in
+        first-bump order, which becomes counter insertion order.
 
-    @classmethod
-    def build_from_relations(
-        cls,
-        matcher: PatternMatcher,
-        statements: Iterable[tuple],
-        relation_rows: Iterable[Sequence[tuple[int, Relation]]],
-    ) -> "StatsIndex":
-        """:meth:`build` from pre-computed relation lists (one
-        ``(pattern index, relation)`` list per statement, in candidate
-        order — the second half of a fused detect scan).  All
-        statements must come from one prepared file (one file path, one
-        repo) — that is what :func:`~repro.core.namer._match_file`
-        passes.  Bump order, and therefore counter insertion order and
-        serialized bytes, are identical to re-scanning each statement.
-
-        Counts aggregate per pattern *index* first — integer dict keys —
-        and the expensive ``pattern.key()``-keyed counters are bumped
-        once per (scope, pattern, table) instead of once per relation.
-        Each table keeps its own first-bump pattern order, so counter
-        insertion order (what re-scanning would have produced) is
-        preserved exactly.
+        All entries come from one prepared file (one file path, one
+        repo), so every scope collapses to that file's per-pattern
+        count.
         """
         index = cls()
-        patterns = matcher.patterns
-        file_path = None
-        repo = None
-        # first-bump-ordered {pattern index -> count} per table
-        agg_m: dict[int, int] = {}
-        agg_s: dict[int, int] = {}
-        agg_v: dict[int, int] = {}
-        for entry, rels in zip(statements, relation_rows):
+        file_path = repo = None
+        file_counts = index.statement_counts["file"]
+        repo_counts = index.statement_counts["repo"]
+        for entry in entries:
             stmt = entry[0]
-            index.total_statements += 1
             struct = stmt.structural_key()
             file_path = stmt.file_path
             repo = stmt.repo
-            index.statement_counts["file"][(file_path, struct)] += 1
-            index.statement_counts["repo"][(repo, struct)] += 1
-            for pat_idx, relation in rels:
-                agg_m[pat_idx] = agg_m.get(pat_idx, 0) + 1
-                if relation is Relation.SATISFIED:
-                    agg_s[pat_idx] = agg_s.get(pat_idx, 0) + 1
-                else:
-                    agg_v[pat_idx] = agg_v.get(pat_idx, 0) + 1
-        for agg, table in (
-            (agg_m, index.matches),
-            (agg_s, index.satisfactions),
-            (agg_v, index.violations),
+            file_counts[(file_path, struct)] += 1
+            repo_counts[(repo, struct)] += 1
+        index.total_statements = len(entries)
+        for counts, table in zip(
+            aggregates, (index.matches, index.satisfactions, index.violations)
         ):
-            file_counter = table["file"]
-            repo_counter = table["repo"]
-            dataset_counter = table["dataset"]
-            for pat_idx, count in agg.items():
-                key = patterns[pat_idx].key()
-                file_counter[(file_path, key)] += count
-                repo_counter[(repo, key)] += count
-                dataset_counter[key] += count
+            table["file"].update({(file_path, i): n for i, n in counts.items()})
+            table["repo"].update({(repo, i): n for i, n in counts.items()})
+            table["dataset"].update(counts)
         return index
+
+    #: one-line alias kept only because the benchmark's trace table
+    #: (``benchmarks/namerbench/launch.py`` ``LAYERS``) names it
+    build_from_relations = build
 
     @classmethod
     def merge(cls, indices: Iterable["StatsIndex"]) -> "StatsIndex":
-        """Concatenate shard-local indexes into one corpus-wide index.
+        """Concatenate per-file (or per-shard) indexes into one.
 
         ``Counter.update`` preserves first-seen insertion order, so
-        merging contiguous shard indexes in shard order reproduces the
-        exact counter ordering of a single :meth:`build` pass over the
-        same statements — serialized output stays byte-identical.
+        merging indexes in corpus order reproduces the counter ordering
+        of bumping every relation of the corpus in turn — serialized
+        output stays byte-identical however the corpus was split.
         """
         merged = cls()
         for index in indices:
@@ -139,29 +113,15 @@ class StatsIndex:
             merged.total_statements += index.total_statements
         return merged
 
-    def add_statement(
-        self,
-        matcher: PatternMatcher,
-        stmt: StatementAst,
-        paths: Sequence[NamePath],
-        ids: Sequence[int] | None = None,
-    ) -> None:
-        self.total_statements += 1
-        struct = stmt.structural_key()
-        self.statement_counts["file"][(stmt.file_path, struct)] += 1
-        self.statement_counts["repo"][(stmt.repo, struct)] += 1
-        for pattern, relation in matcher.check_all(paths, ids):
-            key = pattern.key()
-            self._bump(self.matches, key, stmt)
-            if relation is Relation.SATISFIED:
-                self._bump(self.satisfactions, key, stmt)
-            else:
-                self._bump(self.violations, key, stmt)
+    def bind(self, matcher) -> "StatsIndex":
+        """Resolve query patterns through ``matcher``'s pattern table."""
+        self.pattern_index = matcher.pattern_index
+        return self
 
-    def _bump(self, table: dict[str, Counter], key, stmt: StatementAst) -> None:
-        table["file"][(stmt.file_path, key)] += 1
-        table["repo"][(stmt.repo, key)] += 1
-        table["dataset"][key] += 1
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["pattern_index"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Queries used by the feature extractor
@@ -200,91 +160,18 @@ class StatsIndex:
         stmt: StatementAst,
         level: str,
     ) -> int:
-        key = pattern.key()
+        counter = table[level]
+        if not counter:
+            return 0
+        if self.pattern_index is None:
+            raise RuntimeError("StatsIndex queried before bind(matcher)")
+        idx = self.pattern_index.get(pattern.key())
         if level == "dataset":
-            return table["dataset"][key]
+            return counter[idx]
         scope = stmt.file_path if level == "file" else stmt.repo
-        return table[level][(scope, key)]
+        return counter[(scope, idx)]
 
 
-class FileStatsView(StatsIndex):
-    """Single-file statistics backed by pattern-*index* aggregates.
-
-    The detect path only ever *queries* a file's local index — one
-    lookup per surviving violation, via the feature extractor — so
-    materializing :meth:`NamePattern.key`-keyed counters for every
-    matched pattern of every file is wasted work.  This view keeps the
-    raw per-table ``(pattern indices, counts)`` arrays from
-    :meth:`~repro.mining.automaton.MatchAutomaton.scan_batch_stats`
-    and converts to key-keyed counts lazily, on the first query — files
-    whose violations are all deduplicated or quarantined never pay the
-    key hashing at all.  Query answers are identical to a
-    :meth:`StatsIndex.build` over the same statements: every scope in a
-    one-file index collapses to the same per-pattern count, and foreign
-    scopes read as zero.
-    """
-
-    def __init__(
-        self,
-        matcher: PatternMatcher,
-        statements: Iterable[tuple],
-        aggregates: tuple,
-    ) -> None:
-        super().__init__()
-        self._patterns = matcher.patterns
-        self._aggregates = aggregates
-        self._by_key: dict | None = None
-        file_path = None
-        repo = None
-        for entry in statements:
-            stmt = entry[0]
-            self.total_statements += 1
-            struct = stmt.structural_key()
-            file_path = stmt.file_path
-            repo = stmt.repo
-            self.statement_counts["file"][(file_path, struct)] += 1
-            self.statement_counts["repo"][(repo, struct)] += 1
-        self._file_path = file_path
-        self._repo = repo
-
-    def _counts(self) -> dict:
-        by_key = self._by_key
-        if by_key is None:
-            (m_p, m_c), (s_p, s_c), (v_p, v_c) = self._aggregates
-            sat = dict(zip(s_p.tolist(), s_c.tolist()))
-            vio = dict(zip(v_p.tolist(), v_c.tolist()))
-            patterns = self._patterns
-            by_key = {}
-            for idx, matched in zip(m_p.tolist(), m_c.tolist()):
-                by_key[patterns[idx].key()] = (
-                    matched,
-                    sat.get(idx, 0),
-                    vio.get(idx, 0),
-                )
-            self._by_key = by_key
-        return by_key
-
-    def _triple(
-        self, pattern: NamePattern, stmt: StatementAst, level: str
-    ) -> tuple[int, int, int] | None:
-        if level == "file" and stmt.file_path != self._file_path:
-            return None
-        if level == "repo" and stmt.repo != self._repo:
-            return None
-        return self._counts().get(pattern.key())
-
-    def match_count(self, pattern: NamePattern, stmt: StatementAst, level: str) -> int:
-        triple = self._triple(pattern, stmt, level)
-        return triple[0] if triple else 0
-
-    def satisfaction_count(
-        self, pattern: NamePattern, stmt: StatementAst, level: str
-    ) -> int:
-        triple = self._triple(pattern, stmt, level)
-        return triple[1] if triple else 0
-
-    def violation_count(
-        self, pattern: NamePattern, stmt: StatementAst, level: str
-    ) -> int:
-        triple = self._triple(pattern, stmt, level)
-        return triple[2] if triple else 0
+#: one-line alias kept only because the benchmark's trace table
+#: (``benchmarks/namerbench/launch.py`` ``LAYERS``) names it
+FileStatsView = StatsIndex

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import threading
 from collections import Counter
 from typing import Sequence
 
@@ -70,6 +71,13 @@ __all__ = ["BatchTables", "MatchAutomaton"]
 
 #: Floor for the serve-time interning cap (see :meth:`attach_interner`).
 _MIN_INTERN_CAP = 1 << 16
+
+#: Serializes vocabulary growth (interning plus the per-ID table
+#: extension): a serving engine scans one automaton from several queue
+#: threads, and two threads growing the tables at once would hand out
+#: one ID twice or append one table row twice.  The tables only grow,
+#: so readers need no lock.
+_GROW_LOCK = threading.Lock()
 
 _NO_MATCH = Relation.NO_MATCH
 _SATISFIED = Relation.SATISFIED
@@ -348,11 +356,12 @@ class MatchAutomaton:
         ``ids``."""
         cap = self._intern_cap
         intern = self._interner.intern_capped
-        ids = [intern(path, cap) for path in paths]
-        # getattr: the tables are scratch state, dropped on pickle.
-        pid_node = getattr(self, "_pid_node", None)
-        if pid_node is None or len(pid_node) < len(self._interner):
-            self._extend_pid_tables()
+        with _GROW_LOCK:
+            ids = [intern(path, cap) for path in paths]
+            # getattr: the tables are scratch state, dropped on pickle.
+            pid_node = getattr(self, "_pid_node", None)
+            if pid_node is None or len(pid_node) < len(self._interner):
+                self._extend_pid_tables_locked()
         return ids
 
     def _extend_pid_tables(self) -> None:
@@ -360,6 +369,10 @@ class MatchAutomaton:
         against the trie.  Values mirror exactly what one overflow-walk
         step computes for the same path — the scan loops then agree
         byte-for-byte whichever branch handled a path."""
+        with _GROW_LOCK:
+            self._extend_pid_tables_locked()
+
+    def _extend_pid_tables_locked(self) -> None:
         if not hasattr(self, "_pid_node"):
             self._reset_pid_tables()
         pid_node = self._pid_node
@@ -945,63 +958,17 @@ class MatchAutomaton:
         self,
         stmts: Sequence[StatementAst],
         id_rows: Sequence[Sequence[int]],
-    ) -> tuple[list[list[Violation]], list[list[tuple[int, Relation]]]]:
+    ) -> tuple[list[list[Violation]], tuple[list[int], list[int], list[bool]]]:
         """One vectorized scan serving both halves of a detect pass
-        over many statements: per-row ``(violations, relations)``,
-        byte-identical to :meth:`scan_one` on each row."""
+        over many fully-interned statements: per-row violations
+        (byte-identical to :meth:`scan_one` on each row) plus every
+        matched relation as parallel ``(row, pattern index, satisfied)``
+        lists, in row order and the pinned candidate order within a
+        row."""
         viol_rows: list[list[Violation]] = [[] for _ in id_rows]
-        rel_rows: list[list[tuple[int, Relation]]] = [[] for _ in id_rows]
         core = self._batch_core(id_rows)
         if core is None:
-            return viol_rows, rel_rows
-        stmt_l, pat_l, sat_l, kind_l, j1_l, j2_l, last_pid = core
-        pid_end = self._pid_end
-        sat_tab = self._sat
-        patterns = self.patterns
-        for i in range(len(stmt_l)):
-            stmt_i = stmt_l[i]
-            pat_i = pat_l[i]
-            if sat_l[i]:
-                rel_rows[stmt_i].append((pat_i, _SATISFIED))
-                continue
-            rel_rows[stmt_i].append((pat_i, _VIOLATED))
-            sat = sat_tab[pat_i]
-            if kind_l[i]:
-                observed = pid_end[last_pid[j2_l[i]]] or ""
-                suggested = pid_end[last_pid[j1_l[i]]] or ""
-                ded = sat[3]
-            else:
-                ded = sat[3]
-                observed = pid_end[last_pid[j1_l[i]]] or ""
-                suggested = ded.end or ""
-            viol_rows[stmt_i].append(
-                Violation(
-                    statement=stmts[stmt_i],
-                    pattern=patterns[pat_i],
-                    observed=observed,
-                    suggested=suggested,
-                    deduction_path=ded,
-                )
-            )
-        return viol_rows, rel_rows
-
-    def scan_batch_stats(
-        self,
-        stmts: Sequence[StatementAst],
-        id_rows: Sequence[Sequence[int]],
-    ) -> tuple[list[list[Violation]], tuple]:
-        """:meth:`scan_batch` for callers that only need the *counts*
-        of the relation half: per-row violations plus per-table
-        ``(pattern indices, counts)`` aggregates for matches /
-        satisfactions / violations, in ascending pattern-index order.
-        Skipping the per-relation tuple materialization is the detect
-        hot path's single biggest win on statistics-heavy corpora.
-        """
-        viol_rows: list[list[Violation]] = [[] for _ in id_rows]
-        empty = np.empty(0, dtype=np.int64)
-        core = self._batch_core(id_rows)
-        if core is None:
-            return viol_rows, ((empty, empty),) * 3
+            return viol_rows, ([], [], [])
         stmt_l, pat_l, sat_l, kind_l, j1_l, j2_l, last_pid = core
         pid_end = self._pid_end
         sat_tab = self._sat
@@ -1009,42 +976,25 @@ class MatchAutomaton:
         for i in range(len(stmt_l)):
             if sat_l[i]:
                 continue
-            stmt_i = stmt_l[i]
             pat_i = pat_l[i]
             sat = sat_tab[pat_i]
+            ded = sat[3]
             if kind_l[i]:
                 observed = pid_end[last_pid[j2_l[i]]] or ""
                 suggested = pid_end[last_pid[j1_l[i]]] or ""
-                ded = sat[3]
             else:
-                ded = sat[3]
                 observed = pid_end[last_pid[j1_l[i]]] or ""
                 suggested = ded.end or ""
-            viol_rows[stmt_i].append(
+            viol_rows[stmt_l[i]].append(
                 Violation(
-                    statement=stmts[stmt_i],
+                    statement=stmts[stmt_l[i]],
                     pattern=patterns[pat_i],
                     observed=observed,
                     suggested=suggested,
                     deduction_path=ded,
                 )
             )
-        pats = np.asarray(pat_l, dtype=np.int64)
-        sats = np.asarray(sat_l, dtype=bool)
-        n_patterns = len(patterns)
-
-        def counted(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            if len(sub) == 0:
-                return empty, empty
-            counts = np.bincount(sub, minlength=n_patterns)
-            present = np.flatnonzero(counts)
-            return present, counts[present]
-
-        return viol_rows, (
-            counted(pats),
-            counted(pats[sats]),
-            counted(pats[~sats]),
-        )
+        return viol_rows, (stmt_l, pat_l, sat_l)
 
     def __len__(self) -> int:
         return len(self.patterns)

@@ -47,6 +47,7 @@ import os
 import sys
 import tempfile
 import zlib
+from collections import Counter
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -193,7 +194,6 @@ def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
     document = namer_to_document(namer)
     fingerprint = document_checksum(document)
     stats = namer.stats
-    key_to_index = {p.key(): i for i, p in enumerate(patterns)}
 
     arrays: list[tuple[str, np.ndarray]] = []
 
@@ -263,32 +263,20 @@ def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
     add("pid_ebp", auto._pid_endbitpos, np.int32)
 
     # Statistics counters, in Counter insertion order (mirrors the JSON
-    # encoder exactly, including the skip of unknown pattern keys).
+    # encoder exactly).
     for name in ("matches", "satisfactions", "violations"):
         table = getattr(stats, name)
         for level in ("file", "repo"):
-            scope_col: list[int] = []
-            pat_col: list[int] = []
-            cnt_col: list[int] = []
-            for (scope, pattern_key), count in table[level].items():
-                idx = key_to_index.get(pattern_key)
-                if idx is None:
-                    continue
-                scope_col.append(strings.add(scope))
-                pat_col.append(idx)
-                cnt_col.append(count)
-            add(f"st_{name}_{level}_scope", scope_col, np.int32)
-            add(f"st_{name}_{level}_pat", pat_col, np.int32)
-            add(f"st_{name}_{level}_cnt", cnt_col, np.int64)
-        pat_col, cnt_col = [], []
-        for pattern_key, count in table["dataset"].items():
-            idx = key_to_index.get(pattern_key)
-            if idx is None:
-                continue
-            pat_col.append(idx)
-            cnt_col.append(count)
-        add(f"st_{name}_dataset_pat", pat_col, np.int32)
-        add(f"st_{name}_dataset_cnt", cnt_col, np.int64)
+            counter = table[level]
+            add(
+                f"st_{name}_{level}_scope",
+                [strings.add(scope) for scope, _ in counter],
+                np.int32,
+            )
+            add(f"st_{name}_{level}_pat", [idx for _, idx in counter], np.int32)
+            add(f"st_{name}_{level}_cnt", list(counter.values()), np.int64)
+        add(f"st_{name}_dataset_pat", list(table["dataset"]), np.int32)
+        add(f"st_{name}_dataset_cnt", list(table["dataset"].values()), np.int64)
     for level in ("file", "repo"):
         scope_col, struct_col, cnt_col = [], [], []
         for (scope, struct), count in stats.statement_counts[level].items():
@@ -722,10 +710,9 @@ def _namer_from_artifact(art: FrozenArtifact):
     auto._frozen_path = art.path
 
     matcher = PatternMatcher.__new__(PatternMatcher)
-    matcher.patterns = patterns
-    matcher._automaton = auto
-    matcher.prefix_counts = auto.deduction_prefix_counts()
-    matcher._corpus_counts = None
+    matcher._init_from_parts(
+        patterns, auto.deduction_prefix_counts(), None, auto
+    )
 
     config = header["config"]
     namer = Namer(
@@ -741,7 +728,8 @@ def _namer_from_artifact(art: FrozenArtifact):
     namer.pairs = ConfusingPairStore()
     for mistaken, correct, count in header["pairs"]:
         namer.pairs.add(mistaken, correct, count)
-    namer.stats = FrozenStats(art.path, patterns, header["total_statements"], art)
+    namer.stats = FrozenStats(art.path, header["total_statements"], art)
+    namer.stats.bind(matcher)
 
     clf_header = header.get("classifier")
     if clf_header is None:
@@ -779,16 +767,15 @@ class FrozenStats(StatsIndex):
     """A :class:`StatsIndex` whose counters materialize lazily from the
     frozen blob's arrays.
 
-    Cold start only parses the header; the Counter dicts (the expensive
-    part of a JSON artifact load) are rebuilt — in their original
-    insertion order, so re-saves stay byte-identical — on first access.
-    Pickling ships only the blob path and the pattern list; workers
-    re-map the arrays instead of serializing the counters.
+    Cold start only parses the header; the Counter dicts are rebuilt —
+    in their original insertion order, so re-saves stay byte-identical
+    — on first access.  Pickling ships only the blob path and the
+    statement total; workers re-map the arrays instead of serializing
+    the counters.
     """
 
-    def __init__(self, path, patterns, total_statements, artifact=None):
+    def __init__(self, path, total_statements, artifact=None):
         self._path = str(path)
-        self._patterns = patterns
         self._total = int(total_statements)
         self._artifact = artifact
         self._cache = None
@@ -808,41 +795,42 @@ class FrozenStats(StatsIndex):
         self._artifact = None
         strings = art.header["strings"]
         arrays = art.arrays
-        keys = [p.key() for p in self._patterns]
-        out: dict[str, Any] = {}
-        from collections import Counter
 
+        def column(name: str, pooled: bool = False) -> list:
+            values = arrays[name].tolist()
+            return [strings[v] for v in values] if pooled else values
+
+        def counter(keys, counts: str) -> Counter:
+            out: Counter = Counter()
+            dict.update(out, zip(keys, column(counts)))
+            return out
+
+        out: dict[str, Any] = {}
         for name in ("matches", "satisfactions", "violations"):
             table = {
-                "file": Counter(),
-                "repo": Counter(),
-                "dataset": Counter(),
+                level: counter(
+                    zip(
+                        column(f"st_{name}_{level}_scope", pooled=True),
+                        column(f"st_{name}_{level}_pat"),
+                    ),
+                    f"st_{name}_{level}_cnt",
+                )
+                for level in ("file", "repo")
             }
-            for level in ("file", "repo"):
-                counter = table[level]
-                for scope, pat, cnt in zip(
-                    arrays[f"st_{name}_{level}_scope"].tolist(),
-                    arrays[f"st_{name}_{level}_pat"].tolist(),
-                    arrays[f"st_{name}_{level}_cnt"].tolist(),
-                ):
-                    counter[(strings[scope], keys[pat])] = cnt
-            counter = table["dataset"]
-            for pat, cnt in zip(
-                arrays[f"st_{name}_dataset_pat"].tolist(),
-                arrays[f"st_{name}_dataset_cnt"].tolist(),
-            ):
-                counter[keys[pat]] = cnt
+            table["dataset"] = counter(
+                column(f"st_{name}_dataset_pat"), f"st_{name}_dataset_cnt"
+            )
             out[name] = table
-        counts = {"file": Counter(), "repo": Counter()}
-        for level in ("file", "repo"):
-            counter = counts[level]
-            for scope, struct, cnt in zip(
-                arrays[f"sc_{level}_scope"].tolist(),
-                arrays[f"sc_{level}_struct"].tolist(),
-                arrays[f"sc_{level}_cnt"].tolist(),
-            ):
-                counter[(strings[scope], strings[struct])] = cnt
-        out["statement_counts"] = counts
+        out["statement_counts"] = {
+            level: counter(
+                zip(
+                    column(f"sc_{level}_scope", pooled=True),
+                    column(f"sc_{level}_struct", pooled=True),
+                ),
+                f"sc_{level}_cnt",
+            )
+            for level in ("file", "repo")
+        }
         return out
 
     @property
@@ -868,15 +856,7 @@ class FrozenStats(StatsIndex):
     # -- pickling ------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        return {
-            "path": self._path,
-            "patterns": self._patterns,
-            "total": self._total,
-        }
+        return {"path": self._path, "total": self._total}
 
     def __setstate__(self, state: dict) -> None:
-        self._path = state["path"]
-        self._patterns = state["patterns"]
-        self._total = state["total"]
-        self._artifact = None
-        self._cache = None
+        self.__init__(state["path"], state["total"])

@@ -61,6 +61,22 @@ def prefix_frequencies_ids(
     return counts
 
 
+def _first_bump_counts(
+    pats: Sequence[int], sats: Sequence[bool]
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """``{pattern index: count}`` of matches, satisfactions and
+    violations over a relation stream, each keyed in the order its
+    indices first occur."""
+    matched: dict[int, int] = {}
+    satisfied: dict[int, int] = {}
+    violated: dict[int, int] = {}
+    for pat, sat in zip(pats, sats):
+        matched[pat] = matched.get(pat, 0) + 1
+        table = satisfied if sat else violated
+        table[pat] = table.get(pat, 0) + 1
+    return matched, satisfied, violated
+
+
 class PatternMatcher:
     """A compiled, selectivity-anchored matcher over a fixed pattern set.
 
@@ -107,6 +123,7 @@ class PatternMatcher:
     ) -> None:
         """Finalize the automaton against already-counted tables."""
         self.patterns = patterns
+        self._pattern_index: dict[tuple, int] | None = None
         self.prefix_counts = prefix_counts
         self._corpus_counts = corpus_counts
         self._automaton = automaton
@@ -114,6 +131,18 @@ class PatternMatcher:
             automaton.finalize(
                 corpus_counts if corpus_counts is not None else prefix_counts
             )
+
+    @property
+    def pattern_index(self) -> dict[tuple, int]:
+        """Pattern identity (:meth:`~NamePattern.key`) -> pattern index:
+        the one table statistics queries resolve patterns through
+        (built on first use)."""
+        table = self._pattern_index
+        if table is None:
+            table = self._pattern_index = {
+                p.key(): i for i, p in enumerate(self.patterns)
+            }
+        return table
 
     def attach_interner(
         self, interner: PathInterner, cap: int | None = None
@@ -137,15 +166,6 @@ class PatternMatcher:
         caller did not)."""
         return self._automaton.relations(paths, ids)
 
-    def check_all(
-        self,
-        paths: Sequence[NamePath],
-        ids: Sequence[int] | None = None,
-    ) -> Iterable[tuple[NamePattern, Relation]]:
-        """(pattern, relation) for every candidate that matches."""
-        patterns = self.patterns
-        return [(patterns[idx], rel) for idx, rel in self.relations(paths, ids)]
-
     def violations(
         self,
         stmt: StatementAst,
@@ -157,51 +177,55 @@ class PatternMatcher:
 
     def scan_entries(
         self, entries: Sequence[tuple]
-    ) -> tuple[list[list[Violation]], list[list[tuple[int, Relation]]]]:
-        """Fused detect scan over ``(stmt, paths, ids)`` triples: one
-        pass yields both the per-statement violations and the
-        ``(pattern index, relation)`` lists the statistics build needs.
+    ) -> tuple[list[list[Violation]], tuple[dict[int, int], ...]]:
+        """One scan over ``(stmt, paths, ids)`` triples serving both
+        halves of a file's match pass: the per-statement violations and
+        the statistics build's ``(matches, satisfactions, violations)``
+        aggregates, each a ``{pattern index: count}`` dict in first-bump
+        order (the order a per-relation counter would have seen them).
 
         Fully-interned statements (every ID non-negative) go through
         the vectorized batch walk in one call; statements with paths
-        the capped interner refused take the scalar overflow walk.
+        the capped interner refused take the scalar overflow walk, and
+        their relations are folded into the aggregates in statement
+        order.
         """
         automaton = self._automaton
         viol_rows: list[list[Violation]] = [[] for _ in entries]
-        rel_rows: list[list[tuple[int, Relation]]] = [[] for _ in entries]
         batch_pos: list[int] = []
         batch_ids: list[Sequence[int]] = []
+        overflow: list[tuple[int, list[tuple[int, Relation]]]] = []
         for i, (stmt, paths, ids) in enumerate(entries):
             if not ids or min(ids) >= 0:
                 batch_pos.append(i)
                 batch_ids.append(ids)
             else:
-                viol_rows[i], rel_rows[i] = automaton.scan_one(stmt, paths, ids)
+                viol_rows[i], rels = automaton.scan_one(stmt, paths, ids)
+                overflow.append((i, rels))
+        rows: list[int] = []
+        pats: list[int] = []
+        sats: list[bool] = []
         if batch_pos:
-            stmts = [entries[i][0] for i in batch_pos]
-            bviol, brel = automaton.scan_batch(stmts, batch_ids)
+            bviol, (rows, pats, sats) = automaton.scan_batch(
+                [entries[i][0] for i in batch_pos], batch_ids
+            )
             for k, i in enumerate(batch_pos):
                 viol_rows[i] = bviol[k]
-                rel_rows[i] = brel[k]
-        return viol_rows, rel_rows
+        if overflow:
+            per_stmt: list[list[tuple[int, bool]]] = [[] for _ in entries]
+            for row, pat, sat in zip(rows, pats, sats):
+                per_stmt[batch_pos[row]].append((pat, sat))
+            for i, rels in overflow:
+                per_stmt[i] = [
+                    (idx, rel is Relation.SATISFIED) for idx, rel in rels
+                ]
+            pats = [pat for row in per_stmt for pat, _ in row]
+            sats = [sat for row in per_stmt for _, sat in row]
+        return viol_rows, _first_bump_counts(pats, sats)
 
-    def scan_entries_stats(
-        self, entries: Sequence[tuple]
-    ) -> tuple[list[list[Violation]], tuple] | None:
-        """:meth:`scan_entries` with the relation half pre-aggregated
-        into per-table ``(pattern indices, counts)`` arrays (matches /
-        satisfactions / violations).  Only valid when *every* entry is
-        fully interned — mixed batches would need the overflow walk's
-        relation stream folded in — so it returns ``None`` then and
-        the caller falls back to :meth:`scan_entries`.
-        """
-        id_rows: list[Sequence[int]] = []
-        for _, _, ids in entries:
-            if ids and min(ids) < 0:
-                return None
-            id_rows.append(ids)
-        stmts = [entry[0] for entry in entries]
-        return self._automaton.scan_batch_stats(stmts, id_rows)
+    #: one-line alias kept only because the benchmark's trace table
+    #: (``benchmarks/namerbench/launch.py`` ``LAYERS``) names it
+    scan_entries_stats = scan_entries
 
     def relations_batch(
         self, id_rows: Sequence[Sequence[int]]

@@ -142,7 +142,6 @@ class ReplicaHandle:
         request_timeout: float = 60.0,
         probe_timeout: float = 3.0,
         probe_breaker: CircuitBreaker | None = None,
-        use_frozen: bool = True,
     ) -> None:
         self.name = name
         self.artifact_path = artifact_path
@@ -158,7 +157,6 @@ class ReplicaHandle:
         self.request_timeout = request_timeout
         self.probe_timeout = probe_timeout
         self._probe_breaker = probe_breaker
-        self.use_frozen = use_frozen
 
         self.state = DOWN
         #: cold-start observability: coordinator-side spawn-to-ready
@@ -209,8 +207,6 @@ class ReplicaHandle:
             cmd += ["--cache-dir", self.cache_dir]
         if self.strict_artifacts:
             cmd.append("--strict-artifacts")
-        if not self.use_frozen:
-            cmd.append("--no-frozen")
         if self.fault_plan_path:
             cmd += ["--fault-plan", self.fault_plan_path]
         return cmd
@@ -456,7 +452,6 @@ class ClusterCoordinator:
         strict_artifacts: bool = False,
         fault_plan_path: str | None = None,
         handles: list[ReplicaHandle] | None = None,
-        use_frozen: bool = True,
     ) -> None:
         self.artifact_path = artifact_path
         self.health_interval = health_interval
@@ -483,7 +478,6 @@ class ClusterCoordinator:
                     cache_entries=cache_entries,
                     strict_artifacts=strict_artifacts,
                     fault_plan_path=fault_plan_path,
-                    use_frozen=use_frozen,
                 )
                 for i in range(max(1, replicas))
             ]

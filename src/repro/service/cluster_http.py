@@ -216,7 +216,6 @@ def serve_cluster(
     queue_capacity: int = 64,
     cache_entries: int = 1024,
     strict_artifacts: bool = False,
-    use_frozen: bool = True,
     fault_plan_path: str | None = None,
     quiet: bool = True,
     start: bool = True,
@@ -234,7 +233,6 @@ def serve_cluster(
         queue_capacity=queue_capacity,
         cache_entries=cache_entries,
         strict_artifacts=strict_artifacts,
-        use_frozen=use_frozen,
         fault_plan_path=fault_plan_path,
     )
     coordinator.start(wait_ready=True)

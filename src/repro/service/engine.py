@@ -31,7 +31,11 @@ from repro.mining.frozen import (
     default_frozen_path,
     load_frozen_namer,
 )
-from repro.core.persistence import PersistenceError, load_namer
+from repro.core.persistence import (
+    PersistenceError,
+    artifact_checksum,
+    load_namer,
+)
 from repro.core.prepare import PreparedFile, PrepareError, prepare_file_checked
 from repro.corpus.model import SourceFile
 from repro.resilience.faults import InjectedFault, fault_check
@@ -140,7 +144,6 @@ class AnalysisEngine:
         cache_dir: str | None = None,
         index_path: str | None = None,
         defer_load: bool = False,
-        use_frozen: bool = True,
     ) -> None:
         if namer is None and artifact_path is None:
             raise ValueError("AnalysisEngine needs a namer or an artifact_path")
@@ -153,9 +156,6 @@ class AnalysisEngine:
         #: "frozen" when the mmap'd blob served the load, "json" for the
         #: legacy artifact decode, "inline" for an in-memory namer
         self._artifact_source: str | None = None
-        #: try the frozen sibling blob (``<artifacts>.frozen``) before
-        #: the JSON decode; damage falls back with a logged warning
-        self.use_frozen = bool(use_frozen)
         self.degraded_ok = degraded_ok
         self.artifact_path = artifact_path
         self.request_timeout = request_timeout
@@ -207,27 +207,35 @@ class AnalysisEngine:
     def _load_artifact(self, artifact_path: str) -> Namer:
         """Load the serving artifact, preferring the frozen sibling.
 
-        The fallback ladder: a healthy ``<artifacts>.frozen`` blob maps
-        in; a damaged, truncated, or era-mismatched one logs a warning
-        and falls back to the JSON artifact (same reports either way —
-        damage is a cache miss, never an outage).  Timing is recorded
-        for /metrics."""
+        The fallback ladder: a healthy ``<artifacts>.frozen`` blob
+        frozen from this very artifact (its fingerprint equals the
+        artifact's stamped checksum) maps in; a damaged, truncated,
+        era-mismatched or stale one logs a warning and falls back to
+        the JSON artifact (same reports either way — damage is a cache
+        miss, never an outage).  Timing is recorded for /metrics."""
         started = time.monotonic()
         namer: Namer | None = None
-        if self.use_frozen:
-            frozen_path = default_frozen_path(artifact_path)
-            if frozen_path.exists():
-                try:
-                    namer = load_frozen_namer(frozen_path)
-                    self._artifact_source = "frozen"
-                except (FrozenError, InjectedFault) as exc:
-                    logger.warning(
-                        "frozen artifact %s unusable (%s); "
-                        "falling back to %s",
-                        frozen_path,
-                        exc,
-                        artifact_path,
+        frozen_path = default_frozen_path(artifact_path)
+        if frozen_path.exists():
+            try:
+                namer = load_frozen_namer(frozen_path)
+                # A blob left by an earlier `mine --freeze` carries
+                # another document's fingerprint.
+                stamped = artifact_checksum(artifact_path)
+                if stamped is None or namer.frozen_fingerprint != stamped:
+                    raise FrozenError(
+                        f"fingerprint {namer.frozen_fingerprint!r} is not "
+                        f"the artifact's checksum {stamped!r}"
                     )
+                self._artifact_source = "frozen"
+            except (FrozenError, InjectedFault) as exc:
+                namer = None
+                logger.warning(
+                    "frozen artifact %s unusable (%s); falling back to %s",
+                    frozen_path,
+                    exc,
+                    artifact_path,
+                )
         if namer is None:
             namer = load_namer(artifact_path, degraded_ok=self.degraded_ok)
             self._artifact_source = "json"

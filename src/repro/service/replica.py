@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-size", type=int, default=1024)
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--strict-artifacts", action="store_true")
-    parser.add_argument(
-        "--no-frozen", action="store_true",
-        help="skip the frozen sibling blob; always decode the JSON artifact",
-    )
     parser.add_argument("--fault-plan", default=None, metavar="PLAN_JSON")
     return parser
 
@@ -122,7 +118,6 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=args.cache_dir,
         degraded_ok=not args.strict_artifacts,
         defer_load=True,
-        use_frozen=not args.no_frozen,
     )
     # Report cold start from main() entry, not engine construction, so
     # the number in /metrics matches what an operator experiences.

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -290,6 +292,49 @@ class TestFallbackFrequencies:
         )
         assert loaded.matcher.prefix_counts == expected
         assert list(loaded.matcher.prefix_counts) == list(expected)
+
+
+class TestConcurrentGrowth:
+    @pytest.mark.parametrize("round_", range(3))
+    def test_threads_growing_the_vocabulary_keep_tables_aligned(
+        self, trained_namer, statements, round_
+    ):
+        """A serving engine's queue threads resolve novel paths through
+        one automaton at once: every ID must still name its own path,
+        every per-ID table row must exist exactly once, and scans must
+        agree with a serially grown automaton."""
+        matcher = PatternMatcher(trained_namer.matcher.patterns)
+        auto = matcher._automaton
+        threads = 4
+        chunks = [statements[k::threads] for k in range(threads)]
+        resolved: list = [None] * threads
+        barrier = threading.Barrier(threads)
+
+        def grow(k):
+            barrier.wait(timeout=60)
+            resolved[k] = [(paths, auto.ids_of(paths)) for _, paths in chunks[k]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=grow, args=(k,)) for k in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        interner = auto._interner
+        for rows in resolved:
+            for paths, ids in rows:
+                assert [interner.resolve(i) for i in ids] == list(paths)
+        assert len(auto._pid_node) == len(auto._pid_end) == len(interner)
+        serial = PatternMatcher(trained_namer.matcher.patterns)
+        for stmt, paths in statements:
+            assert matcher.relations(paths) == serial.relations(paths)
 
 
 class TestMergeAndPickle:

@@ -37,9 +37,16 @@ def build_world():
     )
     patterns = miner.mine(stmts, PatternKind.CONFUSING_WORD).patterns
     matcher = PatternMatcher(patterns)
-    stats = StatsIndex.build(
-        matcher, ((s, extract_name_paths(s, max_paths=10)) for s in stmts)
-    )
+    by_file = {}
+    for s in stmts:
+        paths = extract_name_paths(s, max_paths=10)
+        by_file.setdefault(s.file_path, []).append(
+            (s, paths, matcher.prepare_ids(paths))
+        )
+    stats = StatsIndex.merge(
+        StatsIndex.build(entries, matcher.scan_entries(entries)[1])
+        for entries in by_file.values()
+    ).bind(matcher)
     paths = extract_name_paths(bug, max_paths=10)
     violations = matcher.violations(bug, paths)
     return stmts, matcher, stats, violations, paths

@@ -18,7 +18,14 @@ import pickle
 import pytest
 
 from repro.core.namer import Namer, NamerConfig
-from repro.core.persistence import namer_to_document, save_document, save_namer
+from repro.__main__ import main
+from repro.core.namer import _match_file
+from repro.core.persistence import (
+    load_namer,
+    namer_to_document,
+    save_document,
+    save_namer,
+)
 from repro.mining import PIPELINE_VERSION
 from repro.mining.frozen import (
     FrozenArtifact,
@@ -52,6 +59,22 @@ def report_blob(groups) -> str:
     return json.dumps(
         [[r.to_json() for r in g] for g in groups], sort_keys=True
     )
+
+
+def file_stats(matcher, pf):
+    """One prepared file's statistics index, as detection builds it."""
+    entries = [
+        (ps.stmt, ps.paths, matcher.prepare_ids(ps.paths))
+        for ps in pf.statements
+    ]
+    return _match_file(matcher, entries)[1]
+
+
+def counter_rows(stats) -> list:
+    """Every counter of ``stats`` as an ordered item list."""
+    tables = [getattr(stats, name) for name in ("matches", "satisfactions", "violations")]
+    tables.append(stats.statement_counts)
+    return [list(counter.items()) for table in tables for counter in table.values()]
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +202,10 @@ class TestDifferential:
     def test_detect_parity_through_capped_interner(self, frozen_setup, cap):
         """A frozen load scanning through a fresh capped interner: all
         paths (zero cap) or the later half of the vocabulary overflow
-        into the scalar walk, with unchanged reports."""
+        into the scalar walk, with unchanged reports — and every file's
+        statistics index equal to the corpus interner's, counters and
+        insertion order, which pins how overflow relations fold into
+        the aggregates."""
         namer, _, frozen_path, _ = frozen_setup
         loaded = load_frozen_namer(frozen_path)
         vocabulary = len(loaded.matcher._automaton._interner)
@@ -188,6 +214,11 @@ class TestDifferential:
         prepared = list(namer.prepared)
         reference = report_blob(namer.detect_many(prepared))
         assert report_blob(loaded.detect_many(prepared)) == reference
+        for pf in prepared:
+            ours = file_stats(loaded.matcher, pf)
+            theirs = file_stats(namer.matcher, pf)
+            assert ours == theirs
+            assert counter_rows(ours) == counter_rows(theirs)
 
     def test_frozen_namer_pickles_for_pool_workers(self, frozen_setup):
         namer, _, frozen_path, _ = frozen_setup
@@ -307,13 +338,28 @@ class TestEngineFallback:
         finally:
             engine.shutdown(drain=False)
 
-    def test_no_frozen_flag_skips_the_blob(self, frozen_setup):
-        _, artifact, _, _ = frozen_setup
-        engine = AnalysisEngine(
-            artifact_path=str(artifact), workers=1, use_frozen=False
-        )
+    def test_stale_blob_falls_back_to_json(self, frozen_setup, tmp_path, caplog):
+        """``mine --freeze --out X`` then ``mine --out X`` leaves the first
+        run's blob beside the second run's JSON: the engine must see
+        that the blob is not this artifact's own and serve the JSON."""
+        namer = frozen_setup[0]
+        out = tmp_path / "namer.json"
+        base = ["--out", str(out), "--repos", "8", "--min-frequency", "5",
+                "--seed", "3", "--no-cache"]
+        assert main(["mine", *base, "--min-support", "10", "--freeze"]) == 0
+        assert main(["mine", *base, "--min-support", "14"]) == 0
+        stale = load_frozen_namer(default_frozen_path(out))
+        fresh = load_namer(out)
+        assert len(stale.matcher.patterns) != len(fresh.matcher.patterns)
+        with caplog.at_level(logging.WARNING, logger="repro.service.engine"):
+            engine = AnalysisEngine(artifact_path=str(out), workers=1)
         try:
             assert engine.metrics_json()["artifact_source"] == "json"
+            assert any("falling back" in r.message for r in caplog.records)
+            prepared = list(namer.prepared)
+            assert report_blob(
+                engine._namer.detect_many(prepared)
+            ) == report_blob(fresh.detect_many(prepared))
         finally:
             engine.shutdown(drain=False)
 

@@ -67,7 +67,7 @@ def test_reports(served, source, workers):
 @pytest.mark.parametrize("cap", ["zero", "half"])
 def test_reports_through_capped_interner(served, cap):
     """Serve-time paths past the interner cap take the scalar overflow
-    walk (``scan_one`` + ``StatsIndex.build_from_relations``): a zero
+    walk (``scan_one``, folded into ``PatternMatcher.scan_entries``): a zero
     cap sends every path there, half the vocabulary mixes interned and
     overflowing paths in one batch.  Reports must not change."""
     language, namer, artifact, _, _ = served

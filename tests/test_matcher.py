@@ -59,14 +59,15 @@ class TestPatternMatcher:
                 for p in patterns
                 if check_pattern(p, paths) is not Relation.NO_MATCH
             }
-            found = {id(p) for p, _ in matcher.check_all(paths)}
+            found = {id(patterns[idx]) for idx, _ in matcher.relations(paths)}
             assert brute == found
 
     def test_check_all_excludes_no_match(self):
+        """Every relation the matcher reports is a real match."""
         stmts, patterns = build_world()
         matcher = PatternMatcher(patterns)
         paths = extract_name_paths(stmts[0], max_paths=10)
-        for _, relation in matcher.check_all(paths):
+        for _, relation in matcher.relations(paths):
             assert relation is not Relation.NO_MATCH
 
     def test_len(self):
