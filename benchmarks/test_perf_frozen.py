@@ -5,8 +5,8 @@ mmap blob (``repro.mining.frozen``), and measures what the frozen tier
 exists for:
 
 1. **Serial match phase.** ``detect_many`` over the whole prepared
-   corpus through the vectorized batch walk, best-of-N.  Recorded, not
-   enforced.
+   corpus through the frozen-loaded namer's automaton walk, best-of-N.
+   Recorded, not enforced.
 2. **Cold start.** ``load_frozen_namer`` (zero-copy mmap) against the
    JSON ``load_namer`` decode of the same artifact, best-of-N; floor
    ``REPRO_BENCH_MIN_COLDSTART_SPEEDUP`` (default 10x).  The loaded
@@ -116,11 +116,11 @@ def test_frozen_speedups(trained):
     }
     advisories: list[str] = []
 
-    # 1. serial match phase through the batch walk
-    batch_seconds = _match_seconds(namer)
+    # 1. serial match phase
+    match_seconds = _match_seconds(namer)
     record["match"] = {
         "files": len(namer.prepared),
-        "batch_seconds": round(batch_seconds, 3),
+        "seconds": round(match_seconds, 3),
     }
 
     # 2. cold start: mmap load vs JSON decode, lossless re-encode
@@ -187,7 +187,7 @@ def test_frozen_speedups(trained):
         "Performance — frozen matcher artifacts",
         f"blob: {summary['bytes'] / 1024:.0f} kB "
         f"({summary['arrays']} arrays, {summary['patterns']} patterns)\n"
-        f"match:      {batch_seconds:.3f} s\n"
+        f"match:      {match_seconds:.3f} s\n"
         f"cold start: {json_seconds * 1000:.1f} ms -> "
         f"{cold_best * 1000:.1f} ms ({cold_speedup:.2f}x)\n"
         f"replica RSS ({REPLICAS} frozen replicas): {rss}",

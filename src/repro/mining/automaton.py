@@ -26,9 +26,13 @@ once instead:
 * **Interned paths.**  Every automaton carries a
   :class:`~repro.mining.interner.PathInterner`; each vocabulary entry
   is resolved against the trie once into per-ID tables, so scanning a
-  statement reads one table row per path, and whole files scan in one
-  vectorized batch walk over a CSR view of the trie.  Paths past the
-  interner's cap take a scalar overflow walk with identical results.
+  statement reads one table row per path.  A path past the interner's
+  cap is resolved by the same trie-walk helper on each scan, so both
+  kinds of path feed one walk with identical results.
+* **One stateless walk.**  A scan keeps everything it writes in
+  per-call locals (a dict of touched trie nodes), so the serving
+  engine's queue threads share one automaton without a scan lock; only
+  vocabulary growth is serialized.
 
 **Order-pinning invariant.**  Surviving candidates are emitted in a
 fixed order — (statement-path position of the first occurrence of the
@@ -40,8 +44,8 @@ temperature.  Scans record the *first* occurrence position of a prefix
 ``paths_by_prefix`` where a later duplicate prefix overwrites an
 earlier one.
 
-The automaton is picklable (scan scratch arrays are dropped and
-rebuilt lazily) so one compiled structure ships to a worker pool once
+The automaton is picklable (the per-ID tables are dropped and rebuilt
+lazily) so one compiled structure ships to a worker pool once
 and serves every task.  :data:`repro.mining.PIPELINE_VERSION`
 participates in the content-cache keys of results produced through the
 automaton; bump it whenever a change here could alter any output byte.
@@ -49,13 +53,10 @@ automaton; bump it whenever a change here could alter any output byte.
 
 from __future__ import annotations
 
-import itertools
 import sys
 import threading
 from collections import Counter
 from typing import Sequence
-
-import numpy as np
 
 from repro.core.namepath import NamePath, PathStep
 from repro.core.patterns import (
@@ -67,7 +68,7 @@ from repro.core.patterns import (
 from repro.lang.astir import StatementAst
 from repro.mining.interner import PathInterner
 
-__all__ = ["BatchTables", "MatchAutomaton"]
+__all__ = ["MatchAutomaton"]
 
 #: Floor for the serve-time interning cap (see :meth:`attach_interner`).
 _MIN_INTERN_CAP = 1 << 16
@@ -79,7 +80,6 @@ _MIN_INTERN_CAP = 1 << 16
 #: so readers need no lock.
 _GROW_LOCK = threading.Lock()
 
-_NO_MATCH = Relation.NO_MATCH
 _SATISFIED = Relation.SATISFIED
 _VIOLATED = Relation.VIOLATED
 
@@ -88,65 +88,6 @@ _VIOLATED = Relation.VIOLATED
 #: end token the pattern set never mentions (can equal no interned id).
 _TID_EPSILON = -1
 _TID_UNKNOWN = -2
-
-
-class BatchTables:
-    """The automaton flattened into contiguous numpy arrays — the CSR
-    layout the vectorized batch scan gathers over, and (byte-for-byte)
-    the array section of a frozen artifact.
-
-    Guard masks can exceed 64 bits (step-kind and concrete-end bits are
-    interleaved during compilation), so node and required masks are
-    ``(·, W)`` ``uint64`` word matrices with ``W = ceil(num_bits/64)``.
-    For a consistency pattern ``sat_b`` holds the second satisfaction
-    *node*; for a confusing-word pattern it holds the expected end-token
-    id — ``sat_kind`` disambiguates.
-    """
-
-    __slots__ = (
-        "n_nodes",
-        "n_words",
-        "node_words",
-        "accept_off",
-        "accept_pat",
-        "req_words",
-        "order_node",
-        "cond_off",
-        "cond_node",
-        "cond_tid",
-        "ded_off",
-        "ded_node",
-        "sat_kind",
-        "sat_a",
-        "sat_b",
-    )
-
-    def __init__(self, **arrays) -> None:
-        for name in self.__slots__:
-            setattr(self, name, arrays[name])
-
-
-def _mask_words(masks: Sequence[int], n_words: int) -> np.ndarray:
-    """Arbitrary-width Python int masks -> an ``(len, W)`` uint64 word
-    matrix (little-endian word order)."""
-    out = np.zeros((len(masks), n_words), dtype=np.uint64)
-    full = (1 << 64) - 1
-    for row, mask in enumerate(masks):
-        word = 0
-        while mask:
-            out[row, word] = mask & full
-            mask >>= 64
-            word += 1
-    return out
-
-
-def _csr(rows: Sequence[Sequence[int]], dtype=np.int32) -> tuple[np.ndarray, np.ndarray]:
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=offsets[1:])
-    flat = np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=dtype, count=int(offsets[-1])
-    )
-    return offsets, flat
 
 
 class MatchAutomaton:
@@ -194,7 +135,6 @@ class MatchAutomaton:
         self._finalized = False
         for pattern in self.patterns:
             self._compile(pattern)
-        self._scan_ready = False
         #: the attached :class:`~repro.mining.interner.PathInterner`:
         #: per-path trie descents collapse into per-ID table reads.  A
         #: fresh serve-time table until a caller attaches a corpus one.
@@ -299,7 +239,6 @@ class MatchAutomaton:
                 bucket = self._accepts[node] = []
             bucket.append(idx)
         self._finalized = True
-        self._batch = None
 
     # ------------------------------------------------------------------
     # Interned scanning: per-ID tables over an attached PathInterner
@@ -310,18 +249,18 @@ class MatchAutomaton:
         scans run through.
 
         Each vocabulary entry is resolved against the trie exactly once
-        (node id, end-token id, guard bit, casefolded end) into flat
-        tables; scanning a statement then reads one table row per path
-        instead of descending the trie and re-casefolding ends.  The
-        tables are pure functions of (trie, vocabulary), extended
-        lazily as the vocabulary grows.
+        (node id, guard bit, end token, end-token id, casefolded end)
+        into flat tables; scanning a statement then reads one table row
+        per path instead of descending the trie and re-casefolding
+        ends.  The tables are pure functions of (trie, vocabulary),
+        extended lazily as the vocabulary grows.
 
         ``cap`` bounds serve-time vocabulary growth: unknown paths past
-        it scan through the scalar overflow walk instead of interning
-        (default: twice the attached vocabulary, with a floor, so a
-        long-lived service memoizes real traffic but hostile input
-        cannot grow the table forever).  Re-attaching the same interner
-        is a no-op; attaching a different one resets the tables.
+        it are resolved per scan and never stored (default: twice the
+        attached vocabulary, with a floor, so a long-lived service
+        memoizes real traffic but hostile input cannot grow the table
+        forever).  Re-attaching the same interner is a no-op; attaching
+        a different one resets the tables.
         """
         if interner is self._interner:
             return
@@ -332,21 +271,12 @@ class MatchAutomaton:
         self._reset_pid_tables()
 
     def _reset_pid_tables(self) -> None:
-        self._pid_node: list[int] = []
         self._pid_endbit: list[int] = []
+        self._pid_end: list[str | None] = []
         self._pid_tid: list[int] = []
         self._pid_fold: list[str] = []
-        self._pid_end: list[str | None] = []
-        # Batch-scan companions: bit *positions* instead of bit values
-        # (numpy cannot hold >64-bit ints), dense casefold ids instead
-        # of strings, and a concrete-end flag.  Fold id 0 is seeded to
-        # "" so a symbolic end and a literal "" end compare equal —
-        # exactly how the scalar scan's ``folda`` strings collide.
-        self._pid_endbitpos: list[int] = []
-        self._pid_foldid: list[int] = []
-        self._pid_conc: list[int] = []
-        self._fold_ids: dict[str, int] = {"": 0}
-        self._pid_np = None
+        # Last: a reader that sees ``_pid_node`` sees its companions.
+        self._pid_node: list[int] = []
 
     def ids_of(self, paths: Sequence[NamePath]) -> list[int]:
         """Pre-resolve a statement's paths to interned IDs (``-1`` for
@@ -358,125 +288,97 @@ class MatchAutomaton:
         intern = self._interner.intern_capped
         with _GROW_LOCK:
             ids = [intern(path, cap) for path in paths]
-            # getattr: the tables are scratch state, dropped on pickle.
-            pid_node = getattr(self, "_pid_node", None)
-            if pid_node is None or len(pid_node) < len(self._interner):
-                self._extend_pid_tables_locked()
+            self._extend_pid_tables_locked()
         return ids
 
     def _extend_pid_tables(self) -> None:
         """Resolve vocabulary entries ``len(tables)..len(interner)-1``
-        against the trie.  Values mirror exactly what one overflow-walk
-        step computes for the same path — the scan loops then agree
-        byte-for-byte whichever branch handled a path."""
+        with :meth:`_resolve_path` — the same rows a scan computes for a
+        path the capped interner refused, so the walk agrees
+        byte-for-byte whichever way a path was resolved."""
         with _GROW_LOCK:
             self._extend_pid_tables_locked()
 
     def _extend_pid_tables_locked(self) -> None:
-        if not hasattr(self, "_pid_node"):
+        # getattr: the tables are derived state, dropped on pickle.
+        if getattr(self, "_pid_node", None) is None:
             self._reset_pid_tables()
         pid_node = self._pid_node
-        pid_endbit = self._pid_endbit
-        pid_tid = self._pid_tid
-        pid_fold = self._pid_fold
-        pid_end = self._pid_end
-        pid_endbitpos = self._pid_endbitpos
-        pid_foldid = self._pid_foldid
-        pid_conc = self._pid_conc
-        fold_ids = self._fold_ids
-        children = self._children
-        end_bits = self._end_bits
-        end_tid = self._end_tid
         vocab = self._interner.paths
+        resolve = self._resolve_path
         for pid in range(len(pid_node), len(vocab)):
-            path = vocab[pid]
-            node = 0
-            for step in path.prefix:
-                nxt = children[node].get(step)
-                if nxt is None:
-                    node = -1
-                    break
-                node = nxt
-            end = path.end
+            node, endbit, end, tid, fold = resolve(vocab[pid])
+            self._pid_endbit.append(endbit)
+            self._pid_end.append(end)
+            self._pid_tid.append(tid)
+            # Folded ends are sys-interned so the satisfaction compare
+            # usually short-circuits on object identity.
+            self._pid_fold.append(sys.intern(fold))
+            # Last, so a row is complete once ``_pid_node`` covers it.
             pid_node.append(node)
-            if end is not None:
-                bit = end_bits.get(end, 0)
-                pid_endbit.append(bit)
-                pid_endbitpos.append(bit.bit_length() - 1 if bit else -1)
-                pid_tid.append(end_tid.get(end, _TID_UNKNOWN))
-                # Folded ends are sys-interned so the satisfaction
-                # compare usually short-circuits on object identity.
-                folded = sys.intern(end.casefold())
-                pid_fold.append(folded)
-                fid = fold_ids.get(folded)
-                if fid is None:
-                    fid = fold_ids[folded] = len(fold_ids)
-                pid_foldid.append(fid)
-                pid_conc.append(1)
-            else:
-                pid_endbit.append(0)
-                pid_endbitpos.append(-1)
-                pid_tid.append(_TID_UNKNOWN)
-                pid_fold.append("")
-                pid_foldid.append(0)
-                pid_conc.append(0)
-            pid_end.append(end)
-        self._pid_np = None
+
+    def _resolve_path(
+        self, path: NamePath
+    ) -> tuple[int, int, str | None, int, str]:
+        """One path against the trie: ``(node, end guard bit, end
+        token, end-token id, casefolded end)``, node ``-1`` when the
+        prefix leaves the trie.  Per-ID table rows are exactly these
+        values; a path the capped interner refused is resolved here on
+        every scan and never stored, so the cap still bounds memory."""
+        children = self._children
+        node = 0
+        for step in path.prefix:
+            node = children[node].get(step, -1)
+            if node < 0:
+                break
+        end = path.end
+        if end is None:
+            return node, 0, None, _TID_UNKNOWN, ""
+        return (
+            node,
+            self._end_bits.get(end, 0),
+            end,
+            self._end_tid.get(end, _TID_UNKNOWN),
+            end.casefold(),
+        )
 
     # ------------------------------------------------------------------
     # Scanning
     # ------------------------------------------------------------------
 
-    def _prepare_scan(self) -> None:
-        """(Re)allocate the generation-stamped scratch arrays.  Nothing
-        is cleared between scans — a slot is valid only when its stamp
-        equals the current generation."""
-        n = len(self._children)
-        self._gen = 0
-        self._stamp = [0] * n
-        self._pos = [0] * n
-        self._end: list[str | None] = [None] * n
-        self._tid = [0] * n
-        self._folded = [""] * n
-        self._pat_stamp = [0] * len(self.patterns)
-        self._scan_ready = True
+    def _walk(
+        self,
+        ids: Sequence[int] | None,
+        paths: Sequence[NamePath],
+        stmt: StatementAst | None = None,
+    ) -> tuple[list[tuple[int, Relation]], list[Violation]]:
+        """The one statement scan: ``(pattern index, relation)`` for
+        every matching pattern in the pinned candidate order, plus the
+        :class:`Violation` of each violated one when ``stmt`` is given.
 
-    def _scan_ids(
-        self, ids: Sequence[int], paths: Sequence[NamePath]
-    ) -> list[int]:
-        """Scan one statement and return the surviving candidate pattern
-        ids in the pinned order.  Each non-negative ID is one set of
-        table reads; a ``-1`` (path the capped interner refused) walks
-        ``paths[pos]`` through the trie inline — the overflow walk —
-        with scratch writes identical to the table branch, so the
-        relation checks and candidate order agree byte-for-byte
-        whichever branch handled a path.  Stamp arrays stay valid (for
-        the relation checks) until the next scan."""
-        if not self._scan_ready:
-            self._prepare_scan()
+        ``ids`` defaults to :meth:`ids_of` ``(paths)``.  Each
+        non-negative ID is one set of per-ID table reads; a ``-1``
+        resolves ``paths[pos]`` through :meth:`_resolve_path`.  Every
+        write goes to per-call locals, so any number of threads may
+        scan one automaton at once."""
         if not self._finalized:
             raise RuntimeError("finalize() must run before matching")
+        if ids is None:
+            ids = self.ids_of(paths)
         pid_node = getattr(self, "_pid_node", None)
         if pid_node is None or len(pid_node) < len(self._interner):
             self._extend_pid_tables()
             pid_node = self._pid_node
-        gen = self._gen + 1
-        self._gen = gen
         pid_endbit = self._pid_endbit
+        pid_end = self._pid_end
         pid_tid = self._pid_tid
         pid_fold = self._pid_fold
-        pid_end = self._pid_end
-        children = self._children
-        stamp = self._stamp
-        posa = self._pos
-        enda = self._end
-        tida = self._tid
-        folda = self._folded
         node_mask = self._node_mask
-        end_bits = self._end_bits
-        end_tid = self._end_tid
         accepts = self._accepts
-        pat_stamp = self._pat_stamp
+        # touched node -> [first position, end, end-token id, folded
+        # end]: the first occurrence pins ordering, the last one's end
+        # wins lookups
+        touched: dict[int, list] = {}
         stmt_mask = 0
         cand: list[int] = []
         for pos, pid in enumerate(ids):
@@ -485,48 +387,31 @@ class MatchAutomaton:
                 node = pid_node[pid]
                 if node < 0:
                     continue
-                stmt_mask |= node_mask[node]
-                if stamp[node] != gen:
-                    stamp[node] = gen
-                    posa[node] = pos
-                enda[node] = pid_end[pid]
-                tida[node] = pid_tid[pid]
-                folda[node] = pid_fold[pid]
+                end = pid_end[pid]
+                tid = pid_tid[pid]
+                fold = pid_fold[pid]
             else:
-                path = paths[pos]
-                node = 0
-                for step in path.prefix:
-                    nxt = children[node].get(step)
-                    if nxt is None:
-                        node = -1
-                        break
-                    node = nxt
-                end = path.end
-                if end is not None:
-                    bit = end_bits.get(end)
-                    if bit is not None:
-                        stmt_mask |= bit
+                node, endbit, end, tid, fold = self._resolve_path(paths[pos])
+                stmt_mask |= endbit
                 if node < 0:
                     continue
-                stmt_mask |= node_mask[node]
-                if stamp[node] != gen:
-                    stamp[node] = gen
-                    posa[node] = pos
-                enda[node] = end
-                if end is not None:
-                    tida[node] = end_tid.get(end, _TID_UNKNOWN)
-                    folda[node] = end.casefold()
-                else:
-                    tida[node] = _TID_UNKNOWN
-                    folda[node] = ""
-            bucket = accepts.get(node)
-            if bucket is not None:
-                for idx in bucket:
-                    if pat_stamp[idx] != gen:
-                        pat_stamp[idx] = gen
-                        cand.append(idx)
+            stmt_mask |= node_mask[node]
+            slot = touched.get(node)
+            if slot is None:
+                touched[node] = [pos, end, tid, fold]
+                # Each pattern sits in one bucket, so adding a bucket
+                # on its node's first touch never repeats a candidate.
+                bucket = accepts.get(node)
+                if bucket is not None:
+                    cand.extend(bucket)
+            else:
+                slot[1] = end
+                slot[2] = tid
+                slot[3] = fold
+        rels: list[tuple[int, Relation]] = []
+        viols: list[Violation] = []
         if not cand:
-            return cand
+            return rels, viols
         req_masks = self._req_masks
         order_node = self._order_node
         ordered: list[tuple[int, int]] = []
@@ -534,36 +419,62 @@ class MatchAutomaton:
             required = req_masks[idx]
             if required & stmt_mask != required:
                 continue
-            onode = order_node[idx]
-            if stamp[onode] != gen:
-                continue
-            ordered.append((posa[onode], idx))
+            slot = touched.get(order_node[idx])
+            if slot is not None:
+                ordered.append((slot[0], idx))
         ordered.sort()
-        return [idx for _, idx in ordered]
-
-    def _relation(self, idx: int, gen: int) -> Relation:
-        """The statement/pattern relation, from the current scan's
-        stamps — the integer-domain equivalent of ``check_pattern``."""
-        stamp = self._stamp
-        enda = self._end
-        tida = self._tid
-        for node, tid in self._conds[idx]:
-            if stamp[node] != gen:
-                return _NO_MATCH
-            # Epsilon condition ends match anything; a symbolic
-            # statement end matches any concrete condition end (the
-            # ``equal`` operator, pre-resolved).
-            if tid >= 0 and tida[node] != tid and enda[node] is not None:
-                return _NO_MATCH
-        for node in self._deds[idx]:
-            if stamp[node] != gen:
-                return _NO_MATCH
-        sat = self._sat[idx]
-        if sat[0]:
-            satisfied = self._folded[sat[1]] == self._folded[sat[2]]
-        else:
-            satisfied = tida[sat[1]] == sat[2]
-        return _SATISFIED if satisfied else _VIOLATED
+        # The integer-domain ``check_pattern``: every deduction and
+        # condition node touched, else NO_MATCH.  Epsilon condition ends
+        # match anything; a symbolic statement end matches any concrete
+        # condition end (the ``equal`` operator).
+        deds = self._deds
+        conds = self._conds
+        matched: list[int] = []
+        for _, idx in ordered:
+            for node in deds[idx]:
+                if node not in touched:
+                    break
+            else:
+                for node, tid in conds[idx]:
+                    slot = touched.get(node)
+                    if slot is None or (
+                        tid >= 0 and slot[2] != tid and slot[1] is not None
+                    ):
+                        break
+                else:
+                    matched.append(idx)
+        sats = self._sat
+        for idx in matched:
+            sat = sats[idx]
+            first = touched[sat[1]]
+            if sat[0]:
+                second = touched[sat[2]]
+                satisfied = first[3] == second[3]
+            else:
+                satisfied = first[2] == sat[2]
+            if satisfied:
+                rels.append((idx, _SATISFIED))
+                continue
+            rels.append((idx, _VIOLATED))
+            if stmt is None:
+                continue
+            # ``find_violation``'s convention: a consistency pattern
+            # reports the second sorted deduction position as the
+            # offender and the first as the expectation.
+            if sat[0]:
+                observed, suggested = second[1], first[1]
+            else:
+                observed, suggested = first[1], sat[3].end
+            viols.append(
+                Violation(
+                    statement=stmt,
+                    pattern=self.patterns[idx],
+                    observed=observed or "",
+                    suggested=suggested or "",
+                    deduction_path=sat[3],
+                )
+            )
+        return rels, viols
 
     def relations(
         self,
@@ -572,48 +483,9 @@ class MatchAutomaton:
     ) -> list[tuple[int, Relation]]:
         """``(pattern index, relation)`` for every matching pattern, in
         the pinned candidate order; NO_MATCH candidates are dropped.
-        Pass pre-resolved ``ids`` (from :meth:`ids_of`) to skip the
-        resolution."""
-        out: list[tuple[int, Relation]] = []
-        relation = self._relation
-        candidates = self._candidates(paths, ids)
-        gen = self._gen
-        for idx in candidates:
-            rel = relation(idx, gen)
-            if rel is not _NO_MATCH:
-                out.append((idx, rel))
-        return out
-
-    def _candidates(
-        self, paths: Sequence[NamePath], ids: Sequence[int] | None
-    ) -> list[int]:
-        if ids is None:
-            ids = self.ids_of(paths)
-        return self._scan_ids(ids, paths)
-
-    def _violation_for(self, idx: int, stmt: StatementAst) -> Violation:
-        """Build the Violation for a VIOLATED candidate from the current
-        scan's stamps.  Convention (``find_violation``): a consistency
-        pattern reports the second sorted deduction position as the
-        offender and the first as the expectation."""
-        sat = self._sat[idx]
-        enda = self._end
-        if sat[0]:
-            return Violation(
-                statement=stmt,
-                pattern=self.patterns[idx],
-                observed=enda[sat[2]] or "",
-                suggested=enda[sat[1]] or "",
-                deduction_path=sat[3],
-            )
-        d = sat[3]
-        return Violation(
-            statement=stmt,
-            pattern=self.patterns[idx],
-            observed=enda[sat[1]] or "",
-            suggested=d.end or "",
-            deduction_path=d,
-        )
+        Pass pre-resolved ``ids`` (from :meth:`ids_of`, or rows of the
+        attached interner's IDs) to skip the resolution."""
+        return self._walk(ids, paths)[0]
 
     def violations(
         self,
@@ -624,14 +496,7 @@ class MatchAutomaton:
         """All pattern violations of one statement, in the pinned
         candidate order — ``find_violation`` for each matching
         pattern."""
-        found: list[Violation] = []
-        relation = self._relation
-        candidates = self._candidates(paths, ids)
-        gen = self._gen
-        for idx in candidates:
-            if relation(idx, gen) is _VIOLATED:
-                found.append(self._violation_for(idx, stmt))
-        return found
+        return self._walk(ids, paths, stmt)[1]
 
     def scan_one(
         self,
@@ -639,403 +504,25 @@ class MatchAutomaton:
         paths: Sequence[NamePath],
         ids: Sequence[int] | None,
     ) -> tuple[list[Violation], list[tuple[int, Relation]]]:
-        """One scalar scan serving both halves of a detect pass:
-        ``(violations, relations)`` — the values :meth:`violations` and
-        :meth:`relations` would each produce with their own rescan."""
-        viols: list[Violation] = []
-        rels: list[tuple[int, Relation]] = []
-        relation = self._relation
-        candidates = self._candidates(paths, ids)
-        gen = self._gen
-        for idx in candidates:
-            rel = relation(idx, gen)
-            if rel is _NO_MATCH:
-                continue
-            rels.append((idx, rel))
-            if rel is _VIOLATED:
-                viols.append(self._violation_for(idx, stmt))
+        """Both halves of a detect pass from one walk: ``(violations,
+        relations)`` — what :meth:`violations` and :meth:`relations`
+        would each produce."""
+        rels, viols = self._walk(ids, paths, stmt)
         return viols, rels
-
-    # ------------------------------------------------------------------
-    # Vectorized batch scan over the CSR layout
-    # ------------------------------------------------------------------
-
-    def batch_tables(self) -> BatchTables:
-        """The flattened CSR/array view of this automaton (built lazily;
-        loaded zero-copy from the frozen blob when this automaton came
-        from one — workers that unpickle a frozen-backed automaton
-        re-map the blob read-only instead of rebuilding)."""
-        bt = getattr(self, "_batch", None)
-        if bt is not None:
-            return bt
-        path = getattr(self, "_frozen_path", None)
-        if path is not None:
-            try:
-                from repro.mining import frozen as _frozen
-
-                bt = _frozen.load_batch_tables(path)
-            except Exception:
-                bt = None  # damaged blob: derive in-memory instead
-        if bt is None:
-            bt = self._build_batch_tables()
-        self._batch = bt
-        return bt
-
-    def _build_batch_tables(self) -> BatchTables:
-        if not self._finalized:
-            raise RuntimeError("finalize() must run before batch matching")
-        n_nodes = len(self._children)
-        n_words = max(1, (self._num_bits + 63) // 64)
-        accept_off, accept_pat = _csr(
-            [self._accepts.get(node, ()) for node in range(n_nodes)]
-        )
-        cond_off, cond_node = _csr(
-            [[node for node, _ in conds] for conds in self._conds]
-        )
-        _, cond_tid = _csr([[tid for _, tid in conds] for conds in self._conds])
-        ded_off, ded_node = _csr(self._deds)
-        n_pat = len(self.patterns)
-        return BatchTables(
-            n_nodes=n_nodes,
-            n_words=n_words,
-            node_words=_mask_words(self._node_mask, n_words),
-            accept_off=accept_off,
-            accept_pat=accept_pat,
-            req_words=_mask_words(self._req_masks, n_words),
-            order_node=np.asarray(self._order_node, dtype=np.int32),
-            cond_off=cond_off,
-            cond_node=cond_node,
-            cond_tid=cond_tid,
-            ded_off=ded_off,
-            ded_node=ded_node,
-            sat_kind=np.fromiter(
-                (1 if s[0] else 0 for s in self._sat), dtype=np.int8, count=n_pat
-            ),
-            sat_a=np.fromiter((s[1] for s in self._sat), dtype=np.int32, count=n_pat),
-            sat_b=np.fromiter((s[2] for s in self._sat), dtype=np.int32, count=n_pat),
-        )
-
-    def _pid_arrays(self) -> tuple:
-        """Numpy mirrors of the per-ID tables (rebuilt whenever the
-        vocabulary grew past the cached copy)."""
-        arrs = getattr(self, "_pid_np", None)
-        if arrs is not None and arrs[0].shape[0] == len(self._pid_node):
-            return arrs
-        arrs = (
-            np.asarray(self._pid_node, dtype=np.int32),
-            np.asarray(self._pid_tid, dtype=np.int32),
-            np.asarray(self._pid_conc, dtype=np.int8),
-            np.asarray(self._pid_foldid, dtype=np.int32),
-            np.asarray(self._pid_endbitpos, dtype=np.int32),
-        )
-        self._pid_np = arrs
-        return arrs
-
-    def _batch_core(self, id_rows: Sequence[Sequence[int]]):
-        """Scan many fully-interned statements at once.
-
-        Every statement's paths are gathered into one flat ID vector and
-        advanced through the per-ID tables with numpy gathers; touched
-        ``(statement, node)`` groups are formed by one stable argsort —
-        group-**first** supplies the ordering position, group-**last**
-        supplies the end-token values (``paths_by_prefix`` overwrite
-        parity) — and the relation checks run as array expressions over
-        the CSR tables.  Candidate order per statement is the pinned
-        historical ``(first-occurrence position of the order node,
-        pattern index)`` sort, so outputs are byte-identical to the
-        scalar loops.
-
-        Returns ``None`` when there is nothing to match, else
-        ``(stmt, pat, satisfied, kind, j1, j2, last_pid)`` lists where
-        ``j1``/``j2`` index the touched-group arrays for the two
-        satisfaction nodes and ``last_pid[j]`` is the path ID whose end
-        token won group ``j``.
-        """
-        if not self._finalized:
-            raise RuntimeError("finalize() must run before matching")
-        if not self.patterns or not id_rows:
-            return None
-        if (
-            not hasattr(self, "_pid_node")
-            or len(self._pid_node) < len(self._interner)
-        ):
-            self._extend_pid_tables()
-        bt = self.batch_tables()
-        pid_node, pid_tid, pid_conc, pid_foldid, pid_ebp = self._pid_arrays()
-        nrows = len(id_rows)
-        counts = np.fromiter((len(r) for r in id_rows), dtype=np.int64, count=nrows)
-        total = int(counts.sum())
-        if total == 0:
-            return None
-        if nrows == 1:
-            flat = np.asarray(id_rows[0], dtype=np.int64)
-        else:
-            flat = np.concatenate(
-                [np.asarray(r, dtype=np.int64) for r in id_rows]
-            )
-        offsets = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        stmt_of = np.repeat(np.arange(nrows, dtype=np.int64), counts)
-        pos_in = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], counts)
-        nodes = pid_node[flat]
-        # Per-occurrence guard words: the end-token bit (set whether or
-        # not the prefix is in the trie) OR'd with the node's mask.
-        n_words = bt.n_words
-        words = np.zeros((total, n_words), dtype=np.uint64)
-        ebp = pid_ebp[flat]
-        with_bit = np.flatnonzero(ebp >= 0)
-        if len(with_bit):
-            bp = ebp[with_bit].astype(np.uint64)
-            words[with_bit, (bp >> np.uint64(6)).astype(np.int64)] = (
-                np.uint64(1) << (bp & np.uint64(63))
-            )
-        valid = np.flatnonzero(nodes >= 0)
-        if len(valid) == 0:
-            return None
-        words[valid] |= bt.node_words[nodes[valid]]
-        stmt_words = np.zeros((nrows, n_words), dtype=np.uint64)
-        nonempty = np.flatnonzero(counts > 0)
-        stmt_words[nonempty] = np.bitwise_or.reduceat(
-            words, offsets[nonempty], axis=0
-        )
-        # Touched (statement, node) groups via one stable argsort: the
-        # first member pins the ordering position, the last one's path
-        # ID wins the end-token lookup.
-        vstmt = stmt_of[valid]
-        vnode = nodes[valid].astype(np.int64)
-        vpos = pos_in[valid]
-        n_nodes = np.int64(bt.n_nodes)
-        key = vstmt * n_nodes + vnode
-        order = np.argsort(key, kind="stable")
-        skey = key[order]
-        boundary = np.empty(len(skey), dtype=bool)
-        boundary[0] = True
-        np.not_equal(skey[1:], skey[:-1], out=boundary[1:])
-        gstart = np.flatnonzero(boundary)
-        gend = np.append(gstart[1:], len(skey)) - 1
-        ukey = skey[gstart]
-        gfirst = order[gstart]
-        glast = order[gend]
-        upos = vpos[gfirst]
-        last_pid = flat[valid[glast]]
-        last_tid = pid_tid[last_pid]
-        last_conc = pid_conc[last_pid]
-        last_fold = pid_foldid[last_pid]
-        ustmt = ukey // n_nodes
-        unode = ukey - ustmt * n_nodes
-        n_groups = len(ukey)
-        # Candidate enumeration from the accept buckets of touched
-        # nodes.  Each pattern lives in exactly one bucket, so the
-        # unique (statement, node) groups expand to unique candidates.
-        adeg = bt.accept_off[unode + 1] - bt.accept_off[unode]
-        hot = np.flatnonzero(adeg > 0)
-        if len(hot) == 0:
-            return None
-        cdeg = adeg[hot]
-        n_cand = int(cdeg.sum())
-        cand_group = np.repeat(hot, cdeg)
-        cum = np.cumsum(cdeg)
-        within = np.arange(n_cand, dtype=np.int64) - np.repeat(cum - cdeg, cdeg)
-        cand_pat = bt.accept_pat[
-            np.repeat(bt.accept_off[unode[hot]], cdeg) + within
-        ].astype(np.int64)
-        cand_stmt = ustmt[cand_group]
-        # Required-bit guard.
-        req = bt.req_words[cand_pat]
-        ok = np.all((req & stmt_words[cand_stmt]) == req, axis=1)
-        # Ordering node: its first-occurrence position pins enumeration
-        # order; absence (a deduction prefix) proves NO_MATCH.
-        onode = bt.order_node[cand_pat].astype(np.int64)
-        oquery = cand_stmt * n_nodes + onode
-        j = np.searchsorted(ukey, oquery)
-        jc = np.minimum(j, n_groups - 1)
-        ok &= (j < n_groups) & (ukey[jc] == oquery)
-        opos = upos[jc]
-        # Conditions: a missing node is NO_MATCH; a present node fails
-        # only when the condition end is concrete, the statement end at
-        # the node is concrete, and the token ids differ (epsilon
-        # conditions and symbolic statement ends always pass).
-        live = np.flatnonzero(ok)
-        if len(live) == 0:
-            return None
-        lpat = cand_pat[live]
-        lstmt = cand_stmt[live]
-        cdeg2 = bt.cond_off[lpat + 1] - bt.cond_off[lpat]
-        n_cond = int(cdeg2.sum())
-        if n_cond:
-            owner = np.repeat(np.arange(len(live), dtype=np.int64), cdeg2)
-            cum2 = np.cumsum(cdeg2)
-            within2 = np.arange(n_cond, dtype=np.int64) - np.repeat(
-                cum2 - cdeg2, cdeg2
-            )
-            eidx = np.repeat(bt.cond_off[lpat], cdeg2) + within2
-            cnode = bt.cond_node[eidx].astype(np.int64)
-            ctid = bt.cond_tid[eidx].astype(np.int64)
-            cquery = lstmt[owner] * n_nodes + cnode
-            cj = np.searchsorted(ukey, cquery)
-            cjc = np.minimum(cj, n_groups - 1)
-            cfound = (cj < n_groups) & (ukey[cjc] == cquery)
-            bad = ~cfound | (
-                (ctid >= 0) & (last_tid[cjc] != ctid) & (last_conc[cjc] != 0)
-            )
-            nbad = np.bincount(owner[bad], minlength=len(live))
-            ok[live[nbad > 0]] = False
-            live = np.flatnonzero(ok)
-            if len(live) == 0:
-                return None
-            lpat = cand_pat[live]
-            lstmt = cand_stmt[live]
-        # Deductions: every deduction node must be touched.
-        ddeg = bt.ded_off[lpat + 1] - bt.ded_off[lpat]
-        n_ded = int(ddeg.sum())
-        owner = np.repeat(np.arange(len(live), dtype=np.int64), ddeg)
-        cum3 = np.cumsum(ddeg)
-        within3 = np.arange(n_ded, dtype=np.int64) - np.repeat(cum3 - ddeg, ddeg)
-        didx = np.repeat(bt.ded_off[lpat], ddeg) + within3
-        dnode = bt.ded_node[didx].astype(np.int64)
-        dquery = lstmt[owner] * n_nodes + dnode
-        dj = np.searchsorted(ukey, dquery)
-        djc = np.minimum(dj, n_groups - 1)
-        dfound = (dj < n_groups) & (ukey[djc] == dquery)
-        nbad = np.bincount(owner[~dfound], minlength=len(live))
-        ok[live[nbad > 0]] = False
-        surv = np.flatnonzero(ok)
-        if len(surv) == 0:
-            return None
-        # Satisfaction: consistency compares casefold ids at the two
-        # deduction nodes, confusing-word compares the token id at the
-        # deduction node against the expected id.  Both nodes are
-        # deduction prefixes of survivors, so the lookups always hit.
-        spat = cand_pat[surv]
-        sstmt = cand_stmt[surv]
-        kind = bt.sat_kind[spat]
-        sat_a = bt.sat_a[spat].astype(np.int64)
-        sat_b = bt.sat_b[spat].astype(np.int64)
-        j1 = np.minimum(
-            np.searchsorted(ukey, sstmt * n_nodes + sat_a), n_groups - 1
-        )
-        j2 = np.minimum(
-            np.searchsorted(
-                ukey, sstmt * n_nodes + np.where(kind == 1, sat_b, 0)
-            ),
-            n_groups - 1,
-        )
-        satisfied = np.where(
-            kind == 1,
-            last_fold[j1] == last_fold[j2],
-            last_tid[j1] == sat_b,
-        )
-        # Pinned output order: (statement, first-occurrence position of
-        # the order node, pattern index).
-        emit = np.lexsort((spat, opos[surv], sstmt))
-        return (
-            sstmt[emit].tolist(),
-            spat[emit].tolist(),
-            satisfied[emit].tolist(),
-            kind[emit].tolist(),
-            j1[emit].tolist(),
-            j2[emit].tolist(),
-            last_pid.tolist(),
-        )
-
-    def relations_batch(
-        self, id_rows: Sequence[Sequence[int]]
-    ) -> list[list[tuple[int, Relation]]]:
-        """:meth:`relations` for many fully-interned statements in one
-        vectorized pass — one ``(pattern index, relation)`` list per
-        input row, each in the pinned candidate order."""
-        rows: list[list[tuple[int, Relation]]] = [[] for _ in id_rows]
-        core = self._batch_core(id_rows)
-        if core is None:
-            return rows
-        for stmt_i, pat_i, sat_ok in zip(core[0], core[1], core[2]):
-            rows[stmt_i].append(
-                (pat_i, _SATISFIED if sat_ok else _VIOLATED)
-            )
-        return rows
-
-    def scan_batch(
-        self,
-        stmts: Sequence[StatementAst],
-        id_rows: Sequence[Sequence[int]],
-    ) -> tuple[list[list[Violation]], tuple[list[int], list[int], list[bool]]]:
-        """One vectorized scan serving both halves of a detect pass
-        over many fully-interned statements: per-row violations
-        (byte-identical to :meth:`scan_one` on each row) plus every
-        matched relation as parallel ``(row, pattern index, satisfied)``
-        lists, in row order and the pinned candidate order within a
-        row."""
-        viol_rows: list[list[Violation]] = [[] for _ in id_rows]
-        core = self._batch_core(id_rows)
-        if core is None:
-            return viol_rows, ([], [], [])
-        stmt_l, pat_l, sat_l, kind_l, j1_l, j2_l, last_pid = core
-        pid_end = self._pid_end
-        sat_tab = self._sat
-        patterns = self.patterns
-        for i in range(len(stmt_l)):
-            if sat_l[i]:
-                continue
-            pat_i = pat_l[i]
-            sat = sat_tab[pat_i]
-            ded = sat[3]
-            if kind_l[i]:
-                observed = pid_end[last_pid[j2_l[i]]] or ""
-                suggested = pid_end[last_pid[j1_l[i]]] or ""
-            else:
-                observed = pid_end[last_pid[j1_l[i]]] or ""
-                suggested = ded.end or ""
-            viol_rows[stmt_l[i]].append(
-                Violation(
-                    statement=stmts[stmt_l[i]],
-                    pattern=patterns[pat_i],
-                    observed=observed,
-                    suggested=suggested,
-                    deduction_path=ded,
-                )
-            )
-        return viol_rows, (stmt_l, pat_l, sat_l)
 
     def __len__(self) -> int:
         return len(self.patterns)
 
     # ------------------------------------------------------------------
-    # Pickling: scratch arrays are per-process scan state, never shipped
+    # Pickling: per-ID tables are derived state, never shipped
     # ------------------------------------------------------------------
 
-    _SCRATCH = (
-        "_gen",
-        "_stamp",
-        "_pos",
-        "_end",
-        "_tid",
-        "_folded",
-        "_pat_stamp",
-        # Per-ID tables are derived state: the attached interner (its
-        # vocabulary) ships, the tables rebuild lazily on first ID scan.
-        "_pid_node",
-        "_pid_endbit",
-        "_pid_tid",
-        "_pid_fold",
-        "_pid_end",
-        "_pid_endbitpos",
-        "_pid_foldid",
-        "_pid_conc",
-        "_fold_ids",
-        "_pid_np",
-        # Batch tables rebuild from the Python structures — or re-map
-        # the frozen blob read-only when ``_frozen_path`` (which does
-        # ship) points at one, so pool workers share the page cache
-        # instead of each paying a pickled copy.
-        "_batch",
-    )
+    #: The attached interner (its vocabulary) ships; the tables rebuild
+    #: lazily on the first scan.
+    _DERIVED = ("_pid_node", "_pid_endbit", "_pid_end", "_pid_tid", "_pid_fold")
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        for name in self._SCRATCH:
+        for name in self._DERIVED:
             state.pop(name, None)
-        state["_scan_ready"] = False
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)

@@ -30,10 +30,11 @@ Three properties the rest of the system leans on:
   :class:`FrozenError`; callers (the serving engine, pool workers) fall
   back to the JSON artifact or to in-memory compilation with a logged
   warning.  The ``frozen.load`` fault site injects exactly this path.
-* **Zero-copy fan-out.**  Workers that unpickle a frozen-backed
-  automaton re-map the blob read-only (see
-  :meth:`MatchAutomaton.batch_tables`) instead of shipping the arrays
-  through a pickle pipe.
+* **Plain structures after load.**  The loader rebuilds the automaton
+  as the same Python lists and dicts a compile produces, so pool
+  workers receive it by pickle like any other automaton (its per-ID
+  tables are dropped and rebuilt there); only :class:`FrozenStats`
+  stays array-backed and pickles as its blob path.
 
 The header records :data:`repro.mining.PIPELINE_VERSION`; a blob
 written under another version is a load miss.  Bump the version
@@ -57,7 +58,7 @@ from repro.core.namepath import NamePath, PathStep
 from repro.core.patterns import NamePattern, PatternKind
 from repro.core.stats_index import StatsIndex
 from repro.mining import PIPELINE_VERSION
-from repro.mining.automaton import BatchTables, MatchAutomaton
+from repro.mining.automaton import MatchAutomaton
 from repro.mining.interner import PathInterner
 from repro.mining.matcher import PatternMatcher
 from repro.resilience.faults import fault_check
@@ -69,7 +70,6 @@ __all__ = [
     "default_frozen_path",
     "freeze_namer",
     "load_frozen_namer",
-    "load_batch_tables",
 ]
 
 _MAGIC = b"REPROFZ1"
@@ -92,6 +92,22 @@ def default_frozen_path(artifact_path: str | Path) -> Path:
 # ----------------------------------------------------------------------
 # Pools (freeze-side deduplication)
 # ----------------------------------------------------------------------
+
+
+def _mask_words(masks: Sequence[int], n_words: int) -> np.ndarray:
+    """Arbitrary-width Python int masks -> an ``(len, W)`` uint64 word
+    matrix (little-endian word order).  Guard masks can exceed 64 bits:
+    step-kind and concrete-end bits are interleaved during
+    compilation."""
+    out = np.zeros((len(masks), n_words), dtype=np.uint64)
+    full = (1 << 64) - 1
+    for row, mask in enumerate(masks):
+        word = 0
+        while mask:
+            out[row, word] = mask & full
+            mask >>= 64
+            word += 1
+    return out
 
 
 class _Pool:
@@ -143,10 +159,7 @@ def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
     rank = list(interner.sort_ranks())
     fold = list(interner.fold_table())
     name_ok = [bool(x) for x in interner.name_ok_table()]
-    if not hasattr(auto, "_pid_conc"):
-        auto._reset_pid_tables()
-    if len(auto._pid_node) < len(interner):
-        auto._extend_pid_tables()
+    auto._extend_pid_tables()
     vocab = interner.paths
     n_vocab = len(vocab)
 
@@ -183,8 +196,8 @@ def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
         -1 if p.end is None else strings.add(p.end) for p in paths.items
     ]
 
-    bt = auto.batch_tables()
     n_nodes = len(auto._children)
+    n_words = max(1, (auto._num_bits + 63) // 64)
     trie_rows: list[list[int]] = []
     trie_child_rows: list[list[int]] = []
     for children in auto._children:
@@ -200,15 +213,17 @@ def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
     def add(name: str, data, dtype) -> None:
         arrays.append((name, np.asarray(data, dtype=dtype)))
 
-    def add_csr(name: str, rows: Sequence[Sequence[int]], dtype=np.int32) -> None:
+    def add_csr(
+        name: str, rows: Sequence[Sequence[int]], off: str | None = None
+    ) -> None:
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         if rows:
             np.cumsum([len(r) for r in rows], out=offsets[1:])
-        add(f"{name}_off", offsets, np.int64)
+        add(off or f"{name}_off", offsets, np.int64)
         flat: list[int] = []
         for r in rows:
             flat.extend(r)
-        add(name, flat, dtype)
+        add(name, flat, np.int32)
 
     # Trie + automaton tables.
     add_csr("trie_step", trie_rows)
@@ -216,25 +231,32 @@ def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
     for r in trie_child_rows:
         flat_children.extend(r)
     add("trie_child", flat_children, np.int32)
-    add("node_words", bt.node_words, np.uint64)
+    add("node_words", _mask_words(auto._node_mask, n_words), np.uint64)
     add("ded_order", auto._ded_node_order, np.int32)
     add(
         "ded_counts",
         [auto._ded_node_counts[n] for n in auto._ded_node_order],
         np.int64,
     )
-    add("accept_off", bt.accept_off, np.int64)
-    add("accept_pat", bt.accept_pat, np.int32)
-    add("req_words", bt.req_words, np.uint64)
-    add("order_node", bt.order_node, np.int32)
-    add("cond_off", bt.cond_off, np.int64)
-    add("cond_node", bt.cond_node, np.int32)
-    add("cond_tid", bt.cond_tid, np.int32)
-    add("ded_off", bt.ded_off, np.int64)
-    add("ded_node", bt.ded_node, np.int32)
-    add("sat_kind", bt.sat_kind, np.int8)
-    add("sat_a", bt.sat_a, np.int32)
-    add("sat_b", bt.sat_b, np.int32)
+    add_csr(
+        "accept_pat",
+        [auto._accepts.get(node, ()) for node in range(n_nodes)],
+        off="accept_off",
+    )
+    add("req_words", _mask_words(auto._req_masks, n_words), np.uint64)
+    add("order_node", auto._order_node, np.int32)
+    add_csr(
+        "cond_node",
+        [[node for node, _ in conds] for conds in auto._conds],
+        off="cond_off",
+    )
+    add("cond_tid", [tid for conds in auto._conds for _, tid in conds], np.int32)
+    add_csr("ded_node", auto._deds, off="ded_off")
+    # For a consistency pattern ``sat_b`` holds the second satisfaction
+    # node; for a confusing-word pattern, the expected end-token id.
+    add("sat_kind", [1 if s[0] else 0 for s in auto._sat], np.int8)
+    add("sat_a", [s[1] for s in auto._sat], np.int32)
+    add("sat_b", [s[2] for s in auto._sat], np.int32)
     add("sat_path", sat_path, np.int32)
 
     # Patterns.
@@ -256,11 +278,18 @@ def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
     add("int_rank", rank, np.int32)
     add("int_fold", fold, np.int32)
     add("int_name_ok", name_ok, np.int8)
+    # Casefolded ends as dense ids, first-seen in vocabulary order and
+    # seeded with "" (so a symbolic end and a literal "" end share id
+    # 0); end guard bits as bit positions (-1 for none).
+    fold_ids = {"": 0}
+    pid_foldid = [
+        fold_ids.setdefault(fold, len(fold_ids)) for fold in auto._pid_fold
+    ]
     add("pid_node", auto._pid_node, np.int32)
     add("pid_tid", auto._pid_tid, np.int32)
-    add("pid_conc", auto._pid_conc, np.int8)
-    add("pid_foldid", auto._pid_foldid, np.int32)
-    add("pid_ebp", auto._pid_endbitpos, np.int32)
+    add("pid_conc", [end is not None for end in auto._pid_end], np.int8)
+    add("pid_foldid", pid_foldid, np.int32)
+    add("pid_ebp", [bit.bit_length() - 1 for bit in auto._pid_endbit], np.int32)
 
     # Statistics counters, in Counter insertion order (mirrors the JSON
     # encoder exactly).
@@ -302,10 +331,7 @@ def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
             add("clf_pca_components", classifier.pca.components_, np.float64)
             add("clf_pca_mean", classifier.pca.mean_, np.float64)
 
-    fold_ids = auto._fold_ids
-    fold_pool = [None] * len(fold_ids)
-    for folded, fid in fold_ids.items():
-        fold_pool[fid] = strings.add(folded)
+    fold_pool = [strings.add(folded) for folded in fold_ids]
     end_tokens = list(auto._end_tid)
     header: dict[str, Any] = {
         "format": "repro-frozen-artifact",
@@ -495,34 +521,6 @@ def _map_arrays(
     return arrays
 
 
-def load_batch_tables(path: str | Path) -> BatchTables:
-    """Just the automaton's CSR/array view, mapped read-only — what a
-    pool worker needs to batch-scan without rebuilding anything."""
-    art = FrozenArtifact.open(path)
-    return _batch_tables_from(art)
-
-
-def _batch_tables_from(art: FrozenArtifact) -> BatchTables:
-    a = art.arrays
-    return BatchTables(
-        n_nodes=int(art.header["n_nodes"]),
-        n_words=int(a["node_words"].shape[1]) if a["node_words"].ndim == 2 else 1,
-        node_words=a["node_words"],
-        accept_off=a["accept_off"],
-        accept_pat=a["accept_pat"],
-        req_words=a["req_words"],
-        order_node=a["order_node"],
-        cond_off=a["cond_off"],
-        cond_node=a["cond_node"],
-        cond_tid=a["cond_tid"],
-        ded_off=a["ded_off"],
-        ded_node=a["ded_node"],
-        sat_kind=a["sat_kind"],
-        sat_a=a["sat_a"],
-        sat_b=a["sat_b"],
-    )
-
-
 def load_frozen_namer(path: str | Path):
     """Reconstruct a fitted Namer from a frozen blob.
 
@@ -596,8 +594,8 @@ def _namer_from_artifact(art: FrozenArtifact):
             )
         )
 
-    # Automaton: small Python structures rebuilt eagerly (the trie is
-    # tiny), batch arrays mapped zero-copy.
+    # Automaton: the Python structures a compile builds, rebuilt
+    # eagerly (the trie is tiny).
     auto = MatchAutomaton.__new__(MatchAutomaton)
     auto.patterns = patterns
     n_nodes = header["n_nodes"]
@@ -682,32 +680,19 @@ def _namer_from_artifact(art: FrozenArtifact):
             accepts[node] = accept_pat[lo:hi]
     auto._accepts = accepts
     auto._finalized = True
-    auto._scan_ready = False
     auto._interner = interner
     auto._intern_cap = header["intern_cap"]
 
-    # Per-ID tables: seeded from the blob, numpy mirrors zero-copy.
+    # Per-ID tables, seeded from the blob (``_pid_node`` last, as
+    # ``_reset_pid_tables`` orders them).
     fold_pool = [sys.intern(strings[si]) for si in header["fold_pool"]]
-    auto._fold_ids = {s: i for i, s in enumerate(fold_pool)}
-    auto._pid_node = arrays["pid_node"].tolist()
-    auto._pid_tid = arrays["pid_tid"].tolist()
-    auto._pid_conc = arrays["pid_conc"].tolist()
-    auto._pid_foldid = arrays["pid_foldid"].tolist()
-    auto._pid_endbitpos = arrays["pid_ebp"].tolist()
     auto._pid_endbit = [
-        (1 << pos) if pos >= 0 else 0 for pos in auto._pid_endbitpos
+        (1 << pos) if pos >= 0 else 0 for pos in arrays["pid_ebp"].tolist()
     ]
-    auto._pid_fold = [fold_pool[f] for f in auto._pid_foldid]
     auto._pid_end = [p.end for p in interner._paths]
-    auto._pid_np = (
-        arrays["pid_node"],
-        arrays["pid_tid"],
-        arrays["pid_conc"],
-        arrays["pid_foldid"],
-        arrays["pid_ebp"],
-    )
-    auto._batch = _batch_tables_from(art)
-    auto._frozen_path = art.path
+    auto._pid_tid = arrays["pid_tid"].tolist()
+    auto._pid_fold = [fold_pool[f] for f in arrays["pid_foldid"].tolist()]
+    auto._pid_node = arrays["pid_node"].tolist()
 
     matcher = PatternMatcher.__new__(PatternMatcher)
     matcher._init_from_parts(

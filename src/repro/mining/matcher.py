@@ -62,7 +62,7 @@ def prefix_frequencies_ids(
 
 
 def _first_bump_counts(
-    pats: Sequence[int], sats: Sequence[bool]
+    rels: Iterable[tuple[int, Relation]],
 ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
     """``{pattern index: count}`` of matches, satisfactions and
     violations over a relation stream, each keyed in the order its
@@ -70,10 +70,10 @@ def _first_bump_counts(
     matched: dict[int, int] = {}
     satisfied: dict[int, int] = {}
     violated: dict[int, int] = {}
-    for pat, sat in zip(pats, sats):
-        matched[pat] = matched.get(pat, 0) + 1
-        table = satisfied if sat else violated
-        table[pat] = table.get(pat, 0) + 1
+    for idx, rel in rels:
+        matched[idx] = matched.get(idx, 0) + 1
+        table = satisfied if rel is Relation.SATISFIED else violated
+        table[idx] = table.get(idx, 0) + 1
     return matched, satisfied, violated
 
 
@@ -178,61 +178,24 @@ class PatternMatcher:
     def scan_entries(
         self, entries: Sequence[tuple]
     ) -> tuple[list[list[Violation]], tuple[dict[int, int], ...]]:
-        """One scan over ``(stmt, paths, ids)`` triples serving both
+        """One walk per ``(stmt, paths, ids)`` triple, serving both
         halves of a file's match pass: the per-statement violations and
         the statistics build's ``(matches, satisfactions, violations)``
         aggregates, each a ``{pattern index: count}`` dict in first-bump
         order (the order a per-relation counter would have seen them).
-
-        Fully-interned statements (every ID non-negative) go through
-        the vectorized batch walk in one call; statements with paths
-        the capped interner refused take the scalar overflow walk, and
-        their relations are folded into the aggregates in statement
-        order.
         """
-        automaton = self._automaton
-        viol_rows: list[list[Violation]] = [[] for _ in entries]
-        batch_pos: list[int] = []
-        batch_ids: list[Sequence[int]] = []
-        overflow: list[tuple[int, list[tuple[int, Relation]]]] = []
-        for i, (stmt, paths, ids) in enumerate(entries):
-            if not ids or min(ids) >= 0:
-                batch_pos.append(i)
-                batch_ids.append(ids)
-            else:
-                viol_rows[i], rels = automaton.scan_one(stmt, paths, ids)
-                overflow.append((i, rels))
-        rows: list[int] = []
-        pats: list[int] = []
-        sats: list[bool] = []
-        if batch_pos:
-            bviol, (rows, pats, sats) = automaton.scan_batch(
-                [entries[i][0] for i in batch_pos], batch_ids
-            )
-            for k, i in enumerate(batch_pos):
-                viol_rows[i] = bviol[k]
-        if overflow:
-            per_stmt: list[list[tuple[int, bool]]] = [[] for _ in entries]
-            for row, pat, sat in zip(rows, pats, sats):
-                per_stmt[batch_pos[row]].append((pat, sat))
-            for i, rels in overflow:
-                per_stmt[i] = [
-                    (idx, rel is Relation.SATISFIED) for idx, rel in rels
-                ]
-            pats = [pat for row in per_stmt for pat, _ in row]
-            sats = [sat for row in per_stmt for _, sat in row]
-        return viol_rows, _first_bump_counts(pats, sats)
+        scan = self._automaton.scan_one
+        viol_rows: list[list[Violation]] = []
+        rels: list[tuple[int, Relation]] = []
+        for stmt, paths, ids in entries:
+            viols, stmt_rels = scan(stmt, paths, ids)
+            viol_rows.append(viols)
+            rels.extend(stmt_rels)
+        return viol_rows, _first_bump_counts(rels)
 
     #: one-line alias kept only because the benchmark's trace table
     #: (``benchmarks/namerbench/launch.py`` ``LAYERS``) names it
     scan_entries_stats = scan_entries
-
-    def relations_batch(
-        self, id_rows: Sequence[Sequence[int]]
-    ) -> list[list[tuple[int, Relation]]]:
-        """:meth:`relations` for many fully-interned statements in one
-        vectorized walk (the miner's prune counters)."""
-        return self._automaton.relations_batch(id_rows)
 
     def __len__(self) -> int:
         return len(self.patterns)

@@ -819,17 +819,18 @@ def _count_matches_ids(
     matcher: PatternMatcher, id_rows: Sequence[list[int]]
 ) -> tuple[Counter[int], Counter[int]]:
     """Prune pass over pre-resolved ID rows: per-pattern match /
-    satisfaction counts, keyed by pattern index.  One vectorized walk
-    covers the whole shard; per-row relation lists come back in the
-    pinned candidate order and rows replay in input order, so counter
-    bump order — and the counters' key order — is deterministic.
-    Counts are anchor-independent: any matcher over the same pattern
-    list, whatever its rarity table, produces identical counters."""
+    satisfaction counts, keyed by pattern index.  Each row's relations
+    come back in the pinned candidate order and rows replay in input
+    order, so counter bump order — and the counters' key order — is
+    deterministic.  Counts are anchor-independent: any matcher over the
+    same pattern list, whatever its rarity table, produces identical
+    counters."""
     match_counts: Counter[int] = Counter()
     sat_counts: Counter[int] = Counter()
-    rows = id_rows if isinstance(id_rows, list) else list(id_rows)
-    for rels in matcher.relations_batch(rows):
-        for idx, relation in rels:
+    relations = matcher.relations
+    for ids in id_rows:
+        # Corpus IDs are all interned, so no path is ever resolved.
+        for idx, relation in relations((), ids):
             match_counts[idx] += 1
             if relation is Relation.SATISFIED:
                 sat_counts[idx] += 1

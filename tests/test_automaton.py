@@ -164,8 +164,8 @@ class TestDifferentialRelations:
         assert any(len(b) > 1 for b in automaton._accepts.values())
 
     def test_rescan_is_stateless(self, trained_namer, statements):
-        """Generation-stamped scratch arrays must not leak one scan's
-        state into the next (same or different statement)."""
+        """No scan may leak state into the next (same or different
+        statement)."""
         auto = trained_namer.matcher
         sample = statements[:60]
         first = [auto.relations(paths) for _, paths in sample]
@@ -336,6 +336,63 @@ class TestConcurrentGrowth:
         for stmt, paths in statements:
             assert matcher.relations(paths) == serial.relations(paths)
 
+    def test_threads_scanning_past_the_cap_agree_with_serial(
+        self, trained_namer
+    ):
+        """Queue threads scanning one automaton through a capped
+        interner: paths past the cap are resolved on every scan, and
+        each thread's violation rows and aggregates (order included)
+        must equal a serial scan through the corpus interner."""
+        files = list(trained_namer.prepared)
+        reference = trained_namer.matcher
+        expected = [
+            reference.scan_entries(
+                [
+                    (ps.stmt, ps.paths, reference.prepare_ids(ps.paths))
+                    for ps in pf.statements
+                ]
+            )
+            for pf in files
+        ]
+        vocabulary = len(reference._automaton._interner)
+        threads = 2
+        for cap in (0, vocabulary // 2):
+            matcher = PatternMatcher(reference.patterns)
+            matcher.attach_interner(PathInterner(), cap=cap)
+            results: dict[int, tuple] = {}
+            barrier = threading.Barrier(threads)
+
+            def scan(k):
+                barrier.wait(timeout=60)
+                for i in range(k, len(files), threads):
+                    entries = [
+                        (ps.stmt, ps.paths, matcher.prepare_ids(ps.paths))
+                        for ps in files[i].statements
+                    ]
+                    results[i] = matcher.scan_entries(entries)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                workers = [
+                    threading.Thread(target=scan, args=(k,))
+                    for k in range(threads)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(worker.is_alive() for worker in workers)
+            assert len(matcher._automaton._interner) == cap
+            for i, want in enumerate(expected):
+                viol_rows, aggregates = results[i]
+                assert viol_rows == want[0], (cap, i)
+                assert [list(a.items()) for a in aggregates] == [
+                    list(a.items()) for a in want[1]
+                ], (cap, i)
+
 
 class TestMergeAndPickle:
     def test_merge_parity_with_flat_build(self, trained_namer, statements):
@@ -366,7 +423,6 @@ class TestMergeAndPickle:
         automaton_state = pickle.loads(
             pickle.dumps(auto._automaton)
         ).__dict__
-        assert "_stamp" not in automaton_state
         loaded = pickle.loads(blob)
         for stmt, paths in sample:
             assert loaded.relations(paths) == auto.relations(paths)

@@ -33,7 +33,6 @@ from repro.mining.frozen import (
     FrozenStats,
     default_frozen_path,
     freeze_namer,
-    load_batch_tables,
     load_frozen_namer,
 )
 from repro.mining.interner import PathInterner
@@ -132,10 +131,14 @@ class TestRoundtrip:
             namer.classifier.classifier.intercept_
         )
 
-    def test_load_batch_tables(self, frozen_setup):
-        namer, _, frozen_path, _ = frozen_setup
-        bt = load_batch_tables(frozen_path)
-        assert bt.n_nodes == len(namer.matcher._automaton._children)
+    def test_refreeze_is_byte_identical(self, frozen_setup, tmp_path):
+        """Freezing a frozen-loaded namer writes the original bytes: the
+        loader's tables and the writer's derived arrays (fold pool,
+        CSR offsets, guard words) are exact inverses."""
+        _, _, frozen_path, _ = frozen_setup
+        again = tmp_path / "again.frozen"
+        freeze_namer(load_frozen_namer(frozen_path), again)
+        assert again.read_bytes() == frozen_path.read_bytes()
 
     def test_freeze_refuses_unmined_namer(self, tmp_path):
         unmined = Namer(NamerConfig())

@@ -66,10 +66,10 @@ def test_reports(served, source, workers):
 
 @pytest.mark.parametrize("cap", ["zero", "half"])
 def test_reports_through_capped_interner(served, cap):
-    """Serve-time paths past the interner cap take the scalar overflow
-    walk (``scan_one``, folded into ``PatternMatcher.scan_entries``): a zero
-    cap sends every path there, half the vocabulary mixes interned and
-    overflowing paths in one batch.  Reports must not change."""
+    """Serve-time paths past the interner cap are resolved against the
+    trie on every scan instead of through the per-ID tables: a zero cap
+    sends every path that way, half the vocabulary mixes interned and
+    overflowing paths in one statement.  Reports must not change."""
     language, namer, artifact, _, _ = served
     loaded = load_namer(artifact)
     vocabulary = len(namer.matcher._automaton._interner)
