@@ -25,10 +25,8 @@ unknown artifact path) pass through with their original status.
 
 from __future__ import annotations
 
-import json
 import threading
 import urllib.parse
-from http.server import BaseHTTPRequestHandler
 
 from repro.service.client import ServiceError
 from repro.service.cluster import (
@@ -36,33 +34,14 @@ from repro.service.cluster import (
     ClusterUnavailable,
     RolloutInProgress,
 )
-from repro.service.server import MAX_BODY_BYTES, DrainingListener
+from repro.service.server import DrainingListener, JsonHandler, _BadRequest
 
 __all__ = ["ClusterServer", "serve_cluster"]
 
 
-class _BadRequest(ValueError):
-    pass
-
-
-class _ClusterHandler(BaseHTTPRequestHandler):
+class _ClusterHandler(JsonHandler):
     server_version = "repro-cluster/1.0"
-    protocol_version = "HTTP/1.1"
     coordinator: ClusterCoordinator  # injected by ClusterServer
-    quiet = True
-    timeout = 60
-
-    def handle_one_request(self) -> None:
-        # Same park/unpark drain bracketing as the replica handler:
-        # shutdown half-closes sockets whose threads are waiting for a
-        # kept-alive connection's next request (DrainingListener).
-        if not self.server.connection_idle(self):
-            self.close_connection = True
-            return
-        try:
-            super().handle_one_request()
-        finally:
-            self.server.connection_busy(self)
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         self.server.connection_busy(self)
@@ -91,9 +70,7 @@ class _ClusterHandler(BaseHTTPRequestHandler):
                 result, headers = self.coordinator.analyze_payload(body)
                 self._reply(200, result, headers=headers)
             elif self.path == "/reload":
-                if not isinstance(body, dict) or not isinstance(
-                    body.get("artifacts"), str
-                ):
+                if not isinstance(body.get("artifacts"), str):
                     raise _BadRequest("reload needs an 'artifacts' path")
                 self._reply(200, self.coordinator.rolling_reload(body["artifacts"]))
             else:
@@ -110,46 +87,6 @@ class _ClusterHandler(BaseHTTPRequestHandler):
             self._reply(status, {"error": exc.message})
         except Exception as exc:  # last-resort: never drop the connection
             self._reply(500, {"error": f"internal error: {exc!r}"})
-
-    # ------------------------------------------------------------------
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise _BadRequest("missing request body")
-        if length > MAX_BODY_BYTES:
-            raise _BadRequest(f"request body over {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise _BadRequest(f"invalid JSON body: {exc}") from exc
-        if not isinstance(body, dict):
-            raise _BadRequest("request body must be a JSON object")
-        return body
-
-    def _reply(
-        self, status: int, payload: dict, headers: dict | None = None
-    ) -> None:
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format: str, *args) -> None:
-        if not self.quiet:
-            super().log_message(format, *args)
-
-
-class _ClusterListener(DrainingListener):
-    # Same graceful-drain policy as the single-server listener: handler
-    # threads are joinable, so stop() finishes in-flight responses, and
-    # idle keep-alive sockets are woken instead of pinning the join.
-    pass
 
 
 class ClusterServer:
@@ -168,7 +105,7 @@ class ClusterServer:
             (_ClusterHandler,),
             {"coordinator": coordinator, "quiet": quiet},
         )
-        self.httpd = _ClusterListener((host, port), handler)
+        self.httpd = DrainingListener((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property

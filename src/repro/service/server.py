@@ -21,7 +21,9 @@ Overload maps onto status codes: a full queue answers 503 (retry
 later), a missed deadline 504, a bad artifact or malformed body 400.
 ``ThreadingHTTPServer`` gives one thread per connection; actual
 analysis work still funnels through the engine's bounded queue, so
-concurrency is governed in exactly one place.
+concurrency is governed in exactly one place.  :class:`JsonHandler`
+holds the request/response plumbing this server shares with the
+cluster coordinator (``repro.service.cluster_http``).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import socket
 import threading
 import urllib.parse
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core.persistence import PersistenceError
@@ -42,7 +45,13 @@ from repro.service.engine import (
 )
 from repro.service.queue import QueueFullError, RequestTimeout, ServiceClosed
 
-__all__ = ["AnalysisServer", "DrainingListener", "cache_disposition", "serve"]
+__all__ = [
+    "AnalysisServer",
+    "DrainingListener",
+    "JsonHandler",
+    "cache_disposition",
+    "serve",
+]
 
 
 def cache_disposition(results: list[AnalysisResult]) -> str:
@@ -60,10 +69,89 @@ class _BadRequest(ValueError):
     """Client error; message goes into the 400 response body."""
 
 
+class JsonHandler(BaseHTTPRequestHandler):
+    """The request/response plumbing both front ends share: the replica
+    server's :class:`_Handler` and the cluster coordinator's handler.
+
+    Every reply leaves in one write with ``TCP_NODELAY`` set.  Writing
+    the header block and the body as two sends let Nagle's algorithm
+    hold the body until the client acknowledged the headers, and the
+    client delays that ACK by ~40 ms: a floor under every response.
+    One write removes the small-send pair; ``TCP_NODELAY`` covers what
+    one write cannot (a reply larger than a segment, the stdlib's
+    ``send_error`` pages).
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    quiet = True
+    # Bound how long an idle keep-alive connection can pin a handler
+    # thread; graceful shutdown joins these threads, so an abandoned
+    # connection must age out rather than stall the drain.
+    timeout = 60
+
+    def handle_one_request(self) -> None:
+        # Park/unpark bracketing for graceful drain: while this thread
+        # waits for a kept-alive connection's next request, shutdown
+        # may close the socket out from under it (DrainingListener).
+        if not self.server.connection_idle(self):
+            self.close_connection = True
+            return
+        try:
+            super().handle_one_request()
+        finally:
+            self.server.connection_busy(self)
+
+    def _read_json(self) -> dict:
+        """The request body as a JSON object; anything else is a 400."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body is left unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            if length < 0:
+                raise _BadRequest("invalid Content-Length header")
+            raise _BadRequest(f"request body over {MAX_BODY_BYTES} bytes")
+        if length == 0:
+            raise _BadRequest("missing request body")
+        raw = self.rfile.read(length)
+        try:
+            body = json.loads(raw)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise _BadRequest(f"invalid JSON body: {exc}") from exc
+        if not isinstance(body, dict):
+            raise _BadRequest("request body must be a JSON object")
+        return body
+
+    def _reply(
+        self, status: int, payload: dict, headers: dict | None = None
+    ) -> None:
+        """Status line, headers and body in one buffer, one write."""
+        data = json.dumps(payload).encode("utf-8")
+        self.log_request(status)
+        lines = [
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(data)}",
+        ]
+        lines += [f"{name}: {value}" for name, value in (headers or {}).items()]
+        if self.close_connection:
+            lines.append("Connection: close")
+        head = "\r\n".join(lines) + "\r\n\r\n"
+        self.wfile.write(head.encode("latin-1") + data)
+
+    def log_message(self, format: str, *args) -> None:
+        if not self.quiet:
+            super().log_message(format, *args)
+
+
 def _parse_requests(body: dict) -> tuple[list[AnalysisRequest], bool]:
     """The analyze payload: one file object or ``{"files": [...]}``."""
-    if not isinstance(body, dict):
-        raise _BadRequest("request body must be a JSON object")
     if "files" in body:
         files = body["files"]
         if not isinstance(files, list) or not files:
@@ -86,29 +174,9 @@ def _parse_one(entry: object) -> AnalysisRequest:
     )
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     server_version = "repro-namer/1.0"
-    protocol_version = "HTTP/1.1"
     engine: AnalysisEngine  # injected by AnalysisServer
-    quiet = True
-    # Bound how long an idle keep-alive connection can pin a handler
-    # thread; graceful shutdown joins these threads, so an abandoned
-    # connection must age out rather than stall the drain.
-    timeout = 60
-
-    # ------------------------------------------------------------------
-
-    def handle_one_request(self) -> None:
-        # Park/unpark bracketing for graceful drain: while this thread
-        # waits for a kept-alive connection's next request, shutdown
-        # may close the socket out from under it (DrainingListener).
-        if not self.server.connection_idle(self):
-            self.close_connection = True
-            return
-        try:
-            super().handle_one_request()
-        finally:
-            self.server.connection_busy(self)
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         self.server.connection_busy(self)
@@ -195,7 +263,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _handle_reload(self, body: dict) -> None:
-        if not isinstance(body, dict) or not isinstance(body.get("artifacts"), str):
+        if not isinstance(body.get("artifacts"), str):
             raise _BadRequest("reload needs an 'artifacts' path")
         self._reply(200, self.engine.reload(body["artifacts"]))
 
@@ -217,34 +285,6 @@ class _Handler(BaseHTTPRequestHandler):
         # carry X-Repro-Retry (see HttpClient), surfaced in /metrics.
         if self.headers.get("X-Repro-Retry"):
             self.engine.metrics.record_retried()
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise _BadRequest("missing request body")
-        if length > MAX_BODY_BYTES:
-            raise _BadRequest(f"request body over {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise _BadRequest(f"invalid JSON body: {exc}") from exc
-
-    def _reply(
-        self, status: int, payload: dict, headers: dict | None = None
-    ) -> None:
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, format: str, *args) -> None:
-        if not self.quiet:
-            super().log_message(format, *args)
 
 
 class DrainingListener(ThreadingHTTPServer):
@@ -306,10 +346,6 @@ class DrainingListener(ThreadingHTTPServer):
         super().shutdown()
 
 
-class _Listener(DrainingListener):
-    pass
-
-
 class AnalysisServer:
     """Owns the HTTP listener; binds an engine to a host/port.
 
@@ -326,7 +362,7 @@ class AnalysisServer:
     ) -> None:
         self.engine = engine
         handler = type("BoundHandler", (_Handler,), {"engine": engine, "quiet": quiet})
-        self.httpd = _Listener((host, port), handler)
+        self.httpd = DrainingListener((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property

@@ -102,7 +102,13 @@ class FakeReplica(ReplicaHandle):
         self.forwarded.append(payload)
         if self.fail_forward:
             raise ServiceError(503, "injected backpressure")
-        return {"path": payload.get("path"), "reports": [], "served_by": self.name}
+        if "files" in payload:
+            # A batch answers one row per file, as a real replica does.
+            return {"results": [self._row(f) for f in payload["files"]]}
+        return self._row(payload)
+
+    def _row(self, entry: dict) -> dict:
+        return {"path": entry.get("path"), "reports": [], "served_by": self.name}
 
     def reload(self, artifact_path: str) -> dict:
         self.reload_calls.append(artifact_path)

@@ -5,6 +5,10 @@ and the assembled stack: engine batching, hot reload, and a real HTTP
 round-trip over localhost including cache-hit metrics.
 """
 
+import functools
+import http.client
+import json
+import statistics
 import threading
 import time
 
@@ -14,6 +18,7 @@ from repro.core.persistence import PersistenceError, save_namer
 from repro.core.prepare import prepare_file
 from repro.service.cache import ResultCache, content_key
 from repro.service.client import HttpClient, InProcessClient, ServiceError
+from repro.service.cluster_http import ClusterServer
 from repro.service.engine import AnalysisEngine, AnalysisRequest
 from repro.service.queue import (
     QueueFullError,
@@ -22,6 +27,7 @@ from repro.service.queue import (
     ServiceClosed,
 )
 from repro.service.server import AnalysisServer
+from tests.test_cluster import make_cluster
 
 pytestmark = pytest.mark.service
 
@@ -78,6 +84,24 @@ def server(artifact_file):
 @pytest.fixture(scope="module")
 def client(server):
     return HttpClient(server.url, timeout=30)
+
+
+@pytest.fixture(scope="module")
+def coordinator_server():
+    """A cluster coordinator over in-memory fake replicas (no
+    subprocesses): the second front end built on the shared handler."""
+    coordinator, _ = make_cluster(2)
+    server = ClusterServer(coordinator, port=0).start()
+    yield server
+    server.stop()
+
+
+@pytest.fixture(params=["replica", "coordinator"])
+def front_end(request):
+    """Each HTTP front end in turn: the single analysis server and the
+    cluster coordinator."""
+    name = "server" if request.param == "replica" else "coordinator_server"
+    return request.getfixturevalue(name)
 
 
 # ----------------------------------------------------------------------
@@ -378,6 +402,34 @@ class TestHttpService:
             client.reload("/nonexistent/namer.json")
         assert exc.value.status == 400
 
+    @pytest.mark.parametrize(
+        "length, body",
+        [
+            ("abc", b'{"source": "x = 1"}'),
+            (None, b'{"source": "\xff"}'),  # not UTF-8
+            (None, b'{"source": '),
+            (None, b"[1, 2]"),
+            (None, b""),
+        ],
+        ids=["bad-length", "non-utf8", "bad-json", "not-object", "empty"],
+    )
+    def test_malformed_bodies_are_400(self, front_end, length, body):
+        """``length`` overrides the Content-Length header."""
+        conn = http.client.HTTPConnection(front_end.host, front_end.port, timeout=30)
+        try:
+            conn.putrequest("POST", "/analyze")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length or len(body))
+            conn.endheaders(body)
+            response = conn.getresponse()
+            error = json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert response.status == 400, error
+        # A body left unread ends the connection instead of being
+        # parsed as the next request.
+        assert response.will_close == (length is not None)
+
     def test_cache_disposition_header(self, client, report_source):
         entries = [{"path": "header.py", "source": report_source.source}]
         client.analyze_files(entries)
@@ -385,6 +437,44 @@ class TestHttpService:
         assert first.endswith("miss=1") or "memory=1" in first
         client.analyze_files(entries)
         assert "memory=1" in client.last_headers["X-Repro-Cache"]
+
+
+# ----------------------------------------------------------------------
+# Wire latency: one write per reply, TCP_NODELAY
+# ----------------------------------------------------------------------
+
+
+#: Over 64 KiB of reply JSON from either front end: more than one
+#: loopback segment.
+LARGE_BATCH = [
+    {"path": f"wire/{'d' * 1200}.py", "source": "x = 1\n", "language": "python"}
+] * 64
+
+
+class TestWireLatency:
+    """Sequential requests over one kept-alive connection.  A reply
+    written as two sends waits ~40 ms for the client's delayed ACK, so
+    the median round trip would sit on that floor."""
+
+    @pytest.mark.parametrize("kind", ["health", "large-batch"])
+    def test_keepalive_round_trip_has_no_delayed_ack_stall(self, front_end, kind):
+        client = HttpClient(front_end.url, timeout=30)
+        if kind == "health":
+            call = client.health
+        else:
+            call = functools.partial(client.analyze_files, LARGE_BATCH)
+        try:
+            reply = call()  # connects, and fills the replica's cache
+            if kind == "large-batch":
+                assert len(json.dumps({"results": reply})) > 64 * 1024
+            rounds = []
+            for _ in range(20):
+                started = time.perf_counter()
+                call()
+                rounds.append(time.perf_counter() - started)
+        finally:
+            client.close()
+        assert statistics.median(rounds) < 0.015, rounds
 
 
 # ----------------------------------------------------------------------
