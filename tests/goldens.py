@@ -3,7 +3,8 @@
 Mining and detection must produce the same bytes whatever the worker
 count, cache temperature, artifact encoding (JSON document or frozen
 blob) or interner cap.  ``tests/golden_digests.json`` records those
-bytes as sha256 digests for the tier-1 corpora, and
+bytes as sha256 digests for the tier-1 corpora, together with every
+file's points-to result (the Datalog solver's contract), and
 ``tests/test_goldens.py`` recomputes them through every supported
 configuration.
 
@@ -24,11 +25,14 @@ import random
 import sys
 from pathlib import Path
 
+from repro.analysis.facts import extract_facts
+from repro.analysis.pointsto import PointsToConfig, PointsToResult, analyze_pointsto
 from repro.core.namer import Namer, NamerConfig
 from repro.core.persistence import load_namer, save_namer
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
 from repro.corpus.javagen import generate_java_corpus
 from repro.evaluation.oracle import Oracle
+from repro.lang import parse_source
 from repro.evaluation.precision import sample_balanced_training
 from repro.mining.frozen import freeze_namer, load_frozen_namer
 from repro.mining.miner import MiningConfig
@@ -40,6 +44,10 @@ GOLDENS_PATH = Path(__file__).with_name("golden_digests.json")
 #: the tier-1 corpora (``tests/conftest.py``) and their mining knobs
 LANGUAGES = ("python", "java")
 SMALL_MINING = MiningConfig(min_pattern_support=10, min_path_frequency=5)
+
+#: context depths the points-to digest covers: the paper default and the
+#: context-insensitive fallback
+POINTSTO_KS = (5, 0)
 
 #: one fixed, seeded plan tripping the prepare, detect and featurize
 #: quarantine paths
@@ -111,6 +119,40 @@ def report_digests(namer: Namer, prepared, *, workers: int = 1) -> dict:
     return digests
 
 
+def canonical_pointsto(result: PointsToResult) -> dict:
+    """One points-to result as sorted, JSON-ready lists."""
+    return {
+        "var_points_to": sorted(
+            [function, variable, sorted(heaps)]
+            for (function, variable), heaps in result.var_points_to.items()
+        ),
+        "reachable_functions": sorted(result.reachable_functions),
+        "call_edges": sorted(list(edge) for edge in result.call_edges),
+        "used_k": result.used_k,
+        "avg_contexts": repr(result.avg_contexts),
+    }
+
+
+def pointsto_digest(language: str) -> str:
+    """sha256 of every corpus file's canonical points-to result at each
+    k in :data:`POINTSTO_KS` (files that do not parse record ``None``)."""
+    results = {}
+    for repo, source in corpus(language).files():
+        try:
+            module = parse_source(
+                source.source, source.language, source.path, repo.name
+            )
+        except ValueError:
+            results[source.path] = None
+            continue
+        facts = extract_facts(module)
+        results[source.path] = [
+            canonical_pointsto(analyze_pointsto(facts, PointsToConfig(k=k)))
+            for k in POINTSTO_KS
+        ]
+    return sha256(json.dumps(results, sort_keys=True, separators=(",", ":")))
+
+
 def records_json(quarantine: Quarantine) -> list[dict]:
     return [record.to_json() for record in quarantine.records]
 
@@ -157,6 +199,7 @@ def compute_language(language: str, workdir: Path) -> dict:
             "reports": faulted_reports,
             "detect_quarantine": detect_records,
         },
+        "pointsto": pointsto_digest(language),
     }
 
 

@@ -1,10 +1,11 @@
 """Every supported configuration reproduces the committed goldens.
 
 ``tests/golden_digests.json`` pins the sha256 of the mined and trained
-artifacts, of every file's ``detect_many_rows`` result, and of the
-quarantine records under one seeded fault plan, for the tier-1 Python
-and Java corpora (see :mod:`tests.goldens` for how each digest is
-computed and how to regenerate the file on purpose).  These tests
+artifacts, of every file's ``detect_many_rows`` result, of every file's
+points-to result, and of the quarantine records under one seeded fault
+plan, for the tier-1 Python and Java corpora (see :mod:`tests.goldens`
+for how each digest is computed and how to regenerate the file on
+purpose).  These tests
 recompute them through each arm the pipeline offers — worker counts,
 cache temperatures, JSON vs frozen artifacts, capped interners — so a
 change that moves any output byte fails here.
@@ -96,6 +97,13 @@ def test_quarantine_records_under_fault_plan(served, workers, tmp_path):
     )
     assert records == expected["detect_quarantine"]
     assert reports == expected["reports"]
+
+
+@pytest.mark.parametrize("language", g.LANGUAGES)
+def test_pointsto(language):
+    """The Datalog points-to solver derives the golden relations for
+    every corpus file, context-sensitive (k=5) and insensitive (k=0)."""
+    assert g.pointsto_digest(language) == GOLDENS[language]["pointsto"]
 
 
 def test_goldens_exercise_every_surface():
