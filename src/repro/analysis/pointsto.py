@@ -14,12 +14,13 @@ same-named locals in different functions stay apart.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.analysis.facts import FileFacts
 from repro.datalog.engine import Program
-from repro.datalog.terms import Bind, Var, atom
+from repro.datalog.terms import Atom, Bind, Rule, Var, atom
 
 __all__ = ["PointsToConfig", "PointsToResult", "analyze_pointsto"]
 
@@ -68,24 +69,21 @@ def analyze_pointsto(
 
 
 def _run(facts: FileFacts, k: int) -> PointsToResult:
-    program = _build_program(facts, k)
-    database = program.solve()
+    database = _program(k).solve(_relations(facts))
 
     vpt: dict[tuple[str, str], set[str]] = defaultdict(set)
     contexts_per_function: dict[str, set[tuple]] = defaultdict(set)
-    for ctx, func, variable, heap in database.get("VarPointsTo", ()):
+    for ctx, func, variable, heap in database["VarPointsTo"]:
         vpt[(func, variable)].add(heap)
         contexts_per_function[func].add(ctx)
-    reachable = {func for _, func in database.get("Reachable", ())}
-    for _, func in database.get("Reachable", ()):
-        contexts_per_function.setdefault(func, set())
-    for ctx, func in database.get("Reachable", ()):
+    reachable = set()
+    for ctx, func in database["Reachable"]:
+        reachable.add(func)
         contexts_per_function[func].add(ctx)
-
-    edges = set()
-    for ctx, site, ctx2, callee in database.get("CallEdge", ()):
-        caller = _site_owner(site)
-        edges.add((caller, site, callee))
+    edges = {
+        (_site_owner(site), site, callee)
+        for _, site, _, callee in database["CallEdge"]
+    }
 
     counts = [len(v) or 1 for v in contexts_per_function.values()]
     avg = sum(counts) / len(counts) if counts else 0.0
@@ -104,55 +102,67 @@ def _site_owner(site: str) -> str:
     return owner
 
 
-def _build_program(facts: FileFacts, k: int) -> Program:
-    p = Program()
-    p.add_facts("AllocF", facts.alloc)
-    p.add_facts("MoveF", facts.move)
-    p.add_facts("LoadF", facts.load)
-    p.add_facts("StoreF", facts.store)
-    p.add_facts("FormalParam", facts.formal_param)
-    p.add_facts("ActualParam", facts.actual_param)
-    p.add_facts("FormalReturn", facts.formal_return)
-    p.add_facts("ActualReturn", facts.actual_return)
-    p.add_facts("CallSiteIn", facts.call_site_in)
-    p.add_facts("ResolvesTo", facts.resolves_to)
-    p.add_facts("EntryPoint", [(fn,) for fn in facts.entry_points()])
+def _relations(facts: FileFacts) -> dict[str, list]:
+    """The base relations of one file, by predicate."""
+    return {
+        "AllocF": facts.alloc,
+        "MoveF": facts.move,
+        "LoadF": facts.load,
+        "StoreF": facts.store,
+        "FormalParam": facts.formal_param,
+        "ActualParam": facts.actual_param,
+        "FormalReturn": facts.formal_return,
+        "ActualReturn": facts.actual_return,
+        "CallSiteIn": facts.call_site_in,
+        "ResolvesTo": facts.resolves_to,
+        "EntryPoint": [(fn,) for fn in facts.entry_points()],
+    }
+
+
+@functools.cache
+def _program(k: int) -> Program:
+    """The points-to rules at context depth ``k``, compiled once per
+    process; the cache is thread-safe and the program is stateless, so
+    serving threads share it."""
 
     def push(ctx: tuple, site: str) -> tuple:
         if k == 0:
             return EMPTY_CTX
         return ((site,) + ctx)[:k]
 
-    C, C2, F, G = Var("C"), Var("C2"), Var("F"), Var("G")
-    V, H, HB, TO, FROM = Var("V"), Var("H"), Var("HB"), Var("TO"), Var("FROM")
-    S, I, A, P, R, FLD = Var("S"), Var("I"), Var("A"), Var("P"), Var("R"), Var("FLD")
+    rules: list[Rule] = []
+
+    def rule(head: Atom, *body: Atom | Bind) -> None:
+        rules.append(Rule(head, body))
+
+    C, C2, S = Var("C"), Var("C2"), Var("S")
 
     # Entry points run under the empty context.
-    p.rule(atom("Reachable", EMPTY_CTX, "?F"), atom("EntryPoint", "?F"))
+    rule(atom("Reachable", EMPTY_CTX, "?F"), atom("EntryPoint", "?F"))
 
     # Allocation.
-    p.rule(
+    rule(
         atom("VarPointsTo", "?C", "?F", "?V", "?H"),
         atom("Reachable", "?C", "?F"),
         atom("AllocF", "?V", "?H", "?F"),
     )
     # Move.
-    p.rule(
+    rule(
         atom("VarPointsTo", "?C", "?F", "?TO", "?H"),
         atom("MoveF", "?TO", "?FROM", "?F"),
         atom("VarPointsTo", "?C", "?F", "?FROM", "?H"),
     )
     # Call graph with context push.
-    p.rule(
+    rule(
         atom("CallEdge", "?C", "?S", "?C2", "?G"),
         atom("Reachable", "?C", "?F"),
         atom("CallSiteIn", "?S", "?F"),
         atom("ResolvesTo", "?S", "?G"),
         Bind(C2, push, (C, S)),
     )
-    p.rule(atom("Reachable", "?C2", "?G"), atom("CallEdge", "?C", "?S", "?C2", "?G"))
+    rule(atom("Reachable", "?C2", "?G"), atom("CallEdge", "?C", "?S", "?C2", "?G"))
     # Parameter passing.
-    p.rule(
+    rule(
         atom("VarPointsTo", "?C2", "?G", "?P", "?H"),
         atom("CallEdge", "?C", "?S", "?C2", "?G"),
         atom("ActualParam", "?S", "?I", "?A"),
@@ -161,7 +171,7 @@ def _build_program(facts: FileFacts, k: int) -> Program:
         atom("VarPointsTo", "?C", "?F", "?A", "?H"),
     )
     # Return values.
-    p.rule(
+    rule(
         atom("VarPointsTo", "?C", "?F", "?TO", "?H"),
         atom("CallEdge", "?C", "?S", "?C2", "?G"),
         atom("ActualReturn", "?S", "?TO"),
@@ -170,16 +180,16 @@ def _build_program(facts: FileFacts, k: int) -> Program:
         atom("VarPointsTo", "?C2", "?G", "?R", "?H"),
     )
     # Field store / load (field-sensitive, heap-based).
-    p.rule(
+    rule(
         atom("FieldPointsTo", "?HB", "?FLD", "?H"),
         atom("StoreF", "?V", "?FLD", "?FROM", "?F"),
         atom("VarPointsTo", "?C", "?F", "?V", "?HB"),
         atom("VarPointsTo", "?C", "?F", "?FROM", "?H"),
     )
-    p.rule(
+    rule(
         atom("VarPointsTo", "?C", "?F", "?TO", "?H"),
         atom("LoadF", "?TO", "?V", "?FLD", "?F"),
         atom("VarPointsTo", "?C", "?F", "?V", "?HB"),
         atom("FieldPointsTo", "?HB", "?FLD", "?H"),
     )
-    return p
+    return Program(rules)

@@ -1,247 +1,216 @@
-"""Semi-naive Datalog evaluation with stratified negation.
+"""Semi-naive Datalog evaluation, compiled once per rule set.
 
-The engine evaluates a :class:`Program` to a fixpoint.  Rules are
-compiled to left-to-right joins with per-predicate hash indexes on the
-bound argument positions; semi-naive iteration restricts one positive
-atom per rule to the delta of the previous round, so each derivation is
-considered once.
+``Program(rules)`` compiles every rule into *plans*, one per body atom.
+In a plan that atom ranges over the rows the previous round derived
+(the delta), and each other atom is probed through a hash index keyed
+on the argument positions bound at that step, which are known
+statically.  A ``Bind`` runs as soon as its arguments are bound; onto
+an already-bound variable it is an equality test.  Each plan becomes
+one generated Python function.
 
-Negation is stratified: the predicate dependency graph must have no
-negative edge inside a cycle; strata are evaluated bottom-up, so a
-negated atom is only consulted after its predicate is fully computed.
+Generated source holds only compiler-minted identifiers and integer
+positions.  Predicate names, constants and ``Bind`` functions reach it
+through the functions' namespace, so no fact value (facts come from
+untrusted source files) ever becomes program text.
+
+``Program.solve(facts)`` keeps relations, indexes and deltas in locals
+and updates the indexes as rows are inserted, so one compiled program
+may be shared by any number of threads.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from operator import itemgetter
+from typing import Hashable, Iterable, Mapping, Sequence
 
-from repro.datalog.terms import Atom, Bind, BodyItem, Filter, Negation, Rule, Var
+from repro.datalog.terms import Atom, Bind, Rule, Var
 
-__all__ = ["Program", "StratificationError"]
+__all__ = ["Program"]
 
 Tuple_ = tuple[Hashable, ...]
-Bindings = dict[Var, Hashable]
 
 
-class StratificationError(ValueError):
-    """Raised when negation occurs inside a recursive cycle."""
-
-
-@dataclass
 class Program:
-    """A set of rules and base facts, evaluated on demand."""
+    """A fixed rule set, compiled to semi-naive join functions.
 
-    rules: list[Rule] = field(default_factory=list)
-    facts: dict[str, set[Tuple_]] = field(default_factory=lambda: defaultdict(set))
+    Attributes:
+        source: The generated plan functions, for inspection.
+    """
 
-    def rule(self, head: Atom, *body: BodyItem) -> None:
-        self.rules.append(Rule(head=head, body=tuple(body)))
-
-    def fact(self, predicate: str, *args: Hashable) -> None:
-        self.facts[predicate].add(tuple(args))
-
-    def add_facts(self, predicate: str, rows: Iterable[Sequence[Hashable]]) -> None:
-        self.facts[predicate].update(tuple(r) for r in rows)
-
-    # ------------------------------------------------------------------
-
-    def solve(self) -> dict[str, set[Tuple_]]:
-        """Evaluate to fixpoint; returns all relations (base + derived)."""
-        database: dict[str, set[Tuple_]] = defaultdict(set)
-        for predicate, rows in self.facts.items():
-            database[predicate] |= rows
-        for stratum in self._stratify():
-            self._evaluate_stratum(stratum, database)
-        return dict(database)
-
-    def query(self, goal: Atom) -> list[Bindings]:
-        """Solve and match ``goal`` against the result."""
-        database = self.solve()
-        results: list[Bindings] = []
-        for row in database.get(goal.predicate, ()):
-            bindings = _unify(goal.args, row, {})
-            if bindings is not None:
-                results.append(bindings)
-        return results
-
-    # ------------------------------------------------------------------
-    # Stratification
-    # ------------------------------------------------------------------
-
-    def _stratify(self) -> list[list[Rule]]:
-        """Order rules into strata so negated predicates are complete
-        before use.  Raises :class:`StratificationError` on negative
-        cycles."""
-        level: dict[str, int] = defaultdict(int)
-        heads = {r.head.predicate for r in self.rules}
-        changed = True
-        iterations = 0
-        bound = (len(heads) + 1) * (len(self.rules) + 1) + 1
-        while changed:
-            iterations += 1
-            if iterations > bound:
-                raise StratificationError("negation inside a recursive cycle")
-            changed = False
-            for r in self.rules:
-                h = r.head.predicate
-                for p in r.positive_predicates():
-                    if level[h] < level[p]:
-                        level[h] = level[p]
-                        changed = True
-                for p in r.negative_predicates():
-                    if level[h] < level[p] + 1:
-                        level[h] = level[p] + 1
-                        changed = True
-        strata: dict[int, list[Rule]] = defaultdict(list)
-        for r in self.rules:
-            strata[level[r.head.predicate]].append(r)
-        return [strata[i] for i in sorted(strata)]
-
-    # ------------------------------------------------------------------
-    # Semi-naive evaluation of one stratum
-    # ------------------------------------------------------------------
-
-    def _evaluate_stratum(
-        self, rules: list[Rule], database: dict[str, set[Tuple_]]
-    ) -> None:
-        derived = {r.head.predicate for r in rules}
-
-        # Naive first round to seed the deltas.
-        delta: dict[str, set[Tuple_]] = defaultdict(set)
+    def __init__(self, rules: Iterable[Rule]) -> None:
+        self._arity: dict[str, int] = {}
+        self._specs: dict[tuple[str, tuple[int, ...]], int] = {}
+        self._initial: list[tuple[str, Tuple_]] = []
+        namespace: dict[str, object] = {}
+        lines: list[str] = []
+        plans: list[tuple[str, str, str]] = []
         for rule in rules:
-            for row in self._apply(rule, database, delta=None):
-                if row not in database[rule.head.predicate]:
-                    database[rule.head.predicate].add(row)
-                    delta[rule.head.predicate].add(row)
+            for item in (rule.head, *rule.body):
+                if isinstance(item, Atom):
+                    self._declare(rule, item)
+            atoms = [i for i in rule.body if isinstance(i, Atom)]
+            if not rule.body:
+                self._initial.append((rule.head.predicate, rule.head.args))
+            elif not atoms:
+                raise ValueError(f"rule {rule!r} has no body atom")
+            for first in atoms:
+                name = f"p{len(plans)}"
+                lines += self._plan(rule, name, first, atoms, namespace)
+                plans.append((first.predicate, name, rule.head.predicate))
+        self.source = "\n".join(lines) + "\n"
+        exec(compile(self.source, "<datalog plans>", "exec"), namespace)
+        self._plans: dict[str, list] = {}
+        for delta, name, head in plans:
+            self._plans.setdefault(delta, []).append((namespace[name], head))
+        self._keys: dict[str, list] = {p: [] for p in self._arity}
+        for (predicate, positions), slot in self._specs.items():
+            key = itemgetter(*positions) if positions else _empty_key
+            self._keys[predicate].append((slot, key))
 
-        while any(delta.values()):
-            next_delta: dict[str, set[Tuple_]] = defaultdict(set)
-            for rule in rules:
-                body_preds = rule.positive_predicates() & derived
-                if not body_preds & set(delta):
-                    continue
-                # One positive atom at a time is restricted to the delta.
-                positive_positions = [
-                    i
-                    for i, item in enumerate(rule.body)
-                    if isinstance(item, Atom) and item.predicate in delta
-                ]
-                for pos in positive_positions:
-                    for row in self._apply(rule, database, delta=delta, delta_pos=pos):
-                        if row not in database[rule.head.predicate]:
-                            database[rule.head.predicate].add(row)
-                            next_delta[rule.head.predicate].add(row)
-            delta = next_delta
+    def _declare(self, rule: Rule, item: Atom) -> None:
+        arity = self._arity.setdefault(item.predicate, len(item.args))
+        if arity != len(item.args):
+            raise ValueError(
+                f"rule {rule!r}: {item.predicate} has arity {arity} elsewhere"
+            )
 
-    def _apply(
+    def _plan(
         self,
         rule: Rule,
-        database: dict[str, set[Tuple_]],
-        delta: dict[str, set[Tuple_]] | None,
-        delta_pos: int | None = None,
-    ) -> Iterable[Tuple_]:
-        """Join the rule body left to right, yielding head tuples."""
-        bindings_list: list[Bindings] = [{}]
-        for index, item in enumerate(rule.body):
-            if not bindings_list:
-                return
-            if isinstance(item, Atom):
-                if delta is not None and index == delta_pos:
-                    rows: Iterable[Tuple_] = delta.get(item.predicate, ())
+        name: str,
+        first: Atom,
+        atoms: list[Atom],
+        namespace: dict[str, object],
+    ) -> list[str]:
+        """Source of one plan: ``first`` scans the delta, then each
+        other atom in turn, the one with the most bound positions
+        first."""
+        slots: dict[Var, str] = {}
+
+        def term(t) -> str:
+            if isinstance(t, Var):
+                return slots[t]
+            constant = f"c{len(namespace)}"
+            namespace[constant] = t
+            return constant
+
+        def bound_positions(item: Atom) -> tuple[int, ...]:
+            return tuple(
+                i
+                for i, a in enumerate(item.args)
+                if not isinstance(a, Var) or a in slots
+            )
+
+        out = [f"def {name}(delta, I):", "    out = []", "    add = out.append"]
+        body: list[str] = []
+        pending = [i for i in rule.body if isinstance(i, Bind)]
+        rest = [a for a in atoms if a is not first]
+        item, indent = first, "    "
+        for step in range(len(atoms)):
+            if step:
+                # The most constrained atom next; ties keep body order.
+                item = max(rest, key=lambda a: len(bound_positions(a)))
+                rest.remove(item)
+            bound = bound_positions(item) if step else ()
+            checks, targets = [], []
+            for i, a in enumerate(item.args):
+                if i in bound:
+                    targets.append("_")
+                elif isinstance(a, Var) and a not in slots:
+                    slots[a] = f"v{len(slots)}"
+                    targets.append(slots[a])
                 else:
-                    rows = database.get(item.predicate, ())
-                bindings_list = _join(bindings_list, item, rows)
-            elif isinstance(item, Negation):
-                rows = database.get(item.atom.predicate, set())
-                bindings_list = [
-                    b for b in bindings_list if not _matches_any(item.atom, rows, b)
-                ]
-            elif isinstance(item, Bind):
-                new_list = []
-                for b in bindings_list:
-                    value = item.fn(*[_resolve(a, b) for a in item.args])
-                    existing = b.get(item.target)
-                    if existing is not None and existing != value:
-                        continue
-                    nb = dict(b)
-                    nb[item.target] = value
-                    new_list.append(nb)
-                bindings_list = new_list
-            elif isinstance(item, Filter):
-                bindings_list = [
-                    b
-                    for b in bindings_list
-                    if item.fn(*[_resolve(a, b) for a in item.args])
-                ]
-            else:  # pragma: no cover - exhaustive over BodyItem
-                raise TypeError(f"unknown body item {item!r}")
-        for b in bindings_list:
-            yield tuple(_resolve(a, b) for a in rule.head.args)
-
-
-def _resolve(term, bindings: Bindings):
-    if isinstance(term, Var):
-        if term not in bindings:
-            raise ValueError(f"unbound variable {term!r}")
-        return bindings[term]
-    return term
-
-
-def _join(
-    bindings_list: list[Bindings], item: Atom, rows: Iterable[Tuple_]
-) -> list[Bindings]:
-    """Join current bindings with the rows of one atom.
-
-    Builds a hash index over the atom's bound positions so the join is
-    linear in ``|bindings| + |rows|`` instead of their product.
-    """
-    if not bindings_list:
-        return []
-    sample = bindings_list[0]
-    bound_positions = [
-        i
-        for i, a in enumerate(item.args)
-        if not isinstance(a, Var) or a in sample
-    ]
-    index: dict[tuple, list[Tuple_]] = defaultdict(list)
-    rows = list(rows)
-    for row in rows:
-        if len(row) != len(item.args):
-            continue
-        index[tuple(row[i] for i in bound_positions)].append(row)
-    out: list[Bindings] = []
-    for b in bindings_list:
-        key = tuple(
-            b[item.args[i]] if isinstance(item.args[i], Var) else item.args[i]
-            for i in bound_positions
-        )
-        for row in index.get(key, ()):
-            extended = _unify(item.args, row, b)
-            if extended is not None:
-                out.append(extended)
-    return out
-
-
-def _unify(args: tuple, row: Tuple_, bindings: Bindings) -> Bindings | None:
-    if len(args) != len(row):
-        return None
-    out = dict(bindings)
-    for a, v in zip(args, row):
-        if isinstance(a, Var):
-            if a in out:
-                if out[a] != v:
-                    return None
+                    targets.append(f"e{i}")
+                    checks.append(f"e{i} != {term(a)}")
+            if step == 0:
+                source = "delta"
             else:
-                out[a] = v
-        elif a != v:
-            return None
-    return out
+                spec = (item.predicate, bound)
+                slot = self._specs.setdefault(spec, len(self._specs))
+                out.append(f"    x{step} = I[{slot}]")
+                keys = [term(item.args[i]) for i in bound]
+                key = keys[0] if len(keys) == 1 else _tuple(keys)
+                if len(bound) == len(item.args):
+                    # Every position bound: a membership test, not a loop.
+                    body.append(f"{indent}if {key} not in x{step}: continue")
+                    continue
+                source = f"x{step}.get({key}, ())"
+            body.append(f"{indent}for {_tuple(targets)} in {source}:")
+            indent += "    "
+            if checks:
+                body.append(f"{indent}if {' or '.join(checks)}: continue")
+            while ready := [b for b in pending if _bound(b.args, slots)]:
+                for bind in ready:
+                    pending.remove(bind)
+                    fn = f"f{len(namespace)}"
+                    namespace[fn] = bind.fn
+                    call = f"{fn}({', '.join(term(a) for a in bind.args)})"
+                    if bind.target in slots:
+                        target = slots[bind.target]
+                        body.append(f"{indent}if {call} != {target}: continue")
+                    else:
+                        slots[bind.target] = f"v{len(slots)}"
+                        body.append(f"{indent}{slots[bind.target]} = {call}")
+        if pending:
+            raise ValueError(f"rule {rule!r}: {pending[0]!r} has an unbound argument")
+        head = _tuple([term(a) for a in rule.head.args])
+        return out + body + [f"{indent}add({head})", "    return out"]
+
+    def solve(
+        self, facts: Mapping[str, Iterable[Sequence[Hashable]]]
+    ) -> dict[str, set[Tuple_]]:
+        """Evaluate to fixpoint over ``{predicate: rows}``.
+
+        Returns every relation, given and derived.  Rows whose arity
+        differs from the predicate's in the rules are dropped.
+        """
+        relations: dict[str, set[Tuple_]] = {p: set() for p in self._arity}
+        indexes: list[dict] = [{} for _ in self._specs]
+
+        def insert(predicate: str, rows: Iterable[Tuple_], fresh: dict) -> None:
+            known = relations[predicate]
+            arity = self._arity[predicate]
+            keys = [(indexes[slot], key) for slot, key in self._keys[predicate]]
+            new = fresh.setdefault(predicate, [])
+            for row in rows:
+                if row in known or len(row) != arity:
+                    continue
+                known.add(row)
+                new.append(row)
+                for index, key in keys:
+                    k = key(row)
+                    if k in index:
+                        index[k].append(row)
+                    else:
+                        index[k] = [row]
+
+        delta: dict[str, list[Tuple_]] = {}
+        for predicate, rows in facts.items():
+            if predicate in self._arity:
+                insert(predicate, map(tuple, rows), delta)
+            else:
+                relations[predicate] = set(map(tuple, rows))
+        for predicate, row in self._initial:
+            insert(predicate, (row,), delta)
+        while delta:
+            fresh: dict[str, list[Tuple_]] = {}
+            for predicate, rows in delta.items():
+                for plan, head in self._plans.get(predicate, ()):
+                    derived = plan(rows, indexes)
+                    if derived:
+                        insert(head, derived, fresh)
+            delta = {p: rows for p, rows in fresh.items() if rows}
+        return relations
 
 
-def _matches_any(atom_: Atom, rows: set[Tuple_], bindings: Bindings) -> bool:
-    for row in rows:
-        if _unify(atom_.args, row, bindings) is not None:
-            return True
-    return False
+def _tuple(items: list[str]) -> str:
+    """A tuple display (or an unpacking target) of ``items``."""
+    return f"({', '.join(items)}{',' * (len(items) == 1)})"
+
+
+def _bound(args: tuple, slots: dict[Var, str]) -> bool:
+    return all(a in slots for a in args if isinstance(a, Var))
+
+
+def _empty_key(row: Tuple_) -> tuple:
+    return ()

@@ -1,17 +1,13 @@
 """Terms, atoms and rules of the Datalog dialect.
 
 The points-to analysis of Section 4.1 is expressed in Datalog (the
-paper cites Smaragdakis & Balatsouras for the encoding).  This engine
-supports:
-
-* positive atoms and stratified negation,
-* ``Bind`` builtins that compute a value from bound variables (needed
-  to push call sites onto bounded k-contexts), and
-* ``Filter`` builtins that test a predicate over bound variables.
+paper cites Smaragdakis & Balatsouras for the encoding).  A rule body
+holds positive atoms and ``Bind`` builtins, which compute a value from
+bound variables (needed to push call sites onto bounded k-contexts).
 
 Constants are arbitrary hashable Python values; variables are
-:class:`Var` instances (or, in the convenience constructors, strings
-starting with an uppercase letter or ``?``).
+:class:`Var` instances (or, in :func:`atom`, strings starting with
+``?``).
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
-__all__ = ["Var", "Atom", "Negation", "Bind", "Filter", "Rule", "atom", "var"]
+__all__ = ["Var", "Atom", "Bind", "Rule", "atom", "var"]
 
 
 @dataclass(frozen=True)
@@ -51,21 +47,11 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Negation:
-    """``not atom`` — only valid under stratification."""
-
-    atom: Atom
-
-    def __repr__(self) -> str:
-        return f"!{self.atom!r}"
-
-
-@dataclass(frozen=True)
 class Bind:
     """``var := fn(*args)`` — computes a new binding.
 
-    All ``args`` must be bound (constants or previously bound variables)
-    when the Bind is evaluated; body items are processed left to right.
+    The compiled program runs a Bind as soon as its variable ``args``
+    are bound; onto an already-bound ``target`` it is an equality test.
     """
 
     target: Var
@@ -76,18 +62,7 @@ class Bind:
         return f"{self.target!r} := {getattr(self.fn, '__name__', 'fn')}{self.args!r}"
 
 
-@dataclass(frozen=True)
-class Filter:
-    """``fn(*args)`` must be truthy for the rule to proceed."""
-
-    fn: Callable[..., bool]
-    args: tuple[Term, ...] = ()
-
-    def __repr__(self) -> str:
-        return f"filter {getattr(self.fn, '__name__', 'fn')}{self.args!r}"
-
-
-BodyItem = Atom | Negation | Bind | Filter
+BodyItem = Atom | Bind
 
 
 @dataclass(frozen=True)
@@ -102,17 +77,11 @@ class Rule:
         for item in self.body:
             if isinstance(item, Atom):
                 bound |= item.variables()
-            elif isinstance(item, Bind):
+            else:
                 bound.add(item.target)
         unbound = self.head.variables() - bound
-        if self.body and unbound:
+        if unbound:
             raise ValueError(f"head variables {unbound} never bound in body")
-
-    def positive_predicates(self) -> set[str]:
-        return {i.predicate for i in self.body if isinstance(i, Atom)}
-
-    def negative_predicates(self) -> set[str]:
-        return {i.atom.predicate for i in self.body if isinstance(i, Negation)}
 
     def __repr__(self) -> str:
         if not self.body:
@@ -125,8 +94,8 @@ def var(name: str) -> Var:
 
 
 def atom(predicate: str, *args: Term) -> Atom:
-    """Convenience constructor: strings starting with an uppercase letter
-    or ``?`` become variables, everything else stays constant."""
+    """Convenience constructor: strings starting with ``?`` become
+    variables, everything else stays constant."""
     converted: list[Term] = []
     for a in args:
         if isinstance(a, str) and a[:1] == "?":

@@ -12,7 +12,7 @@ from repro.core.reports import Report, render_fixed_identifier
 from repro.core.stats_index import StatsIndex
 from repro.core.transform import transform_statement
 from repro.datalog.engine import Program
-from repro.datalog.terms import atom
+from repro.datalog.terms import Rule, atom
 from repro.lang.python_frontend import parse_statement
 from repro.mining.confusing_pairs import ConfusingPairStore
 
@@ -108,28 +108,23 @@ class TestReportHelpers:
 
 
 class TestDatalogCorners:
+    EDGE_TO_PATH = Rule(atom("path", "?X", "?Y"), (atom("edge", "?X", "?Y"),))
+
     def test_duplicate_facts_idempotent(self):
-        p = Program()
-        p.fact("edge", "a", "b")
-        p.fact("edge", "a", "b")
-        p.rule(atom("path", "?X", "?Y"), atom("edge", "?X", "?Y"))
-        assert p.solve()["path"] == {("a", "b")}
+        db = Program([self.EDGE_TO_PATH]).solve({"edge": [("a", "b"), ("a", "b")]})
+        assert db["path"] == {("a", "b")}
 
     def test_rule_with_no_matching_facts(self):
-        p = Program()
-        p.rule(atom("path", "?X", "?Y"), atom("edge", "?X", "?Y"))
-        db = p.solve()
+        db = Program([self.EDGE_TO_PATH]).solve({})
         assert db.get("path", set()) == set()
 
     def test_arity_mismatch_rows_skipped(self):
-        p = Program()
-        p.fact("edge", "a", "b")
-        p.fact("edge", "a", "b", "c")  # wrong arity: ignored by joins
-        p.rule(atom("path", "?X", "?Y"), atom("edge", "?X", "?Y"))
-        assert p.solve()["path"] == {("a", "b")}
+        rows = [("a", "b"), ("a", "b", "c")]  # wrong arity: dropped
+        db = Program([self.EDGE_TO_PATH]).solve({"edge": rows})
+        assert db["path"] == {("a", "b")}
+        assert db["edge"] == {("a", "b")}
 
     def test_self_join(self):
-        p = Program()
-        p.fact("edge", "a", "a")
-        p.rule(atom("loop", "?X"), atom("edge", "?X", "?X"))
-        assert p.solve()["loop"] == {("a",)}
+        program = Program([Rule(atom("loop", "?X"), (atom("edge", "?X", "?X"),))])
+        db = program.solve({"edge": [("a", "a"), ("a", "b")]})
+        assert db["loop"] == {("a",)}

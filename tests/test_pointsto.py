@@ -1,7 +1,16 @@
 """Tests for the k-call-site-sensitive Andersen points-to analysis."""
 
+import sys
+import threading
+
 from repro.analysis.facts import extract_facts
-from repro.analysis.pointsto import PointsToConfig, analyze_pointsto
+from repro.analysis.pointsto import (
+    PointsToConfig,
+    _program,
+    _relations,
+    analyze_pointsto,
+)
+from repro.corpus.generator import GeneratorConfig, generate_python_corpus
 from repro.lang.python_frontend import parse_module
 
 
@@ -102,3 +111,46 @@ class TestContexts:
         src = "def pub():\n    helper()\ndef helper():\n    pass"
         result, _ = run(src)
         assert any(callee == "helper" for _, _, callee in result.call_edges)
+
+
+class TestSharedProgram:
+    def test_program_compiled_once_per_k(self):
+        assert _program(5) is _program(5)
+        assert _program(0) is not _program(5)
+
+    def test_threads_sharing_one_program_agree_with_serial(self):
+        """Serving threads share one compiled program per k: eight
+        threads solving different files' facts at once must each get
+        exactly the serial result for their file."""
+        corpus = generate_python_corpus(GeneratorConfig(num_repos=4, seed=3))
+        relations = [
+            _relations(extract_facts(parse_module(source.source)))
+            for _, source in corpus.files()
+        ]
+        program = _program(5)
+        serial = [program.solve(r) for r in relations]
+        threads = 8
+        results: list = [None] * threads
+        barrier = threading.Barrier(threads)
+
+        def solve(k: int) -> None:
+            barrier.wait()
+            results[k] = [
+                (i, program.solve(relations[i]))
+                for _ in range(3)
+                for i in range(k, len(relations), threads)
+            ]
+
+        workers = [threading.Thread(target=solve, args=(k,)) for k in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-solve
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(relations) >= 2 * threads
+        for solved in results:
+            assert solved and all(db == serial[i] for i, db in solved)
