@@ -46,8 +46,11 @@ class Program:
         plans: list[tuple[str, str, str]] = []
         for rule in rules:
             for item in (rule.head, *rule.body):
-                if isinstance(item, Atom):
-                    self._declare(rule, item)
+                if not isinstance(item, Atom):
+                    continue
+                arity = self._arity.setdefault(item.predicate, len(item.args))
+                if arity != len(item.args):
+                    raise ValueError(f"rule {rule!r}: {item!r} breaks arity {arity}")
             atoms = [i for i in rule.body if isinstance(i, Atom)]
             if not rule.body:
                 self._initial.append((rule.head.predicate, rule.head.args))
@@ -66,13 +69,6 @@ class Program:
         for (predicate, positions), slot in self._specs.items():
             key = itemgetter(*positions) if positions else _empty_key
             self._keys[predicate].append((slot, key))
-
-    def _declare(self, rule: Rule, item: Atom) -> None:
-        arity = self._arity.setdefault(item.predicate, len(item.args))
-        if arity != len(item.args):
-            raise ValueError(
-                f"rule {rule!r}: {item.predicate} has arity {arity} elsewhere"
-            )
 
     def _plan(
         self,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
-__all__ = ["Var", "Atom", "Bind", "Rule", "atom", "var"]
+__all__ = ["Var", "Atom", "Bind", "Rule", "atom"]
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,6 @@ class Rule:
         if not self.body:
             return f"{self.head!r}."
         return f"{self.head!r} :- {', '.join(repr(b) for b in self.body)}."
-
-
-def var(name: str) -> Var:
-    return Var(name)
 
 
 def atom(predicate: str, *args: Term) -> Atom:

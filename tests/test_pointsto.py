@@ -134,7 +134,7 @@ class TestSharedProgram:
         barrier = threading.Barrier(threads)
 
         def solve(k: int) -> None:
-            barrier.wait()
+            barrier.wait(timeout=60)
             results[k] = [
                 (i, program.solve(relations[i]))
                 for _ in range(3)
@@ -148,9 +148,10 @@ class TestSharedProgram:
             for worker in workers:
                 worker.start()
             for worker in workers:
-                worker.join()
+                worker.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
         assert len(relations) >= 2 * threads
         for solved in results:
             assert solved and all(db == serial[i] for i, db in solved)
