@@ -37,7 +37,9 @@ __all__ = ["CACHE_SCHEMA_VERSION", "CacheLevelStats", "ContentCache"]
 #: Bumped whenever the pickled payload layout of any level changes;
 #: part of every key, so old entries become unreachable (not corrupt).
 #: v2: statistics counters keyed by pattern index.
-CACHE_SCHEMA_VERSION = 2
+#: v3: name paths are named tuples; prepared statements hold AST+ walk
+#: results instead of a transformed tree.
+CACHE_SCHEMA_VERSION = 3
 
 _HEADER_LIMIT = 4096  # a header line is ~200 bytes; cap reads defensively
 

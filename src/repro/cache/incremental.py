@@ -67,7 +67,7 @@ def pattern_fingerprint(pattern) -> tuple:
 
     ``frozenset`` iteration order varies across processes (string hash
     randomization), so the condition/deduction sets are sorted first —
-    ``NamePath`` is an ordered dataclass with a stable ``repr``.
+    ``NamePath`` is an ordered named tuple with a stable ``repr``.
     """
     return (
         sorted(pattern.condition),

@@ -15,8 +15,7 @@ Two relational operators (Definition 3.4) drive pattern matching:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.lang.astir import Node, StatementAst
 
@@ -33,8 +32,7 @@ __all__ = [
 EPSILON: Optional[str] = None
 
 
-@dataclass(frozen=True, order=True)
-class PathStep:
+class PathStep(NamedTuple):
     """One prefix element: a node value plus the index of the next child."""
 
     value: str
@@ -44,39 +42,17 @@ class PathStep:
         return f"{self.value} {self.index}"
 
 
-@dataclass(frozen=True, order=True)
-class NamePath:
+class NamePath(NamedTuple):
     """An immutable name path ``<S, n>``.
 
-    ``end is None`` encodes the symbolic node epsilon.  Frozen ordering
-    gives the canonical sort the FP-tree miner relies on.
+    ``end is None`` encodes the symbolic node epsilon.  Paths are named
+    tuples, so hashing, equality and the canonical sort the FP-tree
+    miner relies on (prefix first, then end) all run as C tuple
+    operations; the hash of a path is the hash of ``(prefix, end)``.
     """
 
     prefix: tuple[PathStep, ...]
     end: Optional[str]
-
-    def __hash__(self) -> int:
-        # Name paths are hashed constantly (frequency counters, FP-tree
-        # children, pattern sets, prefix indexes); hashing the PathStep
-        # tuple each time dominates those passes, so the first result is
-        # cached on the instance.  The cache lives outside the dataclass
-        # fields: equality and ordering never see it.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.prefix, self.end))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        # Never pickle the cached hash: string hashing is per-process
-        # (PYTHONHASHSEED), so a cached value shipped to a pool worker
-        # would disagree with the hashes the worker computes itself.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     @property
     def is_symbolic(self) -> bool:
@@ -127,10 +103,18 @@ def extract_name_paths(
     Example 3.5: every path is concrete and all prefixes are distinct
     (distinctness follows from the tree shape: two different leaves
     diverge at some child index).
+
+    An AST+ statement from :func:`repro.core.transform.transform_statement`
+    already holds its paths, computed in the transformation's walk, so
+    they are returned without building or walking a tree.
     """
-    root = stmt.root if isinstance(stmt, StatementAst) else stmt
+    if isinstance(stmt, StatementAst):
+        walked = getattr(stmt, "name_paths", None)
+        if walked is not None:
+            return walked[: max(max_paths, 0)] if max_paths is not None else list(walked)
+        stmt = stmt.root
     paths: list[NamePath] = []
-    _collect(root, [], paths, max_paths)
+    _collect(stmt, [], paths, max_paths)
     return paths
 
 

@@ -159,17 +159,11 @@ def _subtoken_position(violation: Violation) -> int | None:
 
 
 def _original_identifier(violation: Violation) -> str:
-    """Recover the full original identifier containing the offender."""
-    stmt = violation.statement
-    target_prefix = violation.deduction_path.prefix
-    # Walk the transformed tree following the deduction prefix to the
-    # offending subtoken, then read its meta["original"].
-    node = stmt.root
-    for step in target_prefix:
-        if node.is_terminal or step.index >= len(node.children):
-            return violation.observed
-        if node.value != step.value:
-            return violation.observed
-        node = node.children[step.index]
-    original = node.meta.get("original")
-    return original if isinstance(original, str) else violation.observed
+    """Recover the full original identifier containing the offender.
+
+    Reads the AST+ walk's record for the deduction path's prefix; the
+    transformed tree is never built here (reports are rendered outside
+    detect's quarantine capture).
+    """
+    original = violation.statement.original_of(violation.deduction_path.prefix)
+    return original if original is not None else violation.observed

@@ -144,21 +144,7 @@ class StatementAst:
     line: int = 0
 
     def structural_key(self) -> str:
-        # Memoized: the statistics index asks once per counter scan and
-        # once per featurized violation.  Stripped from pickles so
-        # worker payload bytes stay independent of call history.
-        cached = self.__dict__.get("_structural_key")
-        if cached is None:
-            cached = self.__dict__["_structural_key"] = self.root.structural_key()
-        return cached
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_structural_key", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        return self.root.structural_key()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         location = f"{self.file_path}:{self.line}" if self.file_path else "<memory>"

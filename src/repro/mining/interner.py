@@ -20,7 +20,7 @@ Three invariants make this safe:
   by ``(prefix, end is not None, end or "")``.  Within one statement
   all path prefixes are distinct, so a ``sorted(paths)`` over one
   statement never compares end tokens of equal prefixes — the rank
-  order and the ``NamePath`` dataclass order agree on every comparison
+  order and the ``NamePath`` tuple order agree on every comparison
   the miner performs, making ``sorted(ids, key=rank)`` reproduce
   ``sorted(paths)`` exactly.
 * **Vocabulary-carrying summaries.**  Global IDs depend on preceding
@@ -168,7 +168,7 @@ class PathInterner:
         """``rank[pid]``: the position of ``resolve(pid)`` under the
         total order ``(prefix, end is not None, end or "")``.
 
-        Agrees with the ``NamePath`` dataclass order on every pair of
+        Agrees with the ``NamePath`` tuple order on every pair of
         distinct-prefix paths and on every pair of concrete equal-prefix
         paths — the only comparisons a ``sorted(paths)`` over one
         statement performs — so sorting IDs by rank reproduces

