@@ -57,7 +57,7 @@ from repro.parallel.executor import ShardExecutor, resolve_context, resolve_shar
 from repro.parallel.merge import merge_timed_shards
 from repro.parallel.profiler import PhaseProfiler
 from repro.parallel.sharding import even_spans, pack_spans, spans_by_group
-from repro.resilience.faults import FAULTS, FaultPlan, fault_check
+from repro.resilience.faults import armed_plan_json, fault_check, sync_armed_plan
 from repro.resilience.quarantine import ErrorRecord, Quarantine
 
 __all__ = ["DETECT_FILES_PER_TASK", "NamerConfig", "Namer", "MiningSummary"]
@@ -599,65 +599,6 @@ class Namer:
             found.extend(self.matcher.violations(ps.stmt, ps.paths))
         return _dedup_violations(found)
 
-    def classify_many(
-        self,
-        violation_groups: list[list[Violation]],
-        local_stats: list[StatsIndex | None] | None = None,
-        quarantine: Quarantine | None = None,
-    ) -> list[list[Report]]:
-        """Run the defect classifier over several groups of violations
-        (typically one group per file) in a single pass.
-
-        Feature vectors from every group are stacked into one matrix and
-        scored with one ``decision_function`` call, so the scaler / PCA /
-        SVM work is shared across the whole batch instead of being paid
-        per violation.  With the classifier disabled (w/o C) every
-        violation becomes a report.
-
-        With a ``quarantine``, a group whose featurization fails is
-        captured and yields no reports instead of failing the batch.
-        """
-        featurized = self._featurize_groups(
-            violation_groups, local_stats, quarantine
-        )
-        return self._reports_from_features(violation_groups, featurized)
-
-    def _featurize_groups(
-        self,
-        violation_groups: list[list[Violation]],
-        local_stats: list[StatsIndex | None] | None = None,
-        quarantine: Quarantine | None = None,
-    ) -> list[list[np.ndarray]]:
-        """Feature vectors for every group, group structure preserved.
-
-        The featurize fault site fires once per group — including empty
-        ones (key ``"<empty>"``), so fault decisions are identical
-        whether a group lost its violations to an earlier detect-stage
-        failure or never had any.
-        """
-        if local_stats is None:
-            local_stats = [None] * len(violation_groups)
-        featurized: list[list[np.ndarray]] = []
-        for group, stats in zip(violation_groups, local_stats):
-            path = group[0].statement.file_path if group else "<empty>"
-            try:
-                fault_check("core.featurize", key=path)
-                featurized.append(
-                    extract_features_batch(
-                        group,
-                        [self._paths_of(v) for v in group],
-                        self.stats,
-                        self.pairs,
-                        local_stats=stats,
-                    )
-                )
-            except Exception as exc:
-                if quarantine is None:
-                    raise
-                quarantine.capture(path, "featurize", exc)
-                featurized.append([])
-        return featurized
-
     def _reports_from_features(
         self,
         violation_groups: list[list[Violation]],
@@ -693,7 +634,18 @@ class Namer:
     ) -> list[Report]:
         """Run the defect classifier over violations; with the
         classifier disabled (w/o C) every violation becomes a report."""
-        return self.classify_many([violations], [local_stats])[0]
+        fault_check(
+            "core.featurize",
+            key=violations[0].statement.file_path if violations else "<empty>",
+        )
+        features = extract_features_batch(
+            violations,
+            [self._paths_of(v) for v in violations],
+            self.stats,
+            self.pairs,
+            local_stats=local_stats,
+        )
+        return self._reports_from_features([violations], [features])[0]
 
     def detect_many(
         self,
@@ -711,19 +663,20 @@ class Namer:
         (one classifier pass) — the hot path for the long-running
         analysis service in :mod:`repro.service`.
 
-        ``workers > 1`` (or a parallel ``executor``, which takes
-        precedence and lets a long-lived caller keep one warm pool
-        across batches) fans the per-file match + featurize work over a
-        process pool; files come back in input order and reports are
-        byte-identical to a serial run, including which quarantine
-        records are captured under an armed fault plan.  Classification
-        stays in the calling process: one stacked matrix, one
-        ``decision_function`` pass per batch, serial or not.
+        The per-file match + featurize work runs as shard tasks on an
+        ``executor`` (which takes precedence and lets a long-lived
+        caller keep one warm pool across batches) or on one built from
+        ``workers`` (default 1): one inline task when serial, a fan-out
+        over the pool otherwise.  Files come back in input order and
+        reports are byte-identical for any worker count, including
+        which quarantine records are captured under an armed fault
+        plan.  Classification stays in the calling process: one
+        stacked matrix, one ``decision_function`` pass per batch.
 
         ``profiler`` (default: ``self.detect_profiler``) accumulates
-        ``match`` / ``featurize`` / ``classify`` phase rows; parallel
-        runs record summed worker seconds for the first two, mirroring
-        the miner's ``prune_shard`` convention.
+        ``extract`` / ``match`` / ``featurize`` / ``classify`` phase
+        rows; the first three are summed task seconds, mirroring the
+        miner's ``prune_shard`` convention.
 
         With a ``quarantine``, per-file matching/featurization failures
         are captured as error records (the file contributes no reports)
@@ -731,104 +684,53 @@ class Namer:
         """
         if self.matcher is None or self.stats is None:
             raise RuntimeError("call mine() first")
+        if not files:
+            return []
         profiler = self.detect_profiler if profiler is None else profiler
-        own_executor: ShardExecutor | None = None
-        if executor is None and workers is not None and workers > 1:
-            own_executor = executor = ShardExecutor(workers)
+        own_executor = executor is None
+        if executor is None:
+            executor = ShardExecutor(workers or 1)
         try:
-            if executor is not None and executor.parallel and len(files) > 1:
-                groups, featurized = self._detect_parallel(
-                    files, quarantine, executor, profiler
-                )
-            else:
-                groups, local_stats = self._detect_serial(
-                    files, quarantine, profiler
-                )
-                with profiler.phase(
-                    "featurize", items=sum(len(g) for g in groups)
-                ):
-                    featurized = self._featurize_groups(
-                        groups, local_stats, quarantine
-                    )
+            groups, featurized = self._detect_files(
+                files, quarantine, executor, profiler
+            )
             with profiler.phase(
                 "classify", items=sum(len(f) for f in featurized)
             ):
                 return self._reports_from_features(groups, featurized)
         finally:
-            if own_executor is not None:
-                own_executor.close()
+            if own_executor:
+                executor.close()
 
-    def _detect_serial(
-        self,
-        files: list[PreparedFile],
-        quarantine: Quarantine | None,
-        profiler: PhaseProfiler,
-    ) -> tuple[list[list[Violation]], list[StatsIndex | None]]:
-        """Per-file pattern matching + local stats, inline.
-
-        Two timed stages per file, reported as separate profiler rows:
-        ``extract`` resolves each statement's paths to interned IDs
-        (one dict probe per path; ``None`` rows when the matcher has no
-        interner), ``match`` scans those IDs through the automaton for
-        violations and the file-local statistics index.
-        """
-        matcher = self.matcher
-        groups: list[list[Violation]] = []
-        local_stats: list[StatsIndex | None] = []
-        extract_seconds = 0.0
-        match_seconds = 0.0
-        for pf in files:
-            started = time.perf_counter()
-            try:
-                fault_check("core.detect", key=pf.path)
-                entries = [
-                    (ps.stmt, ps.paths, matcher.prepare_ids(ps.paths))
-                    for ps in pf.statements
-                ]
-                extract_seconds += time.perf_counter() - started
-                started = time.perf_counter()
-                rows, stats = _match_file(matcher, entries)
-                group = _dedup_violations([v for row in rows for v in row])
-            except Exception as exc:
-                if quarantine is None:
-                    raise
-                quarantine.capture(pf.path, "detect", exc, repo=pf.repo)
-                group, stats = [], None
-            match_seconds += time.perf_counter() - started
-            groups.append(group)
-            local_stats.append(stats)
-        profiler.record("extract", extract_seconds, items=len(files))
-        profiler.record("match", match_seconds, items=len(files))
-        return groups, local_stats
-
-    def _detect_parallel(
+    def _detect_files(
         self,
         files: list[PreparedFile],
         quarantine: Quarantine | None,
         executor: ShardExecutor,
         profiler: PhaseProfiler,
     ) -> tuple[list[list[Violation]], list[list[np.ndarray]]]:
-        """Fan per-file match + featurize over the executor's pool.
+        """Map :func:`_detect_shard` (per-file match + featurize) over
+        contiguous spans of the batch on ``executor``: one inline task
+        when it is serial, a fan-out over its pool otherwise.
 
         The matcher / stats / confusing-pair context is published once
         per **pool** via ``share_context`` (fork-inherited, or shipped
         through the pool initializer on spawn) and reused across
         batches; tasks carry only the tiny handle.  If the pool already
-        exists without the context, the raw value rides with each task —
-        the pre-rework behavior — so results never depend on timing.
-        Per-batch files ship as shared slices when the pool has not
-        forked yet, real slices after.  Workers return picklable
-        per-file entries — violations, feature vectors, and optional
-        error records — which the parent reassembles in input order and
-        replays into the quarantine in exactly the serial capture order
-        (all detect-stage records first, then all featurize-stage
-        records).
+        exists without the context, the raw value rides with each task,
+        so results never depend on timing.  Per-batch files ship as
+        shared slices when the pool has not forked yet, real slices
+        after.  Tasks return picklable per-file entries — violations,
+        feature vectors, and optional error records — which are
+        reassembled in input order and replayed into the quarantine in
+        one fixed order: all detect-stage records first, then all
+        featurize-stage records.
 
         The armed fault plan travels with every task and each worker
-        syncs its own injector to it (arm / re-arm / disarm), so seeded
-        per-(site, key) decisions are identical in-process and out; only
-        ``max_trips`` budgets, which are inherently per-process, are out
-        of scope.
+        syncs its own injector to it (:func:`sync_armed_plan`), so
+        seeded per-(site, key) decisions are identical in-process and
+        out; only ``max_trips`` budgets, which are inherently
+        per-process, are out of scope.
         """
         ctx = self._detect_ctx
         if ctx is None or ctx[0] is not self.matcher:
@@ -842,17 +744,16 @@ class Namer:
         # later batch reuses the per-pool copy instead of shipping it.
         ctx_payload = executor.share_context(ctx)
         # One task per ~DETECT_FILES_PER_TASK files: the shard hint
-        # bounds the plan by pool width, the batching floor by per-task
-        # overhead; spans stay contiguous and in input order, so the
-        # merged results (and quarantine replay order) are identical to
-        # the unbatched plan.
+        # bounds the plan by pool width (one span when serial), the
+        # batching floor by per-task overhead; spans stay contiguous
+        # and in input order, so the merged results (and quarantine
+        # replay order) are identical for any plan.
         max_tasks = -(-len(files) // DETECT_FILES_PER_TASK)
         spans = even_spans(
             len(files), min(executor.shard_hint(len(files)), max_tasks)
         )
         file_payloads = executor.shard_payloads(files, spans)
-        plan = FAULTS.plan
-        plan_json = plan.to_json() if plan is not None else None
+        plan_json = armed_plan_json()
         capture = quarantine is not None
         shard_results = executor.map(
             _detect_shard,
@@ -988,28 +889,22 @@ def _match_file(matcher, entries):
 
 
 def _detect_shard(task):
-    """Process-pool entry point for one detection shard (module-level
-    for pickling).
+    """Shard task for one detection span (module-level for pickling).
 
     Runs the per-file extract + match + featurize stages for a
     contiguous slice of the batch and returns one picklable entry per
     file — ``(violations, feature_vectors, detect_record,
-    featurize_record)`` — plus the worker-side seconds of each stage.
-    Classification is deliberately absent: the parent scores the whole
-    batch in one pass.
+    featurize_record)`` — plus the seconds of each stage.  ``extract``
+    resolves each statement's paths to interned IDs, ``match`` scans
+    them through the automaton for violations and the file-local
+    statistics index.  The featurize fault site fires once per file,
+    empty groups included (key ``"<empty>"``), so fault decisions do
+    not depend on whether a file lost its violations to a detect-stage
+    failure.  Classification is deliberately absent: the caller scores
+    the whole batch in one pass.
     """
     ctx_payload, files_payload, capture, plan_json = task
-    # Sync this worker's fault injector to the plan armed in the parent
-    # when the task was built: fork-inherited workers usually agree
-    # already; spawned workers (or a pool outliving an armed() block)
-    # are armed / re-armed / disarmed to match.  Seeded (site, key)
-    # decisions are then identical in- and out-of-process.
-    current = FAULTS.plan
-    if plan_json is None:
-        if current is not None:
-            FAULTS.disarm()
-    elif current is None or current.to_json() != plan_json:
-        FAULTS.arm(FaultPlan.from_json(plan_json))
+    sync_armed_plan(plan_json)
     matcher, stats, pairs, max_paths = resolve_context(ctx_payload)
     # A pickled context arrives unbound (see StatsIndex.__getstate__).
     stats.bind(matcher)

@@ -26,7 +26,14 @@ from repro.corpus.model import Corpus, SourceFile
 from repro.lang import parse_source
 from repro.lang.astir import StatementAst
 from repro.lang.moduleir import ModuleIr
-from repro.resilience.faults import InjectedFault, fault_check
+from repro.parallel.executor import ShardExecutor
+from repro.parallel.sharding import even_spans
+from repro.resilience.faults import (
+    InjectedFault,
+    armed_plan_json,
+    fault_check,
+    sync_armed_plan,
+)
 from repro.resilience.quarantine import ErrorRecord, Quarantine
 
 __all__ = [
@@ -149,38 +156,52 @@ def prepare_corpus(
     """Prepare every file of a corpus; unpreparable files are skipped.
 
     Files are analyzed independently (the paper parallelizes this stage
-    across all 28 cores of its test server); ``workers > 1`` fans the
-    per-file work out over a process pool, preserving file order.  A
-    ``quarantine`` receives one :class:`ErrorRecord` per skipped file.
+    across all 28 cores of its test server): one task per contiguous
+    span of files runs on a :class:`ShardExecutor` — inline with one
+    worker, on its process pool with more — and results come back in
+    file order.  Each task carries the armed fault plan, so injected
+    faults trip on the same files in any process.  A ``quarantine``
+    receives one :class:`ErrorRecord` per skipped file.
     """
     if transform_config is None:
         transform_config = TransformConfig(use_origins=use_analysis)
-    tasks = [
-        (source, repo.name, use_analysis, transform_config, pointsto_config, max_paths)
-        for repo, source in corpus.files()
-    ]
-    workers = min(workers, len(tasks))
-    if workers <= 1 or len(tasks) < 4:
-        results = [_prepare_task(task) for task in tasks]
-    else:
-        import concurrent.futures
-
-        chunksize = max(1, len(tasks) // (workers * 4))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_prepare_task, tasks, chunksize=chunksize))
+    files = [(source, repo.name) for repo, source in corpus.files()]
+    settings = (use_analysis, transform_config, pointsto_config, max_paths)
+    plan_json = armed_plan_json()
+    with ShardExecutor(min(workers, len(files))) as executor:
+        spans = even_spans(len(files), executor.shard_hint(len(files)))
+        shards = executor.map(
+            _prepare_task,
+            [(files[start:stop], settings, plan_json) for start, stop in spans],
+        )
     out: list[PreparedFile] = []
-    for prepared, error in results:
-        if prepared is not None:
-            out.append(prepared)
-        elif error is not None and quarantine is not None:
-            quarantine.add(error)
+    for results in shards:
+        for prepared, error in results:
+            if prepared is not None:
+                out.append(prepared)
+            elif error is not None and quarantine is not None:
+                quarantine.add(error)
     return out
 
 
-def _prepare_task(task) -> tuple[PreparedFile | None, ErrorRecord | None]:
-    """Process-pool entry point (must be module-level for pickling);
-    failures come back as picklable :class:`ErrorRecord` rows."""
-    source, repo, use_analysis, transform_config, pointsto_config, max_paths = task
+def _prepare_task(task) -> list[tuple[PreparedFile | None, ErrorRecord | None]]:
+    """Shard task (module-level for pickling): prepare one span of
+    files under the fault plan armed where the task was built."""
+    files, settings, plan_json = task
+    sync_armed_plan(plan_json)
+    return [_prepare_one(source, repo, *settings) for source, repo in files]
+
+
+def _prepare_one(
+    source: SourceFile,
+    repo: str,
+    use_analysis: bool,
+    transform_config: TransformConfig,
+    pointsto_config: PointsToConfig,
+    max_paths: int,
+) -> tuple[PreparedFile | None, ErrorRecord | None]:
+    """One file; a failure comes back as a picklable
+    :class:`ErrorRecord` row."""
     try:
         prepared = prepare_file_checked(
             source,

@@ -36,7 +36,6 @@ from repro.core.patterns import NamePattern, Relation, Violation
 from repro.lang.astir import StatementAst
 from repro.mining.automaton import MatchAutomaton
 from repro.mining.interner import PathInterner
-from repro.parallel.merge import merge_counters
 
 __all__ = ["PatternMatcher", "prefix_frequencies_ids"]
 
@@ -104,8 +103,7 @@ class PatternMatcher:
         if interner is not None:
             automaton.attach_interner(interner)
         #: deduction-prefix occurrences across this matcher's own
-        #: patterns — the fallback rarity table, and the table
-        #: :meth:`merge` sums instead of recounting — read off the
+        #: patterns — the fallback rarity table — read off the
         #: automaton's trie accept-node counters.
         self._init_from_parts(
             pattern_list,
@@ -199,37 +197,3 @@ class PatternMatcher:
 
     def __len__(self) -> int:
         return len(self.patterns)
-
-    @staticmethod
-    def merge(matchers: Iterable["PatternMatcher"]) -> "PatternMatcher":
-        """Combine matchers over disjoint pattern sets.
-
-        Reuses the per-matcher frequency tables instead of recounting:
-        prefix occurrence counts are additive, so summing the shard
-        tables in shard order reproduces exactly the table (keys in the
-        same first-seen order) a flat build over the concatenated
-        pattern list would count — and therefore the same anchors and
-        candidate order.  Corpus tables, when present, are summed the
-        same way; rarity *order* is scale-invariant, so shards built
-        over one shared corpus table merge to the same anchor choices a
-        flat build over that table makes.
-        """
-        parts = list(matchers)
-        combined: list[NamePattern] = []
-        for m in parts:
-            combined.extend(m.patterns)
-        pattern_counts = merge_counters(m.prefix_counts for m in parts)
-        corpus_counts = None
-        if any(m._corpus_counts is not None for m in parts):
-            corpus_counts = merge_counters(
-                m._corpus_counts for m in parts if m._corpus_counts is not None
-            )
-        automaton = MatchAutomaton(combined)
-        # Parts sharing one corpus interner keep it; otherwise the
-        # merged automaton starts its own serve-time table.
-        interners = {id(m._automaton._interner) for m in parts}
-        if len(interners) == 1:
-            automaton.attach_interner(parts[0]._automaton._interner)
-        merged = PatternMatcher.__new__(PatternMatcher)
-        merged._init_from_parts(combined, pattern_counts, corpus_counts, automaton)
-        return merged

@@ -15,13 +15,16 @@ The miner runs in four phases:
    paper) and whose support clears ``min_pattern_support``.
 
 The frequency, growth, and prune passes are data-parallel over the
-statement sequence: each contiguous shard produces a small mergeable
-summary (a path counter, an ordered transaction-count dict, a pair of
-match/satisfaction counters — see :mod:`repro.parallel.merge`) and the
-merged result replays into exactly the state a serial pass would have
-built.  Generation runs on the single merged tree.  ``workers > 1``
-fans the shard work over a process pool; the output is **bit-identical**
-to serial mining either way (``tests/test_parallel.py``).
+statement sequence.  Each is one task function mapped over a contiguous
+span plan by a :class:`~repro.parallel.executor.ShardExecutor`, through
+the content cache when one is set, and each task returns a small,
+shard-pure summary (a :class:`~repro.mining.interner.ShardPathCounts`,
+localized transactions, a pair of match/satisfaction counters) that
+merges in span order into exactly the state one pass over the whole
+sequence would have built.  Generation runs on the single merged tree.
+The worker count picks only where tasks run — inline with one worker,
+on a process pool with more — so the output is **bit-identical** for
+any worker count and span plan (``tests/test_parallel.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,21 +207,23 @@ class PatternMiner:
         statement sequence (e.g. the per-repo plan ``Namer.mine``
         builds); it must partition ``[0, len(statements))`` exactly
         (``ValueError`` otherwise); with none given, statements are
-        split evenly.  An
-        ``executor`` may be shared across calls so one worker pool
-        serves both pattern kinds; otherwise one is created from
-        ``workers``.  Output does not depend on either: sharded and
-        serial mining produce identical results.
+        split evenly.  The frequency, growth and prune passes each run
+        one task per span on the ``executor`` — inline when it is
+        serial, on its pool otherwise — and merge the results in span
+        order.  An ``executor`` may be shared across calls so one
+        worker pool serves both pattern kinds; otherwise one is created
+        from ``workers``.  Output depends on neither the plan nor the
+        worker count.
 
         With a ``cache`` plus one content key per span (``shard_keys``,
-        see :func:`repro.cache.incremental.shard_content_keys`), the
-        frequency/growth/prune passes run per shard through the cache:
-        a shard whose content key and upstream state are unchanged
-        loads its mergeable summary instead of recomputing it.  The
-        merge is the same contiguous in-order merge either way, so
-        cached, cold-cached, and uncached mining are all bit-identical.
-        A whole-kind memo above the shard levels returns the final
-        :class:`MiningResult` outright when nothing at all changed.
+        see :func:`repro.cache.incremental.shard_content_keys`), each
+        span's task result goes through the cache: a shard whose
+        content key and upstream state are unchanged loads its
+        mergeable summary instead of recomputing it.  The merge is the
+        same either way, so cached, cold-cached, and uncached mining
+        are all bit-identical.  A whole-kind memo above the shard
+        levels returns the final :class:`MiningResult` outright when
+        nothing at all changed.
         """
         fault_check("mining.mine", key=kind.value)
         cfg = self.config
@@ -237,11 +242,11 @@ class PatternMiner:
                 spans = even_spans(n, executor.shard_hint(n))
             else:
                 _validate_spans(spans, n)
-            parallel = executor.parallel and len(spans) > 1
-            use_cache = cache is not None and shard_keys is not None
-            if use_cache and len(shard_keys) != len(spans):
+            if cache is None or shard_keys is None:
+                cache = shard_keys = None
+            elif len(shard_keys) != len(spans):
                 raise ValueError("shard_keys must align one-to-one with spans")
-            if use_cache:
+            if cache is not None:
                 # Whole-kind memo: the final MiningResult is a pure
                 # function of the corpus content (every shard key, in
                 # order), the config, the kind, and — for confusing
@@ -274,62 +279,21 @@ class PatternMiner:
                         paths, None, None
                     )
             interner.ensure_symbolic()
-            interner_payload = None
-            id_shards: list = []
-            if parallel:
-                # Publish the interner to the (future) pool and the ID
-                # arrays as fork-shared slices: growth and prune tasks
-                # then carry only handles and small arrays.
-                interner_payload = executor.share_context(interner)
-                id_shards = executor.shard_payloads(id_lists, spans)
+            # Publish the interner and the ID sequences before any task
+            # runs: on a pool that has not forked yet, tasks then carry
+            # only handles; inline, the payloads are the values.
+            run = _ShardRun(
+                executor=executor,
+                cache=cache,
+                keys=shard_keys,
+                interner=interner,
+                interner_payload=executor.share_context(interner),
+                arrays=executor.shard_payloads(id_lists, spans),
+                rows=executor.shard_payloads(id_rows, spans),
+            )
 
             with profiler.phase("frequency", items=n):
-                memo = self._frequency_memo
-                if (
-                    memo is not None
-                    and memo[0] is statements
-                    and memo[1] is interner
-                ):
-                    counts = memo[2]
-                elif use_cache:
-                    # Path counts depend only on the shard's own files
-                    # and the config — the one pass whose salt has no
-                    # upstream state, so a k-file edit recomputes
-                    # exactly k shards.  Entries are purity-preserving
-                    # local-vocabulary summaries (see ShardPathCounts),
-                    # computed in the parent.
-                    freq_salt = (
-                        config_fingerprint(cfg) + f"|pipeline{PIPELINE_VERSION}"
-                    )
-
-                    def compute_frequency(missing: list[int]) -> list:
-                        return [
-                            ShardPathCounts.from_id_arrays(
-                                id_lists[spans[i][0] : spans[i][1]], interner
-                            )
-                            for i in missing
-                        ]
-
-                    counts = merge_shard_path_counts(
-                        _through_cache(
-                            cache,
-                            "frequency",
-                            shard_keys,
-                            freq_salt,
-                            compute_frequency,
-                        ),
-                        interner,
-                    )
-                else:
-                    # One bincount over the concatenated ID arrays —
-                    # cheap enough that fanning out could only lose.
-                    flat = (
-                        np.concatenate(id_lists)
-                        if id_lists
-                        else np.zeros(0, dtype=np.int32)
-                    )
-                    counts = np.bincount(flat, minlength=len(interner))
-                self._frequency_memo = (statements, interner, counts)
+                counts = self._frequency(run, statements)
                 # `counts >= max(threshold, 1)` is exactly "seen at least
                 # `threshold` times": vocabulary entries the corpus never
                 # produced concretely (the symbolic variants) count zero
@@ -337,97 +301,9 @@ class PatternMiner:
                 frequent_pids = np.flatnonzero(
                     counts >= max(cfg.min_path_frequency, 1)
                 )
-                freq_ok = np.zeros(len(interner), dtype=bool)
-                freq_ok[frequent_pids] = True
 
             with profiler.phase("growth", items=n):
-                # Each shard's distinct transactions replay into the
-                # tree in span order — for contiguous shards that is the
-                # global first-occurrence order, so the tree (child dict
-                # order included) is bit-identical to per-statement
-                # serial insertion.  Transactions are int tuples,
-                # rank-sorted (the order `sorted(paths)` gives).
-                tree = FPTree()
-                if use_cache:
-                    # A shard's transactions depend on the *global*
-                    # frequent-path set, so it rides in the salt: any
-                    # corpus change that shifts path frequencies over
-                    # the threshold invalidates every growth shard.
-                    # (The kind salt also carries the confusing-pair
-                    # list — transaction splitting consults it for the
-                    # confusing-word kind.)  Shard entries carry *local*
-                    # IDs plus their vocabulary slice (global IDs depend
-                    # on other shards; cache entries must not) — the
-                    # parent remaps through its interner on merge.
-                    growth_salt = (
-                        self._kind_salt(kind)
-                        + "|"
-                        + fingerprint_of(
-                            sorted(
-                                interner.resolve(int(pid))
-                                for pid in frequent_pids
-                            )
-                        )
-                        + f"|pipeline{PIPELINE_VERSION}"
-                    )
-
-                    def compute_growth(missing: list[int]) -> list:
-                        if parallel:
-                            return executor.map(
-                                _growth_shard_ids,
-                                [
-                                    (
-                                        self,
-                                        id_shards[i],
-                                        interner_payload,
-                                        freq_ok,
-                                        kind,
-                                    )
-                                    for i in missing
-                                ],
-                            )
-                        tables = self._growth_tables(interner, freq_ok.tolist())
-                        return [
-                            _localize_transactions(
-                                self._transaction_counts_ids(
-                                    id_rows[spans[i][0] : spans[i][1]],
-                                    tables,
-                                    kind,
-                                ),
-                                interner,
-                            )
-                            for i in missing
-                        ]
-
-                    shard_transactions = [
-                        _globalize_transactions(entry, interner)
-                        for entry in _through_cache(
-                            cache,
-                            "growth",
-                            shard_keys,
-                            growth_salt,
-                            compute_growth,
-                        )
-                    ]
-                elif parallel:
-                    shard_transactions = [
-                        _globalize_transactions(entry, interner)
-                        for entry in executor.map(
-                            _growth_shard_ids,
-                            [
-                                (self, shard, interner_payload, freq_ok, kind)
-                                for shard in id_shards
-                            ],
-                        )
-                    ]
-                else:
-                    tables = self._growth_tables(interner, freq_ok.tolist())
-                    shard_transactions = [
-                        self._transaction_counts_ids(id_rows, tables, kind)
-                    ]
-                for transactions in shard_transactions:
-                    for transaction, count in transactions.items():
-                        tree.update_counted(transaction, count)
+                tree = self._growth(run, kind, frequent_pids)
 
             fp_nodes = tree.node_count()
             with profiler.phase("generate", items=fp_nodes):
@@ -445,49 +321,7 @@ class PatternMiner:
                 supported = [
                     p for p in merged if p.support >= cfg.min_pattern_support
                 ]
-                if not supported:
-                    pruned = []
-                else:
-                    def shard_counts(indices: list[int]) -> list:
-                        return self._shard_prune_counts(
-                            supported,
-                            indices,
-                            spans,
-                            id_shards,
-                            id_lists,
-                            id_rows,
-                            interner,
-                            interner_payload,
-                            parallel=parallel,
-                            executor=executor,
-                            profiler=profiler,
-                        )
-
-                    if use_cache:
-                        # Entries are a pure function of a shard's files
-                        # plus the salt; the candidate list rides in the
-                        # salt because counts are keyed by index into it.
-                        match_counts, sat_counts = merge_count_pairs(
-                            _through_cache(
-                                cache,
-                                "prune",
-                                shard_keys,
-                                _prune_salt(cfg, supported),
-                                shard_counts,
-                            )
-                        )
-                    elif parallel:
-                        match_counts, sat_counts = merge_count_pairs(
-                            shard_counts(list(range(len(spans))))
-                        )
-                    else:
-                        match_counts, sat_counts = _count_matches_ids(
-                            self._prune_matcher(supported, id_lists, interner),
-                            id_rows,
-                        )
-                    pruned = self._prune_uncommon(
-                        supported, match_counts, sat_counts
-                    )
+                pruned = self._prune(run, supported, id_lists, profiler)
 
             result = MiningResult(
                 patterns=pruned,
@@ -496,7 +330,7 @@ class PatternMiner:
                 fp_tree_nodes=fp_nodes,
                 candidates_before_pruning=len(merged),
             )
-            if use_cache:
+            if cache is not None:
                 cache.put("mine", mine_key, result)
             return result
         finally:
@@ -504,9 +338,150 @@ class PatternMiner:
                 executor.close()
 
     # ------------------------------------------------------------------
-    # Mergeable per-shard passes, in the interned ID domain: per-ID
-    # tables off the interner replace every hash and rich comparison in
-    # the hot loops.
+    # The three data-parallel passes.  Each maps one task per span over
+    # the executor, through the cache, and merges the shard-pure
+    # summaries in span order.
+    # ------------------------------------------------------------------
+
+    def _frequency(
+        self, run: "_ShardRun", statements: Sequence[StatementAst]
+    ) -> np.ndarray:
+        """Frequency pass: corpus occurrences of every interned path,
+        indexed by ID.  Each task counts its span into a
+        :class:`ShardPathCounts` (local vocabulary, so entries stay
+        shard-pure) and the merge remaps through the interner.  The
+        salt has no upstream state — counts depend only on the shard's
+        own files and the config — so a k-file edit recomputes exactly
+        k shards.  Path counts are independent of the pattern kind, so
+        the second kind's pass over the same corpus is memoized."""
+        memo = self._frequency_memo
+        if memo is not None and memo[0] is statements and memo[1] is run.interner:
+            return memo[2]
+        counts = merge_shard_path_counts(
+            _through_cache(
+                run,
+                "frequency",
+                lambda: config_fingerprint(self.config)
+                + f"|pipeline{PIPELINE_VERSION}",
+                lambda missing: run.executor.map(
+                    _frequency_task,
+                    [(run.arrays[i], run.interner_payload) for i in missing],
+                ),
+            ),
+            run.interner,
+        )
+        self._frequency_memo = (statements, run.interner, counts)
+        return counts
+
+    def _growth(
+        self, run: "_ShardRun", kind: PatternKind, frequent_pids: np.ndarray
+    ) -> FPTree:
+        """Growth pass: each task returns its span's distinct FP-tree
+        transactions, localized (global IDs depend on other shards;
+        results and cache entries must not).  Replaying them into one
+        tree in span order is the global first-occurrence order for
+        contiguous spans, so the tree (child dict order included) is
+        bit-identical to per-statement insertion.  Transactions are
+        int tuples, rank-sorted (the order `sorted(paths)` gives)."""
+        interner = run.interner
+        freq_ok = np.zeros(len(interner), dtype=bool)
+        freq_ok[frequent_pids] = True
+        frequent = freq_ok.tolist()
+        correct = [p.end in self.correct_words for p in interner.paths]
+
+        def salt() -> str:
+            # A shard's transactions depend on the *global* frequent-
+            # path set, so any corpus change that shifts a path across
+            # the threshold invalidates every growth shard.  The kind
+            # salt carries the confusing-pair list, which transaction
+            # splitting consults for the confusing-word kind.
+            return (
+                self._kind_salt(kind)
+                + "|"
+                + fingerprint_of(
+                    sorted(interner.resolve(int(pid)) for pid in frequent_pids)
+                )
+                + f"|pipeline{PIPELINE_VERSION}"
+            )
+
+        tree = FPTree()
+        for entry in _through_cache(
+            run,
+            "growth",
+            salt,
+            lambda missing: run.executor.map(
+                _growth_task,
+                [
+                    (self, run.rows[i], run.interner_payload, frequent, correct, kind)
+                    for i in missing
+                ],
+            ),
+        ):
+            for transaction, count in _globalize_transactions(
+                entry, interner
+            ).items():
+                tree.update_counted(transaction, count)
+        return tree
+
+    def _prune(
+        self,
+        run: "_ShardRun",
+        supported: list[NamePattern],
+        id_lists: Sequence[np.ndarray],
+        profiler: PhaseProfiler,
+    ) -> list[NamePattern]:
+        """pruneUncommon (Algorithm 1, line 9): keep candidates commonly
+        *satisfied* where they match.
+
+        One compiled matcher over the whole candidate list, anchored by
+        corpus prefix frequencies, serves every task.  It keeps the
+        constructor's empty vocabulary: each task attaches the
+        pool-shared interner (a no-op once attached inline), so a
+        matcher shipped to the pool never re-pickles the table.  Tasks
+        return per-pattern match / satisfaction counts keyed by
+        candidate index; counts are sums over statements, so the span-
+        order merge equals one pass.  Task seconds land in a
+        ``prune_shard`` profiler row (items = shards computed), which
+        separates shard compute from the ``prune`` total and doubles as
+        an incrementality probe under the cache: a warm run records
+        none, a one-file edit one shard per kind."""
+        if not supported:
+            return []
+        matcher = PatternMatcher(
+            supported, prefix_counts=prefix_frequencies_ids(id_lists, run.interner)
+        )
+        matcher_payload = run.executor.share_context(matcher)
+
+        def count(missing: list[int]) -> list:
+            computed = run.executor.map(
+                _prune_task,
+                [(matcher_payload, run.rows[i], run.interner_payload) for i in missing],
+            )
+            profiler.record(
+                "prune_shard",
+                sum(seconds for _, _, seconds in computed),
+                items=len(computed),
+            )
+            return [(match, sat) for match, sat, _ in computed]
+
+        # Entries are a pure function of a shard's files plus the salt;
+        # the candidate list rides in the salt because counts are keyed
+        # by index into it.
+        match_counts, sat_counts = merge_count_pairs(
+            _through_cache(
+                run, "prune", lambda: _prune_salt(self.config, supported), count
+            )
+        )
+        threshold = self.config.min_satisfaction_ratio
+        return [
+            pattern
+            for idx, pattern in enumerate(supported)
+            if match_counts[idx] and sat_counts[idx] / match_counts[idx] >= threshold
+        ]
+
+    # ------------------------------------------------------------------
+    # Per-shard work, in the interned ID domain: per-ID tables off the
+    # interner replace every hash and rich comparison in the hot loops.
     # ------------------------------------------------------------------
 
     def _intern_corpus(
@@ -534,19 +509,6 @@ class PatternMiner:
         id_rows = [arr.tolist() for arr in id_lists]
         self._intern_memo = (paths, interner, id_lists, id_rows)
         return interner, id_lists, id_rows
-
-    def _growth_tables(
-        self, interner: PathInterner, frequent: list[bool]
-    ) -> tuple:
-        """Per-ID lookup tables for the interned growth pass.  The
-        interner-derived tables are cached on the interner itself, so a
-        worker process builds them once and reuses them across tasks."""
-        sym = interner.ensure_symbolic()
-        rank = interner.sort_ranks()
-        fold = interner.fold_table()
-        name_ok = interner.name_ok_table()
-        correct = [p.end in self.correct_words for p in interner.paths]
-        return frequent, sym, rank, fold, name_ok, correct
 
     def _transaction_counts_ids(
         self,
@@ -628,96 +590,6 @@ class PatternMiner:
             del cond[max_cond:]
             yield cond, [a]
 
-    def _prune_matcher(
-        self,
-        supported: list[NamePattern],
-        id_lists: Sequence[np.ndarray],
-        interner: PathInterner,
-        *,
-        shared: bool = False,
-    ) -> PatternMatcher:
-        """One compiled matcher over the whole candidate list for the
-        prune pass, anchored by corpus prefix frequencies.
-
-        A serial scan attaches the corpus interner.  A matcher headed
-        for the pool (``shared``) keeps the constructor's empty one:
-        the vocabulary already reached every worker once through the
-        pool-shared interner, which each worker attaches before
-        scanning, and a matcher carrying it would re-pickle the whole
-        table per pool."""
-        return PatternMatcher(
-            supported,
-            prefix_counts=prefix_frequencies_ids(id_lists, interner),
-            interner=None if shared else interner,
-        )
-
-    def _shard_prune_counts(
-        self,
-        supported: list[NamePattern],
-        shard_indices: list[int],
-        spans: Sequence[Span],
-        id_shards: list,
-        id_lists: Sequence[np.ndarray],
-        id_rows: list[list[int]],
-        interner: PathInterner,
-        interner_payload,
-        *,
-        parallel: bool,
-        executor: ShardExecutor,
-        profiler: PhaseProfiler,
-    ) -> list[tuple[Counter[int], Counter[int]]]:
-        """Prune counts for the listed statement shards, fanned over
-        the pool when ``parallel``.  Per-pattern counts are sums over
-        statements, so merging shard counts in span order is
-        bit-identical to one serial pass.  Worker-side seconds land in
-        a ``prune_shard`` profiler row (items = shards computed), which
-        separates shard compute from the orchestration total in
-        ``prune`` and doubles as an incrementality probe under the
-        cache: a warm run records none, a one-file edit one shard per
-        kind."""
-        matcher = self._prune_matcher(
-            supported, id_lists, interner, shared=parallel
-        )
-        if parallel:
-            matcher_payload = executor.share_context(matcher)
-            computed = executor.map(
-                _prune_shard_ids,
-                [
-                    (matcher_payload, id_shards[i], interner_payload)
-                    for i in shard_indices
-                ],
-            )
-        else:
-            computed = [
-                _timed_count_matches_ids(
-                    matcher, id_rows[spans[i][0] : spans[i][1]]
-                )
-                for i in shard_indices
-            ]
-        profiler.record(
-            "prune_shard",
-            sum(seconds for _, _, seconds in computed),
-            items=len(computed),
-        )
-        return [(match, sat) for match, sat, _ in computed]
-
-    def _prune_uncommon(
-        self,
-        supported: list[NamePattern],
-        match_counts: Counter[int],
-        sat_counts: Counter[int],
-    ) -> list[NamePattern]:
-        """pruneUncommon (Algorithm 1, line 9): keep patterns commonly
-        *satisfied* where they match."""
-        threshold = self.config.min_satisfaction_ratio
-        kept = []
-        for idx, pattern in enumerate(supported):
-            m = match_counts[idx]
-            if m == 0:
-                continue
-            if sat_counts[idx] / m >= threshold:
-                kept.append(pattern)
-        return kept
 
 # ----------------------------------------------------------------------
 # Helpers and shard tasks (module-level for process-pool pickling).
@@ -741,8 +613,8 @@ def _validate_spans(spans: Sequence[Span], n: int) -> None:
     """A caller-supplied shard plan must contiguously partition
     ``[0, n)``: gaps silently drop statements and overlaps double-count
     them in the sharded passes — bit-identity violations — so malformed
-    plans error instead.  Validated in serial mode too (where spans are
-    otherwise unused) so a bad plan never passes silently."""
+    plans error instead, whatever the worker count: a serial run maps
+    the same per-span tasks inline."""
     cursor = 0
     for span in spans:
         start, stop = span
@@ -801,16 +673,32 @@ def _globalize_transactions(
     }
 
 
-def _growth_shard_ids(task):
-    """Growth task: the pool-shared interner, one fork-shared slice of
-    ID arrays, the frequent-ID mask.  Lookup tables rebuild
-    once per worker (cached on the interner object across tasks) and
-    the result ships back localized."""
-    miner, payload, interner_payload, freq_ok, kind = task
+def _frequency_task(task) -> ShardPathCounts:
+    """Frequency task: one span's ID arrays and the pool-shared
+    interner, counted into a shard-pure summary."""
+    arrays_payload, interner_payload = task
+    return ShardPathCounts.from_id_arrays(
+        resolve_shard(arrays_payload), resolve_context(interner_payload)
+    )
+
+
+def _growth_task(task):
+    """Growth task: one span's ID rows, the pool-shared interner, and
+    the frequent-ID and correct-word masks.  The interner-derived
+    tables are cached on the interner object, so a worker builds them
+    once; the result ships back localized."""
+    miner, rows_payload, interner_payload, frequent, correct, kind = task
     interner = resolve_context(interner_payload)
-    tables = miner._growth_tables(interner, freq_ok.tolist())
+    tables = (
+        frequent,
+        interner.ensure_symbolic(),
+        interner.sort_ranks(),
+        interner.fold_table(),
+        interner.name_ok_table(),
+        correct,
+    )
     transactions = miner._transaction_counts_ids(
-        [arr.tolist() for arr in resolve_shard(payload)], tables, kind
+        resolve_shard(rows_payload), tables, kind
     )
     return _localize_transactions(transactions, interner)
 
@@ -837,38 +725,49 @@ def _count_matches_ids(
     return match_counts, sat_counts
 
 
-def _timed_count_matches_ids(
-    matcher: PatternMatcher, id_rows: Sequence[list[int]]
-) -> tuple[Counter[int], Counter[int], float]:
-    started = time.perf_counter()
-    match_counts, sat_counts = _count_matches_ids(matcher, id_rows)
-    return match_counts, sat_counts, time.perf_counter() - started
-
-
-def _prune_shard_ids(task) -> tuple[Counter[int], Counter[int], float]:
-    """Prune task: the pool-shared candidate matcher (shipped with an
-    empty vocabulary), one slice of ID arrays, and the pool-shared
-    interner the worker attaches before scanning."""
-    matcher_payload, payload, interner_payload = task
+def _prune_task(task) -> tuple[Counter[int], Counter[int], float]:
+    """Prune task: the shared candidate matcher, one span's ID rows,
+    and the pool-shared interner the task attaches before scanning;
+    returns the span's counts plus the task's seconds."""
+    matcher_payload, rows_payload, interner_payload = task
     started = time.perf_counter()
     matcher = resolve_context(matcher_payload)
     matcher.attach_interner(resolve_context(interner_payload))
     match_counts, sat_counts = _count_matches_ids(
-        matcher, [arr.tolist() for arr in resolve_shard(payload)]
+        matcher, resolve_shard(rows_payload)
     )
     return match_counts, sat_counts, time.perf_counter() - started
 
 
+class _ShardRun(NamedTuple):
+    """What the passes of one mine call share: the executor that runs
+    their tasks, the cache with one content key per span (both
+    ``None`` without a cache), the corpus interner and its pool
+    handle, and per-span payloads of the ID arrays and ID rows."""
+
+    executor: ShardExecutor
+    cache: ContentCache | None
+    keys: Sequence[str] | None
+    interner: PathInterner
+    interner_payload: object
+    arrays: list
+    rows: list
+
+
 def _through_cache(
-    cache: ContentCache,
+    run: _ShardRun,
     level: str,
-    keys: Sequence[str],
-    salt: str,
+    salt: Callable[[], str],
     compute: Callable[[list[int]], list],
 ) -> list:
-    """Per-shard results through the content cache: load what's there,
-    call ``compute(missing_indices)`` for the rest (results in that
-    order), store them, and return one entry per key in key order."""
+    """One result per span, in span order.  Without a cache this is
+    ``compute(every span index)``.  With one, entries load under each
+    span's content key plus ``salt()`` (a callable, so uncached runs
+    never pay for hashing), ``compute(missing_indices)`` fills the rest
+    (results in that order), and they are stored."""
+    if run.cache is None:
+        return compute(list(range(len(run.rows))))
+    cache, keys, salt = run.cache, run.keys, salt()
     entries = [cache.get(level, cache.key(key, salt)) for key in keys]
     missing = [i for i, entry in enumerate(entries) if entry is None]
     if missing:

@@ -8,13 +8,12 @@ same without giving up determinism:
 * :mod:`repro.parallel.sharding` — deterministic, contiguous,
   order-preserving partitions of the prepared corpus (per-repo shards
   packed into balanced spans);
-* :mod:`repro.parallel.merge` — order-preserving merges of the
-  mergeable per-shard results (path-frequency counters, FP-tree
-  transaction counts, pattern match/satisfaction pairs);
+* :mod:`repro.parallel.merge` — order-preserving merges of per-shard
+  results (prune match/satisfaction pairs, detection entries);
 * :mod:`repro.parallel.executor` — a thin process-pool wrapper that
-  runs shard tasks inline for ``workers <= 1`` and over a
-  ``ProcessPoolExecutor`` otherwise, always returning results in shard
-  order;
+  runs every shard task (preparation, the mining passes, batch
+  detection) inline for ``workers <= 1`` and on a pool otherwise,
+  always returning results in shard order;
 * :mod:`repro.parallel.profiler` — wall-time/input-size rows for every
   pipeline phase, surfaced on ``MiningSummary``, ``repro mine
   --profile``, and the service ``/metrics`` endpoint.
@@ -26,11 +25,7 @@ order, for any contiguous shard plan and any worker count.
 """
 
 from repro.parallel.executor import ShardExecutor
-from repro.parallel.merge import (
-    merge_count_pairs,
-    merge_counters,
-    merge_ordered_counts,
-)
+from repro.parallel.merge import merge_count_pairs
 from repro.parallel.profiler import PhaseProfiler, PhaseTiming, format_phase_table
 from repro.parallel.sharding import (
     Span,
@@ -50,7 +45,5 @@ __all__ = [
     "pack_spans",
     "slice_spans",
     "spans_by_group",
-    "merge_counters",
-    "merge_ordered_counts",
     "merge_count_pairs",
 ]

@@ -1,14 +1,16 @@
 """Shard task execution: inline for one worker, process pool otherwise.
 
-The miner's shard tasks are pure functions of picklable inputs, so the
-executor's contract is tiny: ``map(fn, tasks)`` returns one result per
-task, **in task order**, whatever the backend.  With ``workers <= 1``
-(or a single task) everything runs inline in the calling process — no
-fork, no pickling, and byte-identical behavior to the pre-sharding
-serial code.  With more workers a ``ProcessPoolExecutor`` is created
-lazily on first use and reused across phases (and across the two
-per-kind mine passes), so one ``Namer.mine`` pays process start-up at
-most once.
+Preparation, the miner's passes and batch detection each run as one
+shard task function over a span plan, whatever the worker count.  The
+tasks are pure functions of picklable inputs, so the executor's
+contract is tiny: ``map(fn, tasks)`` returns one result per task,
+**in task order**, whatever the backend.  The worker count picks only
+where tasks run: with ``workers <= 1`` (or a single task) they run
+inline in the calling process — no fork, no pickling — and with more
+workers a ``ProcessPoolExecutor`` is created lazily on first use and
+reused across phases (and across the two per-kind mine passes), so one
+``Namer.mine`` pays process start-up at most once.  This module is the
+only place a process pool is created.
 
 Shipping a shard's statements to a worker costs more than the shard
 work itself (megabytes of AST pickle per phase), so the executor also
@@ -17,8 +19,9 @@ registers a sequence in module-level memory **before** the pool forks
 and hands out :class:`SharedSlice` handles — a ``(key, start, stop)``
 triple a worker resolves against its inherited copy for free.  When
 inheritance cannot work (pool already forked without the sequence, or a
-spawn-based platform), it silently falls back to shipping real slices;
-results are identical either way, only the pickling bill changes.
+spawn-based platform) or no pool will run (a serial executor), it
+hands out real slices instead; results are identical either way, only
+the pickling bill changes.
 
 Context values (a matcher, a statistics index) used by *every* task of
 a phase get the same treatment via :meth:`ShardExecutor.share_context`:
@@ -176,7 +179,8 @@ class ShardExecutor:
         Registers ``seq`` for fork inheritance when the pool has not
         forked yet (or returns the existing registration — the two
         per-kind mine passes share one sequence), yielding cheap
-        :class:`SharedSlice` handles; otherwise ships real slices.
+        :class:`SharedSlice` handles; otherwise — a serial executor
+        included — returns plain slices.
         """
         key = self._share(seq)
         if key is None:
@@ -212,7 +216,7 @@ class ShardExecutor:
         for key in self._shared_keys:
             if _SHARED.get(key) is seq:
                 return key
-        if self._pool is not None or not _fork_available():
+        if self._pool is not None or not self.parallel or not _fork_available():
             return None
         key = next(_SHARED_KEYS)
         _SHARED[key] = seq

@@ -1,45 +1,37 @@
-"""Order-preserving merges of per-shard mining results.
+"""Order-preserving merges of per-shard results.
 
-Every sharded phase of the miner returns a small, picklable, mergeable
-summary instead of raw data:
+The miner's frequency and growth summaries carry a local vocabulary and
+merge through the corpus interner
+(:func:`repro.mining.interner.merge_shard_path_counts`, the miner's
+transaction replay).  This module holds the two merges that need none:
 
-* frequency pass  — ``Counter[NamePath]`` of path occurrences;
-* growth pass     — an insertion-ordered ``dict[transaction, count]``
-  of FP-tree transactions (first-seen order within the shard);
-* prune pass      — a ``(match_counts, sat_counts)`` pair of
-  ``Counter[int]`` keyed by pattern index.
+* :func:`merge_count_pairs` — the prune pass's ``(match_counts,
+  sat_counts)`` pairs of ``Counter[int]`` keyed by candidate index;
+* :func:`merge_timed_shards` — batch detection's per-file entries,
+  concatenated, with each shard's stage seconds summed.
 
-Merging is done with explicit first-seen-order loops rather than
-``Counter.__add__`` (which reorders keys and drops non-positive
-entries): for contiguous in-order shards, iterating shard results in
-shard order reproduces exactly the first-seen order a serial pass over
-the whole sequence would produce — the property the FP-tree replay
-relies on for bit-identical output.
+Both take shard results in span order.  For contiguous in-order spans
+that equals one pass over the whole sequence, whether the shard tasks
+ran inline or on a process pool.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Hashable, Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping
 
 __all__ = [
-    "merge_counters",
-    "merge_ordered_counts",
     "merge_count_pairs",
-    "merge_offset_count_pairs",
     "merge_timed_shards",
 ]
-
-K = TypeVar("K", bound=Hashable)
-T = TypeVar("T")
 
 
 def merge_timed_shards(results: Iterable[tuple]) -> tuple:
     """Concatenate per-shard item lists in shard order and sum the
     worker-side stage timings that ride with them.
 
-    Each shard result is ``(items, *stage_seconds)`` — the parallel
-    detection pass returns ``(entries, extract_seconds, match_seconds,
+    Each shard result is ``(items, *stage_seconds)`` — the detection
+    task returns ``(entries, extract_seconds, match_seconds,
     featurize_seconds)`` — and every shard must carry the same number
     of stages.  For a contiguous in-order plan the concatenation is the
     original input order, and the summed seconds are the profiler's
@@ -57,29 +49,6 @@ def merge_timed_shards(results: Iterable[tuple]) -> tuple:
     return (items, *seconds)
 
 
-def merge_counters(counters: Iterable[Mapping[K, int]]) -> Counter[K]:
-    """Sum counters, keeping first-seen key order across shards."""
-    merged: Counter[K] = Counter()
-    for counter in counters:
-        for key, count in counter.items():
-            merged[key] += count
-    return merged
-
-
-def merge_ordered_counts(counts: Iterable[Mapping[K, int]]) -> dict[K, int]:
-    """Sum plain dicts of counts, keeping first-seen key order.
-
-    For contiguous shards merged in span order this equals the
-    first-occurrence order of a serial scan — new keys appear exactly
-    when the serial scan would first meet them.
-    """
-    merged: dict[K, int] = {}
-    for shard in counts:
-        for key, count in shard.items():
-            merged[key] = merged.get(key, 0) + count
-    return merged
-
-
 def merge_count_pairs(
     pairs: Iterable[tuple[Mapping[int, int], Mapping[int, int]]],
 ) -> tuple[Counter[int], Counter[int]]:
@@ -91,26 +60,4 @@ def merge_count_pairs(
             matches[idx] += count
         for idx, count in sat_counts.items():
             satisfactions[idx] += count
-    return matches, satisfactions
-
-
-def merge_offset_count_pairs(
-    pairs: Iterable[tuple[Mapping[int, int], Mapping[int, int]]],
-    offsets: Iterable[int],
-) -> tuple[Counter[int], Counter[int]]:
-    """Merge count pairs whose indices are shard-local.
-
-    The pattern-partitioned prune pass hands each worker a *slice* of
-    the candidate list, so its counters are keyed ``0..len(slice)``;
-    shifting by the slice's start offset recovers global pattern
-    indices.  Unlike the statement-sharded merge, indices never collide
-    across shards — each pattern is counted by exactly one worker.
-    """
-    matches: Counter[int] = Counter()
-    satisfactions: Counter[int] = Counter()
-    for (match_counts, sat_counts), offset in zip(pairs, offsets):
-        for idx, count in match_counts.items():
-            matches[idx + offset] += count
-        for idx, count in sat_counts.items():
-            satisfactions[idx + offset] += count
     return matches, satisfactions

@@ -38,7 +38,9 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "FAULTS",
+    "armed_plan_json",
     "fault_check",
+    "sync_armed_plan",
 ]
 
 
@@ -229,3 +231,29 @@ FAULTS = FaultInjector()
 
 #: Bound method alias: sites call ``fault_check("site.name", key=...)``.
 fault_check = FAULTS.check
+
+
+def armed_plan_json() -> dict | None:
+    """The armed plan as JSON (``None`` when disarmed): what a shard
+    task carries so :func:`sync_armed_plan` can reproduce it in
+    whichever process runs the task."""
+    plan = FAULTS.plan
+    return plan.to_json() if plan is not None else None
+
+
+def sync_armed_plan(plan_json: dict | None) -> None:
+    """Arm, re-arm or disarm this process's injector to match
+    ``plan_json``, the plan that was armed when the task was built.
+
+    Inline tasks and fork-inherited workers usually agree already and
+    change nothing; spawned workers, and pools outliving an
+    ``armed()`` block, are brought in line.  Seeded (site, key)
+    decisions are then identical in and out of process; only
+    ``max_trips`` budgets, which are per process, are out of scope.
+    """
+    current = FAULTS.plan
+    if plan_json is None:
+        if current is not None:
+            FAULTS.disarm()
+    elif current is None or current.to_json() != plan_json:
+        FAULTS.arm(FaultPlan.from_json(plan_json))

@@ -395,22 +395,6 @@ class TestConcurrentGrowth:
 
 
 class TestMergeAndPickle:
-    def test_merge_parity_with_flat_build(self, trained_namer, statements):
-        patterns = trained_namer.matcher.patterns
-        third = max(1, len(patterns) // 3)
-        parts = [
-            PatternMatcher(patterns[:third]),
-            PatternMatcher(patterns[third : 2 * third]),
-            PatternMatcher(patterns[2 * third :]),
-        ]
-        merged = PatternMatcher.merge(parts)
-        assert merged._automaton is not None
-        flat = PatternMatcher(patterns)
-        assert merged.prefix_counts == flat.prefix_counts
-        assert list(merged.prefix_counts) == list(flat.prefix_counts)
-        for _, paths in statements[:100]:
-            assert merged.relations(paths) == flat.relations(paths)
-
     def test_pickle_roundtrip(self, trained_namer, statements):
         """A matcher that has already scanned must pickle without its
         scratch state and match identically on the other side — the
@@ -459,6 +443,15 @@ class TestSharedContext:
         with ShardExecutor(1) as executor:
             value = object()
             assert executor.share_context(value) is value
+
+    def test_serial_executor_ships_plain_slices(self):
+        from repro.parallel.executor import _SHARED
+
+        before = dict(_SHARED)
+        with ShardExecutor(1) as executor:
+            payloads = executor.shard_payloads(list(range(6)), [(0, 2), (2, 6)])
+            assert payloads == [[0, 1], [2, 3, 4, 5]]
+            assert _SHARED == before
 
     def test_close_unregisters(self):
         from repro.parallel.executor import _SHARED

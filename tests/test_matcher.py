@@ -74,13 +74,6 @@ class TestPatternMatcher:
         _, patterns = build_world()
         assert len(PatternMatcher(patterns)) == len(patterns)
 
-    def test_merge(self):
-        _, patterns = build_world()
-        a = PatternMatcher(patterns[: len(patterns) // 2])
-        b = PatternMatcher(patterns[len(patterns) // 2 :])
-        merged = PatternMatcher.merge([a, b])
-        assert len(merged) == len(patterns)
-
     def test_empty_matcher(self):
         matcher = PatternMatcher([])
         stmt = transform_statement(parse_statement("x = 1"))
@@ -135,45 +128,6 @@ class TestSelectivityIndex:
         )
         for paths in path_lists:
             assert plain.relations(paths) == tuned.relations(paths)
-
-    def test_merge_equals_flat_build(self):
-        """merge(shards) must reproduce a flat build exactly — anchors,
-        frequency tables, and per-statement candidate order — without
-        recounting from the pattern list."""
-        stmts, patterns = build_world()
-        path_lists = [extract_name_paths(s, max_paths=10) for s in stmts]
-        flat = PatternMatcher(patterns)
-        cut_a, cut_b = len(patterns) // 3, 2 * len(patterns) // 3
-        merged = PatternMatcher.merge(
-            [
-                PatternMatcher(patterns[:cut_a]),
-                PatternMatcher(patterns[cut_a:cut_b]),
-                PatternMatcher(patterns[cut_b:]),
-            ]
-        )
-        assert merged.prefix_counts == flat.prefix_counts
-        assert list(merged.prefix_counts) == list(flat.prefix_counts)
-        assert anchors(merged) == anchors(flat)
-        for paths in path_lists:
-            assert merged.relations(paths) == flat.relations(paths)
-
-    def test_merge_sums_corpus_tables(self):
-        """Shards built over one corpus table merge to the same anchor
-        choices as a flat build over that table (rarity order is
-        scale-invariant under summation of identical tables)."""
-        stmts, patterns = build_world()
-        counts = prefix_frequencies(
-            extract_name_paths(s, max_paths=10) for s in stmts
-        )
-        flat = PatternMatcher(patterns, prefix_counts=counts)
-        half = len(patterns) // 2
-        merged = PatternMatcher.merge(
-            [
-                PatternMatcher(patterns[:half], prefix_counts=counts),
-                PatternMatcher(patterns[half:], prefix_counts=counts),
-            ]
-        )
-        assert anchors(merged) == anchors(flat)
 
     def test_duplicate_prefix_orders_at_first_occurrence(self):
         """A prefix appearing at two statement positions must order its

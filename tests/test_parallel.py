@@ -20,11 +20,7 @@ from repro.mining.fptree import FPTree
 from repro.mining.interner import PathInterner
 from repro.mining.miner import MiningConfig, PatternMiner, generate_patterns_ids
 from repro.parallel.executor import ShardExecutor, default_workers
-from repro.parallel.merge import (
-    merge_count_pairs,
-    merge_counters,
-    merge_ordered_counts,
-)
+from repro.parallel.merge import merge_count_pairs
 from repro.parallel.profiler import PhaseProfiler, format_phase_table
 from repro.parallel.sharding import (
     even_spans,
@@ -39,6 +35,8 @@ from repro.resilience.faults import (
     InjectedFault,
 )
 
+from . import test_miner
+from .test_detect_parallel import CountingExecutor
 from .test_miner import idiom_corpus
 
 SMALL = MiningConfig(min_pattern_support=10, min_path_frequency=5)
@@ -100,25 +98,6 @@ class TestSharding:
 
 
 class TestMerge:
-    def test_merge_counters_keeps_first_seen_order(self):
-        merged = merge_counters([{"b": 1, "a": 2}, {"c": 1, "a": 3}])
-        assert list(merged) == ["b", "a", "c"]
-        assert merged["a"] == 5
-
-    def test_merge_ordered_counts_matches_serial_first_occurrence(self):
-        stream = ["x", "y", "x", "z", "y", "w"]
-        shard1, shard2 = stream[:3], stream[3:]
-
-        def count(items):
-            out = {}
-            for item in items:
-                out[item] = out.get(item, 0) + 1
-            return out
-
-        merged = merge_ordered_counts([count(shard1), count(shard2)])
-        assert merged == count(stream)
-        assert list(merged) == list(count(stream))
-
     def test_merge_count_pairs(self):
         m, s = merge_count_pairs([({0: 2, 1: 1}, {0: 1}), ({1: 4}, {1: 2})])
         assert m == {0: 2, 1: 5}
@@ -167,12 +146,14 @@ class TestProfiler:
         miner = PatternMiner(SMALL, confusing_pairs=[("True", "Equal")])
         miner.mine(idiom_corpus(20), PatternKind.CONFUSING_WORD, profiler=profiler)
         # Without a caller-built interner the miner interns the corpus
-        # itself, under its own phase row.
+        # itself, under its own phase row.  A serial run maps the same
+        # prune tasks inline, so their seconds land in prune_shard too.
         assert {row.phase for row in profiler.rows()} == {
             "intern",
             "frequency",
             "growth",
             "generate",
+            "prune_shard",
             "prune",
         }
 
@@ -288,7 +269,9 @@ def _fingerprint(result):
 class TestShardedMiningEquivalence:
     @pytest.fixture(scope="class")
     def statements(self):
-        return idiom_corpus(60)
+        # The assertEqual idiom mines confusing-word patterns, the
+        # self.x = x idiom consistency patterns.
+        return idiom_corpus(60) + test_miner.TestConsistencyMining().make_corpus()
 
     @pytest.fixture(scope="class")
     def miner(self):
@@ -296,26 +279,64 @@ class TestShardedMiningEquivalence:
 
     @pytest.fixture(scope="class")
     def serial(self, miner, statements):
-        return _fingerprint(
-            miner.mine(statements, PatternKind.CONFUSING_WORD, workers=1)
-        )
+        return {
+            kind: _fingerprint(miner.mine(statements, kind, workers=1))
+            for kind in PatternKind
+        }
+
+    def _check(self, serial, mine):
+        for kind in PatternKind:
+            assert _fingerprint(mine(kind)) == serial[kind], kind
+            assert serial[kind][0], f"{kind} equivalence is vacuous without patterns"
 
     @pytest.mark.parametrize("shards", [1, 2, 7])
     def test_shard_plan_invisible(self, miner, statements, serial, shards):
         spans = even_spans(len(statements), shards)
         with ShardExecutor(2) as executor:
-            result = miner.mine(
-                statements,
-                PatternKind.CONFUSING_WORD,
-                spans=spans,
-                executor=executor,
+            self._check(
+                serial,
+                lambda kind: miner.mine(
+                    statements, kind, spans=spans, executor=executor
+                ),
             )
-        assert _fingerprint(result) == serial
-        assert serial[0], "equivalence is vacuous without patterns"
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("shards", [1, 2, 7])
+    def test_serial_executor_runs_every_span(
+        self, miner, statements, serial, shards, cached, tmp_path
+    ):
+        """A serial executor maps the same per-span tasks inline: every
+        pass dispatches one task per span, uncached or through a cold
+        and then a warm cache, and the output does not move."""
+        from repro.cache import ContentCache
+
+        spans = even_spans(len(statements), shards)
+        cache = ContentCache(str(tmp_path / "cache")) if cached else None
+        keys = [f"span-{start}-{stop}" for start, stop in spans] if cached else None
+        for run in ("cold", "warm") if cached else ("uncached",):
+            with CountingExecutor(1) as executor:
+                self._check(
+                    serial,
+                    lambda kind: miner.mine(
+                        statements,
+                        kind,
+                        spans=spans,
+                        executor=executor,
+                        cache=cache,
+                        shard_keys=keys,
+                    ),
+                )
+            if run == "warm":
+                # the whole-kind memo answers before any pass runs
+                assert executor.task_counts == []
+            else:
+                assert executor.task_counts
+                assert set(executor.task_counts) == {len(spans)}
 
     def test_workers_invisible(self, miner, statements, serial):
-        result = miner.mine(statements, PatternKind.CONFUSING_WORD, workers=2)
-        assert _fingerprint(result) == serial
+        self._check(
+            serial, lambda kind: miner.mine(statements, kind, workers=2)
+        )
 
     def test_empty_statements(self, miner):
         result = miner.mine([], PatternKind.CONFUSING_WORD, workers=2)

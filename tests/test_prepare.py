@@ -1,5 +1,10 @@
 """Tests for corpus preparation (including the parallel path)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.prepare import prepare_corpus, prepare_file
@@ -93,3 +98,42 @@ class TestPrepareCorpus:
                 for n in ps.stmt.root.walk():
                     if n.kind == "NumST":
                         assert n.value == "NumST(1)"
+
+    #: Prepares the tiny corpus under one seeded prepare-file fault plan
+    #: with workers 1 and 2, pool workers started by ``spawn`` (they
+    #: inherit nothing from the parent), and prints the quarantined
+    #: paths per worker count.
+    SPAWN_SCRIPT = (
+        "import json, multiprocessing\n"
+        "from repro.core.prepare import prepare_corpus\n"
+        "from repro.corpus.generator import GeneratorConfig, "
+        "generate_python_corpus\n"
+        "from repro.resilience.faults import FAULTS, FaultPlan, FaultSpec\n"
+        "from repro.resilience.quarantine import Quarantine\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "corpus = generate_python_corpus(GeneratorConfig(num_repos=3, seed=31))\n"
+        "plan = FaultPlan([FaultSpec(site='corpus.prepare_file', rate=0.3)], seed=3)\n"
+        "paths = {}\n"
+        "for workers in (1, 2):\n"
+        "    quarantine = Quarantine()\n"
+        "    with FAULTS.armed(plan):\n"
+        "        prepare_corpus(corpus, workers=workers, quarantine=quarantine)\n"
+        "    paths[workers] = [r.path for r in quarantine.records]\n"
+        "print(json.dumps(paths))\n"
+    )
+
+    def test_spawned_pool_honours_fault_plan(self):
+        """Every prepare task carries the armed fault plan, so workers
+        that do not fork quarantine exactly the files a serial run
+        does."""
+        done = subprocess.run(
+            [sys.executable, "-c", self.SPAWN_SCRIPT],
+            env=dict(os.environ),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        )
+        paths = json.loads(done.stdout.splitlines()[-1])
+        assert paths["1"], "fault plan tripped nothing — test is vacuous"
+        assert paths["2"] == paths["1"]
