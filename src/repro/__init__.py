@@ -22,6 +22,13 @@ Quickstart::
         print(violation.describe())
 """
 
+import time
+
+#: ``time.monotonic()`` when the package began importing: the start of
+#: the cold-start clock ``repro serve`` and cluster replicas report as
+#: ``startup_seconds``, so that number covers import time too
+IMPORT_STARTED = time.monotonic()
+
 from repro.core.namer import MiningSummary, Namer, NamerConfig
 from repro.core.patterns import NamePattern, PatternKind, Violation
 from repro.core.reports import Report

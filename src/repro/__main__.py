@@ -490,6 +490,7 @@ def _serve_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from repro import IMPORT_STARTED
     from repro.service.engine import AnalysisEngine
     from repro.service.server import AnalysisServer
 
@@ -511,6 +512,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     except PersistenceError as exc:
         return _fail(str(exc), code=2)
+    # /metrics startup_seconds counts from the first repro import.
+    engine.mark_process_start(IMPORT_STARTED)
     try:
         server = AnalysisServer(engine, host=args.host, port=args.port, quiet=False)
     except OSError as exc:

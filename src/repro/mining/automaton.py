@@ -170,9 +170,12 @@ class MatchAutomaton:
         return tid
 
     def _compile(self, pattern: NamePattern) -> None:
+        # Walk both path sets sorted, never in set order: a symbolic
+        # path hashes ``None``, whose hash varies by process before
+        # Python 3.12, and trie numbering is written into frozen blobs.
         mask = 0
         conds: list[tuple[int, int]] = []
-        for c in pattern.condition:
+        for c in sorted(pattern.condition):
             node = self._insert(c.prefix)
             mask |= self._node_mask[node]
             if c.end is None:
@@ -187,7 +190,8 @@ class MatchAutomaton:
             conds.append((node, tid))
         deds: list[int] = []
         ded_prefixes: list[tuple[PathStep, ...]] = []
-        for d in pattern.deduction:
+        deductions = sorted(pattern.deduction)
+        for d in deductions:
             node = self._insert(d.prefix)
             mask |= self._node_mask[node]
             count = self._ded_node_counts.get(node)
@@ -203,12 +207,12 @@ class MatchAutomaton:
         self._ded_prefixes.append(ded_prefixes)
         self._order_node.append(self._insert(min(ded_prefixes)))
         if pattern.kind is PatternKind.CONSISTENCY:
-            d1, d2 = sorted(pattern.deduction)
+            d1, d2 = deductions
             self._sat.append(
                 (True, self._insert(d1.prefix), self._insert(d2.prefix), d2)
             )
         else:
-            (d,) = pattern.deduction
+            (d,) = deductions
             self._sat.append(
                 (False, self._insert(d.prefix), self._intern_end(d.end), d)
             )
@@ -216,7 +220,8 @@ class MatchAutomaton:
     def deduction_prefix_counts(self) -> Counter[tuple[PathStep, ...]]:
         """Deduction-prefix occurrences across the compiled pattern set,
         read off the trie's accept-node counters — value- and key-order-
-        identical to counting ``d.prefix`` over the patterns directly.
+        identical to counting ``d.prefix`` over the patterns directly,
+        each pattern's deductions in sorted order.
         The fallback rarity table for anchor choice on artifact loads,
         where no corpus frequency table exists."""
         counts: Counter[tuple[PathStep, ...]] = Counter()

@@ -8,6 +8,10 @@ smooth regularized loss with L-BFGS from scipy:
 * :class:`LinearSVM` — squared hinge loss (the smooth SVM variant),
 * :class:`LogisticRegression` — log loss.
 
+scipy's optimizer is imported at the first :meth:`~_LinearModel.fit`,
+not with this module: serving only evaluates ``w·x + b``, so a process
+that loads a fitted model and classifies never loads scipy.
+
 Labels are {0, 1} at the API boundary and mapped to {-1, +1}
 internally.
 """
@@ -15,7 +19,6 @@ internally.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = ["LinearSVM", "LogisticRegression"]
 
@@ -33,6 +36,8 @@ class _LinearModel:
         raise NotImplementedError
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_LinearModel":
+        from scipy.optimize import minimize
+
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
         signs = np.where(y > 0, 1.0, -1.0)

@@ -198,10 +198,13 @@ class AnalysisEngine:
         self._install_namer(namer)
 
     def mark_process_start(self, monotonic_t0: float) -> None:
-        """Backdate the startup clock to the hosting process's entry
-        point (``time.monotonic()`` at ``main()``), so reported
-        ``startup_seconds`` covers interpreter + import + bind time,
-        not just engine construction."""
+        """Backdate the startup clock to the hosting process's start
+        (:data:`repro.IMPORT_STARTED`), so reported ``startup_seconds``
+        covers import + load + bind time, not just engine construction.
+        An engine that is already ready moves its recorded number by
+        the same amount."""
+        if self._startup_seconds is not None:
+            self._startup_seconds += self._start_monotonic - monotonic_t0
         self._start_monotonic = monotonic_t0
 
     def _load_artifact(self, artifact_path: str) -> Namer:

@@ -34,9 +34,9 @@ import signal
 import sys
 import tempfile
 import threading
-import time
 from pathlib import Path
 
+from repro import IMPORT_STARTED
 from repro.core.persistence import PersistenceError
 from repro.service.engine import AnalysisEngine
 from repro.service.server import AnalysisServer
@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    started = time.monotonic()
     args = build_parser().parse_args(argv)
     if args.fault_plan is not None:
         from repro.resilience.faults import FAULTS, FaultPlan
@@ -119,9 +118,10 @@ def main(argv: list[str] | None = None) -> int:
         degraded_ok=not args.strict_artifacts,
         defer_load=True,
     )
-    # Report cold start from main() entry, not engine construction, so
-    # the number in /metrics matches what an operator experiences.
-    engine.mark_process_start(started)
+    # Report cold start from the first repro import, not engine
+    # construction, so the number in /metrics matches what an operator
+    # experiences.
+    engine.mark_process_start(IMPORT_STARTED)
     try:
         server = AnalysisServer(engine, host=args.host, port=args.port, quiet=True)
     except OSError as exc:

@@ -3,7 +3,8 @@
 Mining and detection must produce the same bytes whatever the worker
 count, cache temperature, artifact encoding (JSON document or frozen
 blob) or interner cap.  ``tests/golden_digests.json`` records those
-bytes as sha256 digests for the tier-1 corpora, together with every
+bytes as sha256 digests for the tier-1 corpora (the JSON artifacts and
+the frozen blobs frozen from them), together with every
 file's points-to result (the Datalog solver's contract), and
 ``tests/test_goldens.py`` recomputes them through every supported
 configuration.
@@ -34,7 +35,7 @@ from repro.corpus.javagen import generate_java_corpus
 from repro.evaluation.oracle import Oracle
 from repro.lang import parse_source
 from repro.evaluation.precision import sample_balanced_training
-from repro.mining.frozen import freeze_namer, load_frozen_namer
+from repro.mining.frozen import freeze_namer
 from repro.mining.miner import MiningConfig
 from repro.resilience.faults import FAULTS, FaultPlan, FaultSpec
 from repro.resilience.quarantine import Quarantine
@@ -93,6 +94,12 @@ def artifact_digest(namer: Namer, path: Path) -> str:
     """sha256 of the saved artifact bytes, counter insertion order
     included (``document_checksum`` sorts keys and would miss it)."""
     save_namer(namer, path)
+    return sha256(path.read_bytes())
+
+
+def frozen_digest(namer: Namer, path: Path) -> str:
+    """sha256 of the frozen blob ``freeze_namer`` writes for ``namer``."""
+    freeze_namer(namer, path)
     return sha256(path.read_bytes())
 
 
@@ -179,9 +186,11 @@ def compute_language(language: str, workdir: Path) -> dict:
     start (the reference the test suite compares all arms against)."""
     namer = mine(language)
     mined = artifact_digest(namer, workdir / f"{language}.mined.json")
+    mined_frozen = frozen_digest(namer, workdir / f"{language}.mined.frozen")
     train(namer, language)
     trained_path = workdir / f"{language}.json"
     trained = artifact_digest(namer, trained_path)
+    trained_frozen = frozen_digest(namer, workdir / f"{language}.frozen")
     loaded = load_namer(trained_path)
     faulted = mine_under_faults(language)
     faulted_reports, detect_records = detect_under_faults(
@@ -189,7 +198,9 @@ def compute_language(language: str, workdir: Path) -> dict:
     )
     return {
         "mined_artifact": mined,
+        "mined_frozen": mined_frozen,
         "trained_artifact": trained,
+        "trained_frozen": trained_frozen,
         "reports": report_digests(loaded, namer.prepared),
         "faults": {
             "mined_artifact": artifact_digest(
@@ -212,12 +223,6 @@ def compute_goldens(workdir: Path) -> dict:
 
 def load_goldens() -> dict:
     return json.loads(GOLDENS_PATH.read_text())
-
-
-def frozen_twin(namer: Namer, path: Path) -> Namer:
-    """Freeze a fitted namer to ``path`` and load it back."""
-    freeze_namer(namer, path)
-    return load_frozen_namer(path)
 
 
 def main(argv: list[str]) -> int:

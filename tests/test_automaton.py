@@ -263,12 +263,14 @@ class TestFallbackFrequencies:
     def test_fallback_counts_match_recounting(self, trained_namer):
         patterns = trained_namer.matcher.patterns
         expected = Counter(
-            d.prefix for p in patterns for d in p.deduction
+            d.prefix for p in patterns for d in sorted(p.deduction)
         )
         matcher = PatternMatcher(patterns)  # no corpus table: fallback
         assert matcher.prefix_counts == expected
-        # First-seen key order is part of the merge/serialization
-        # contract, not just the values.
+        # Key order is part of the frozen blob's bytes, not just the
+        # values: first seen over the pattern list, each pattern's
+        # deductions walked in sorted order.  A set's own iteration
+        # order would vary by process (symbolic paths hash ``None``).
         assert list(matcher.prefix_counts) == list(expected)
         automaton = matcher._automaton
         assert automaton is not None
@@ -288,7 +290,7 @@ class TestFallbackFrequencies:
         expected = Counter(
             d.prefix
             for p in loaded.matcher.patterns
-            for d in p.deduction
+            for d in sorted(p.deduction)
         )
         assert loaded.matcher.prefix_counts == expected
         assert list(loaded.matcher.prefix_counts) == list(expected)

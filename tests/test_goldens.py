@@ -1,11 +1,11 @@
 """Every supported configuration reproduces the committed goldens.
 
 ``tests/golden_digests.json`` pins the sha256 of the mined and trained
-artifacts, of every file's ``detect_many_rows`` result, of every file's
-points-to result, and of the quarantine records under one seeded fault
-plan, for the tier-1 Python and Java corpora (see :mod:`tests.goldens`
-for how each digest is computed and how to regenerate the file on
-purpose).  These tests
+artifacts and of their frozen blobs, of every file's
+``detect_many_rows`` result, of every file's points-to result, and of
+the quarantine records under one seeded fault plan, for the tier-1
+Python and Java corpora (see :mod:`tests.goldens` for how each digest
+is computed and how to regenerate the file on purpose).  These tests
 recompute them through each arm the pipeline offers — worker counts,
 cache temperatures, JSON vs frozen artifacts, capped interners — so a
 change that moves any output byte fails here.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.persistence import load_namer
+from repro.mining.frozen import load_frozen_namer
 from repro.mining.interner import PathInterner
 from tests import goldens as g
 
@@ -24,22 +25,26 @@ GOLDENS = g.load_goldens()
 
 @pytest.fixture(scope="module", params=g.LANGUAGES)
 def served(request, tmp_path_factory):
-    """(language, trained namer, its JSON artifact path, frozen twin)."""
+    """(language, trained namer, its JSON artifact path, the artifact's
+    and its frozen blob's digests, the frozen twin)."""
     language = request.param
     workdir = tmp_path_factory.mktemp(f"goldens-{language}")
     namer = g.train(g.mine(language), language)
     artifact = workdir / "namer.json"
     trained = g.artifact_digest(namer, artifact)
-    frozen = g.frozen_twin(namer, workdir / "namer.json.frozen")
-    return language, namer, artifact, trained, frozen
+    frozen_path = workdir / "namer.json.frozen"
+    blob = g.frozen_digest(namer, frozen_path)
+    frozen = load_frozen_namer(frozen_path)
+    return language, namer, artifact, (trained, blob), frozen
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("language", g.LANGUAGES)
 def test_mined_artifact(language, workers, tmp_path):
     """Cold (no cache), cache fill and warm cache all write the golden
-    bytes, serially and sharded."""
+    bytes, JSON artifact and frozen blob, serially and sharded."""
     expected = GOLDENS[language]["mined_artifact"]
+    expected_blob = GOLDENS[language]["mined_frozen"]
     cache = tmp_path / "cache"
     for temperature, cache_dir in (
         ("cold", None),
@@ -49,11 +54,14 @@ def test_mined_artifact(language, workers, tmp_path):
         namer = g.mine(language, workers=workers, cache_dir=cache_dir)
         got = g.artifact_digest(namer, tmp_path / f"{temperature}.json")
         assert got == expected, temperature
+        blob = g.frozen_digest(namer, tmp_path / f"{temperature}.frozen")
+        assert blob == expected_blob, temperature
 
 
 def test_trained_artifact(served):
-    language, _, _, trained, _ = served
+    language, _, _, (trained, blob), _ = served
     assert trained == GOLDENS[language]["trained_artifact"]
+    assert blob == GOLDENS[language]["trained_frozen"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
