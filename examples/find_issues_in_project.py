@@ -16,7 +16,6 @@ import sys
 import tempfile
 
 from repro import GeneratorConfig, Namer, NamerConfig, generate_python_corpus
-from repro.core.prepare import prepare_file
 from repro.corpus.model import SourceFile
 from repro.evaluation.oracle import Oracle
 from repro.evaluation.precision import sample_balanced_training
@@ -66,14 +65,19 @@ def build_namer() -> Namer:
 
 def scan(namer: Namer, project: pathlib.Path) -> None:
     print(f"\nscanning {project} ...")
+    sources = [
+        SourceFile(path=str(path), source=path.read_text())
+        for path in sorted(project.rglob("*.py"))
+    ]
     total = 0
-    for path in sorted(project.rglob("*.py")):
-        source = SourceFile(path=str(path), source=path.read_text())
-        prepared = prepare_file(source, repo=project.name)
-        if prepared is None:
-            print(f"  [skip] {path} (unparsable)")
+    # Prepared exactly as the namer mined its patterns, one detect pass.
+    for source, (reports, error) in zip(
+        sources, namer.analyze(sources, repo=project.name)
+    ):
+        if error is not None:
+            print(f"  [skip] {source.path} ({error.brief()})")
             continue
-        for report in namer.detect(prepared):
+        for report in reports:
             total += 1
             print(f"  {report.describe()}")
     print(f"\n{total} naming issue(s) reported")

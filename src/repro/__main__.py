@@ -48,7 +48,7 @@ import sys
 from repro.core.fixer import apply_fixes
 from repro.core.namer import Namer, NamerConfig
 from repro.core.persistence import PersistenceError, load_namer
-from repro.core.prepare import prepare_file
+from repro.core.prepare import PREPARE_STAGES, prepare_file
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
 from repro.corpus.javagen import generate_java_corpus
 from repro.corpus.model import SourceFile
@@ -107,17 +107,16 @@ def cmd_mine(args: argparse.Namespace) -> int:
     if not _arm_fault_plan(args.fault_plan):
         return 2
     generate = generate_java_corpus if args.language == "java" else generate_python_corpus
-
-    def corpus_factory():
-        return generate(
-            GeneratorConfig(num_repos=args.repos, issue_rate=0.12, seed=args.seed)
-        )
+    corpus_config = GeneratorConfig(
+        num_repos=args.repos, issue_rate=0.12, seed=args.seed
+    )
 
     workers = args.workers if args.workers is not None else default_workers()
     cache_dir = None if args.no_cache else (args.cache_dir or f"{args.out}.cache")
     try:
         result = run_mine_pipeline(
-            corpus_factory=corpus_factory,
+            corpus_factory=lambda: generate(corpus_config),
+            corpus_settings=(args.language, corpus_config),
             namer_config=NamerConfig(
                 mining=_mining_config(args), workers=workers, cache_dir=cache_dir
             ),
@@ -154,6 +153,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     targets = [root] if single_file else sorted(
         p for p in root.rglob("*") if p.suffix in _SUFFIXES
     )
+    # Prepared exactly as the artifact's patterns were mined.
+    settings = namer.prepare_settings()._asdict()
     total = 0
     attempted = 0
     failed = 0
@@ -175,7 +176,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             print(f"[skip] {path}: cannot read ({exc})", file=sys.stderr)
             continue
         source = SourceFile(path=str(path), source=text, language=language)
-        prepared = prepare_file(source, repo=root.name)
+        prepared = prepare_file(source, repo=root.name, **settings)
         if prepared is None:
             # A directory scan skips unparsable files like the paper's
             # corpus pipeline; naming one file explicitly is an error.
@@ -208,13 +209,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    """Local batch analysis: prepare every file under a path, then one
-    parallel ``detect_many`` pass over the whole batch."""
-    from repro.parallel.executor import default_workers
-    from repro.parallel.profiler import format_phase_table
-    from repro.resilience.quarantine import Quarantine
-
+    """Local batch analysis: ``Namer.analyze`` over every file under a
+    path — prepared as the artifact was mined, then one parallel
+    ``detect_many`` pass over the whole batch."""
     from repro.index.walker import walk_repository
+    from repro.parallel.executor import ShardExecutor, default_workers
+    from repro.parallel.profiler import format_phase_table
 
     namer = _load_artifacts(args.artifacts)
     if namer is None:
@@ -234,42 +234,37 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         targets = [
             (wf.abspath, wf.language) for wf in walk_repository(root)
         ]
-    prepared = []
-    skipped = 0
+    sources = []
     for path, language in targets:
         try:
             text = pathlib.Path(path).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             if single_file:
                 return _fail(f"cannot read {path}: {exc}")
-            skipped += 1
             print(f"[skip] {path}: cannot read ({exc})", file=sys.stderr)
             continue
-        pf = prepare_file(
-            SourceFile(path=path, source=text, language=language),
-            repo=root.name,
-        )
-        if pf is None:
-            if single_file:
-                return _fail(f"unparseable {language} source: {path}")
-            skipped += 1
-            print(f"[skip] {path}: unparsable", file=sys.stderr)
-            continue
-        prepared.append(pf)
-    if not prepared:
-        return _fail(f"no analyzable files under {root}")
+        sources.append(SourceFile(path=path, source=text, language=language))
     workers = args.workers if args.workers is not None else default_workers()
-    quarantine = Quarantine()
-    groups = namer.detect_many(prepared, quarantine=quarantine, workers=workers)
+    with ShardExecutor(workers) as executor:
+        outcomes = namer.analyze(sources, repo=root.name, executor=executor)
     total = 0
-    for reports in groups:
+    analyzed = 0
+    for source, (reports, error) in zip(sources, outcomes):
+        if error is not None and error.stage in PREPARE_STAGES:
+            if single_file:
+                return _fail(f"unparseable {source.language} source: {source.path}")
+            print(f"[skip] {source.path}: unparsable", file=sys.stderr)
+            continue
+        analyzed += 1
+        if error is not None:
+            print(f"[skip] {source.path}: {error.brief()}", file=sys.stderr)
         for report in reports:
             total += 1
             print(report.describe())
-    for record in quarantine.records:
-        print(f"[skip] {record.path}: {record.brief()}", file=sys.stderr)
+    if not analyzed:
+        return _fail(f"no analyzable files under {root}")
     print(
-        f"{total} naming issue(s) reported across {len(prepared)} file(s) "
+        f"{total} naming issue(s) reported across {analyzed} file(s) "
         f"({workers} worker(s))"
     )
     if args.profile:

@@ -468,8 +468,16 @@ class _Extractor:
                 tmp = f"<lit{index}@{site}>"
                 self.facts.prim_assign.append((tmp, _prim_type(arg.kind), func))
                 self.facts.actual_param.append((site, index, tmp))
-            for nested in arg.find(lambda x: x.kind in ("Call", "MethodCall")):
-                self._visit_call(nested, func)
+            # Register each call under the argument once: a registered
+            # call walks its own arguments, leaving only its callee.
+            stack = [arg]
+            while stack:
+                node = stack.pop()
+                rest = node.children
+                if node.kind in ("Call", "MethodCall"):
+                    if self._visit_call(node, func) is not None:
+                        rest = node.children[:1]
+                stack.extend(reversed(rest))
         return site
 
     def _resolve_in_file(

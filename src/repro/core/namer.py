@@ -14,7 +14,8 @@ Inference (bottom of Figure 1):
    mined patterns.
 4. :meth:`Namer.detect` — keep only the violations the classifier
    predicts to be true naming issues, returning :class:`Report` rows
-   with rendered fixes.
+   with rendered fixes.  :meth:`Namer.analyze` runs both steps on raw
+   source files, prepared exactly as mining prepared the corpus.
 
 Ablations: ``use_classifier=False`` reports every violation ("w/o C" in
 Tables 2 and 5); ``use_analysis=False`` skips the points-to/data flow
@@ -39,12 +40,17 @@ from repro.cache import (
 )
 from repro.core.features import extract_features, extract_features_batch
 from repro.core.namepath import extract_name_paths
-from repro.core.prepare import PreparedFile, prepare_corpus
+from repro.core.prepare import (
+    PreparedFile,
+    PrepareSettings,
+    prepare_corpus,
+    prepare_one,
+)
 from repro.core.patterns import PatternKind, Violation
 from repro.core.reports import Report
 from repro.core.stats_index import StatsIndex
 from repro.core.transform import TransformConfig
-from repro.corpus.model import Corpus, Repository
+from repro.corpus.model import Corpus, Repository, SourceFile
 from repro.mining import PIPELINE_VERSION
 from repro.mining.confusing_pairs import ConfusingPairStore, mine_confusing_pairs
 from repro.mining.interner import PathInterner
@@ -176,7 +182,6 @@ class Namer:
         re-prepares (and re-quarantines) them identically to a cold
         run.
         """
-        cfg = self.config
         cache = self.content_cache
         if cache is None:
             return self._prepare_uncached(corpus, quarantine, workers)
@@ -228,39 +233,39 @@ class Namer:
         quarantine: Quarantine | None,
         workers: int | None,
     ) -> list[PreparedFile]:
-        cfg = self.config
         return prepare_corpus(
             corpus,
-            use_analysis=cfg.use_analysis,
-            transform_config=self._transform_config(),
-            pointsto_config=cfg.pointsto,
-            max_paths=cfg.mining.max_paths_per_statement,
-            workers=cfg.workers if workers is None else workers,
+            **self.prepare_settings()._asdict(),
+            workers=self.config.workers if workers is None else workers,
             quarantine=quarantine,
         )
 
-    def _transform_config(self) -> TransformConfig:
+    def prepare_settings(self) -> PrepareSettings:
+        """How this namer prepares a file — the one place mining, the
+        prepared-file cache salt, and :meth:`analyze` read it from, so
+        a file analyzed later lines up with the corpus the patterns
+        were mined from (including the "w/o A" ablation)."""
         cfg = self.config
-        return TransformConfig(
-            use_origins=cfg.use_analysis and cfg.transform.use_origins,
-            max_subtokens=cfg.transform.max_subtokens,
+        return PrepareSettings(
+            use_analysis=cfg.use_analysis,
+            transform_config=TransformConfig(
+                use_origins=cfg.use_analysis and cfg.transform.use_origins,
+                max_subtokens=cfg.transform.max_subtokens,
+            ),
+            pointsto_config=cfg.pointsto,
+            max_paths=cfg.mining.max_paths_per_statement,
         )
 
     def _prepare_salt(self) -> str:
-        """The prepare-relevant config fields, fingerprinted.
+        """The prepare settings, fingerprinted.
 
         Deliberately *not* ``repr(self.config)``: knobs that cannot
         change a prepared file (pattern support thresholds, worker
         count, the cache directory itself) must not invalidate
         prepared-file entries.
         """
-        cfg = self.config
         return config_fingerprint(
-            cfg.use_analysis,
-            self._transform_config(),
-            cfg.pointsto,
-            cfg.mining.max_paths_per_statement,
-            f"pipeline{PIPELINE_VERSION}",
+            *self.prepare_settings(), f"pipeline{PIPELINE_VERSION}"
         )
 
     @staticmethod
@@ -812,6 +817,44 @@ class Namer:
         """
         return self.detect_many([prepared])[0]
 
+    def analyze(
+        self,
+        sources: list[SourceFile],
+        *,
+        repo: str | list[str],
+        executor: ShardExecutor | None = None,
+    ) -> list[tuple[list[Report], ErrorRecord | None]]:
+        """The inference half of Figure 1 on raw source files: each file
+        is prepared under :meth:`prepare_settings` (the transform its
+        patterns were mined through), then every prepared file goes
+        through one :meth:`detect_many` pass on ``executor`` (serial
+        without one).  ``repo`` is one repository name for all sources
+        or one per source.
+
+        Returns one ``(reports, error)`` per source, in input order:
+        ``error`` is the file's prepare record, or the detect/featurize
+        record captured under its path when it reports nothing.
+        """
+        repos = [repo] * len(sources) if isinstance(repo, str) else repo
+        settings = self.prepare_settings()
+        outcomes = [prepare_one(s, name, settings) for s, name in zip(sources, repos)]
+        quarantine = Quarantine()
+        groups = iter(
+            self.detect_many(
+                [pf for pf, _ in outcomes if pf is not None],
+                quarantine=quarantine,
+                executor=executor,
+            )
+        )
+        detect_errors = {record.path: record for record in quarantine.records}
+        results = []
+        for prepared, error in outcomes:
+            reports = [] if prepared is None else next(groups)
+            if prepared is not None and not reports:
+                error = detect_errors.get(prepared.path)
+            results.append((reports, error))
+        return results
+
     def detect_many_rows(
         self,
         files: list[PreparedFile],
@@ -821,12 +864,9 @@ class Namer:
         executor: ShardExecutor | None = None,
     ) -> list[list[dict]]:
         """:meth:`detect_many`, serialized: one list of plain-JSON wire
-        rows per file (see :func:`repro.core.reports.reports_to_rows`).
-
-        The hook the analysis service and the repository index share —
-        both store and serve these rows, so an index answer for
-        unchanged bytes is byte-identical to a fresh analysis.
-        """
+        rows per file (see :func:`repro.core.reports.reports_to_rows`) —
+        the rows the service and the repository index serve, and the
+        bytes the golden digests pin."""
         from repro.core.reports import reports_to_rows
 
         groups = self.detect_many(

@@ -9,7 +9,8 @@ Failure contract: at corpus scale some files are always broken, so a
 per-file failure must cost exactly that file.  :func:`prepare_file`
 returns ``None`` for such files (legacy API); callers that need to know
 *why* use :func:`prepare_file_checked`, which raises a structured
-:class:`PrepareError`, or pass a
+:class:`PrepareError`, :func:`prepare_one`, which returns it as an
+:class:`~repro.resilience.quarantine.ErrorRecord`, or pass a
 :class:`~repro.resilience.quarantine.Quarantine` to
 :func:`prepare_corpus` to collect the records.
 """
@@ -17,6 +18,7 @@ returns ``None`` for such files (legacy API); callers that need to know
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.analysis.origins import compute_origins
 from repro.analysis.pointsto import PointsToConfig
@@ -37,13 +39,29 @@ from repro.resilience.faults import (
 from repro.resilience.quarantine import ErrorRecord, Quarantine
 
 __all__ = [
+    "PREPARE_STAGES",
+    "PrepareSettings",
     "PreparedStatement",
     "PreparedFile",
     "PrepareError",
     "prepare_corpus",
     "prepare_file",
     "prepare_file_checked",
+    "prepare_one",
 ]
+
+#: The :attr:`PrepareError.stage` values: the file never reached detection.
+PREPARE_STAGES = ("parse", "analyze", "transform")
+
+
+class PrepareSettings(NamedTuple):
+    """How a file is prepared (§3.1 steps 1-4, §4.1 origins on or off):
+    the parameters of :func:`prepare_file_checked`, in its order."""
+
+    use_analysis: bool = True
+    transform_config: TransformConfig = TransformConfig()
+    pointsto_config: PointsToConfig = PointsToConfig()
+    max_paths: int = 10
 
 
 @dataclass
@@ -131,17 +149,10 @@ def prepare_file(
     Returns ``None`` for unpreparable files — a large corpus always
     contains some (the paper simply skips them too).
     """
-    try:
-        return prepare_file_checked(
-            source,
-            repo=repo,
-            use_analysis=use_analysis,
-            transform_config=transform_config,
-            pointsto_config=pointsto_config,
-            max_paths=max_paths,
-        )
-    except PrepareError:
-        return None
+    settings = PrepareSettings(
+        use_analysis, transform_config, pointsto_config, max_paths
+    )
+    return prepare_one(source, repo, settings)[0]
 
 
 def prepare_corpus(
@@ -166,7 +177,9 @@ def prepare_corpus(
     if transform_config is None:
         transform_config = TransformConfig(use_origins=use_analysis)
     files = [(source, repo.name) for repo, source in corpus.files()]
-    settings = (use_analysis, transform_config, pointsto_config, max_paths)
+    settings = PrepareSettings(
+        use_analysis, transform_config, pointsto_config, max_paths
+    )
     plan_json = armed_plan_json()
     with ShardExecutor(min(workers, len(files))) as executor:
         spans = even_spans(len(files), executor.shard_hint(len(files)))
@@ -189,28 +202,16 @@ def _prepare_task(task) -> list[tuple[PreparedFile | None, ErrorRecord | None]]:
     files under the fault plan armed where the task was built."""
     files, settings, plan_json = task
     sync_armed_plan(plan_json)
-    return [_prepare_one(source, repo, *settings) for source, repo in files]
+    return [prepare_one(source, repo, settings) for source, repo in files]
 
 
-def _prepare_one(
-    source: SourceFile,
-    repo: str,
-    use_analysis: bool,
-    transform_config: TransformConfig,
-    pointsto_config: PointsToConfig,
-    max_paths: int,
+def prepare_one(
+    source: SourceFile, repo: str, settings: PrepareSettings
 ) -> tuple[PreparedFile | None, ErrorRecord | None]:
-    """One file; a failure comes back as a picklable
-    :class:`ErrorRecord` row."""
+    """One file under ``settings``; a failure comes back as a picklable
+    :class:`ErrorRecord` row (its stage one of :data:`PREPARE_STAGES`)."""
     try:
-        prepared = prepare_file_checked(
-            source,
-            repo=repo,
-            use_analysis=use_analysis,
-            transform_config=transform_config,
-            pointsto_config=pointsto_config,
-            max_paths=max_paths,
-        )
+        prepared = prepare_file_checked(source, repo, *settings)
     except PrepareError as exc:
         return None, ErrorRecord(
             path=exc.path,

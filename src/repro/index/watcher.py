@@ -10,8 +10,9 @@ files).  Each cycle:
    pair is the fast path (no read, no hash), a changed pair falls back
    to the content hash, and rows produced under a different artifact
    fingerprint (or carrying a quarantine error) are always re-analyzed;
-3. fans analysis of the stale set over ``Namer.detect_many`` (the
-   parallel batch path, one classifier pass);
+3. analyzes the stale set with ``Namer.analyze`` (prepared under the
+   artifact's own settings, then the parallel batch path, one
+   classifier pass);
 4. applies the whole delta — upserts and evictions of deleted files —
    in one atomic store transaction.
 
@@ -28,15 +29,16 @@ per-cycle delta summary.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.namer import Namer
-from repro.core.prepare import PreparedFile, PrepareError, prepare_file_checked
 from repro.core.reports import reports_to_rows
 from repro.corpus.model import SourceFile
 from repro.index.store import FileRecord, RepoIndex
 from repro.index.walker import WalkedFile, file_sha256, walk_repository
-from repro.resilience.quarantine import ErrorRecord, Quarantine
+from repro.parallel.executor import ShardExecutor
+from repro.resilience.quarantine import ErrorRecord
 
 __all__ = ["IndexDelta", "RepoIndexer", "watch_repository"]
 
@@ -180,38 +182,21 @@ class RepoIndexer:
                 continue
             sources.append((walked, sha, text))
 
-        prepared: list[PreparedFile] = []
-        prepared_meta: list[tuple[WalkedFile, str]] = []
-        for walked, sha, text in sources:
-            try:
-                pf = prepare_file_checked(
-                    SourceFile(
-                        path=walked.path, source=text, language=walked.language
-                    ),
-                    repo=self.repo_name,
-                )
-            except PrepareError as exc:
-                records[walked.path] = self._error_record(
-                    walked, sha, ErrorRecord(
-                        path=walked.path, stage=exc.stage,
-                        kind=type(exc.cause).__name__, message=str(exc.cause),
-                        repo=self.repo_name,
-                    ), now,
-                )
-                continue
-            prepared.append(pf)
-            prepared_meta.append((walked, sha))
-
-        quarantine = Quarantine()
-        row_groups = self.namer.detect_many_rows(
-            prepared,
-            quarantine=quarantine,
-            workers=self.workers,
-            executor=self.executor,
+        pool = (
+            ShardExecutor(self.workers)
+            if self.executor is None
+            else nullcontext(self.executor)
         )
-        detect_errors = {record.path: record for record in quarantine.records}
-        for (walked, sha), rows in zip(prepared_meta, row_groups):
-            error = detect_errors.get(walked.path)
+        with pool as executor:
+            outcomes = self.namer.analyze(
+                [
+                    SourceFile(path=w.path, source=text, language=w.language)
+                    for w, _, text in sources
+                ],
+                repo=self.repo_name,
+                executor=executor,
+            )
+        for (walked, sha, _), (reports, error) in zip(sources, outcomes):
             if error is not None:
                 records[walked.path] = self._error_record(
                     walked, sha, error, now
@@ -224,7 +209,7 @@ class RepoIndexer:
                 size=walked.size,
                 language=walked.language,
                 fingerprint=self.fingerprint,
-                reports=rows,
+                reports=reports_to_rows(reports),
                 analyzed_at=now,
             )
         # Preserve walk order in the returned list.

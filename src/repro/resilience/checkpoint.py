@@ -84,10 +84,12 @@ class CheckpointError(RuntimeError):
 class CheckpointStore:
     """Named stage checkpoints under one directory.
 
-    Each ``save(stage, payload)`` writes ``<dir>/<stage>.ckpt.json``
-    atomically with a SHA-256 stamp over the payload; ``load`` verifies
-    the stamp and raises :class:`CheckpointError` on any mismatch, so a
-    resume never silently continues from torn state.
+    Each ``save(stage, payload, inputs)`` writes
+    ``<dir>/<stage>.ckpt.json`` atomically with a SHA-256 stamp over the
+    payload and the ``inputs`` fingerprint of the run that produced it;
+    ``load`` verifies both and raises :class:`CheckpointError` on any
+    mismatch, so a resume never silently continues from torn state or
+    from a run over other inputs.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -96,15 +98,12 @@ class CheckpointStore:
     def path_for(self, stage: str) -> Path:
         return self.directory / f"{stage}.ckpt.json"
 
-    def save(self, stage: str, payload: dict) -> Path:
+    def save(self, stage: str, payload: dict, inputs: str = "") -> Path:
         from repro.resilience.faults import fault_check
 
         self.directory.mkdir(parents=True, exist_ok=True)
-        document = {
-            "stage": stage,
-            "checksum": document_checksum({"stage": stage, "payload": payload}),
-            "payload": payload,
-        }
+        document = {"stage": stage, "inputs": inputs, "payload": payload}
+        document["checksum"] = document_checksum(document)
         path = self.path_for(stage)
         fault_check("checkpoint.save", key=str(path))
         atomic_write_text(path, json.dumps(document))
@@ -113,9 +112,10 @@ class CheckpointStore:
     def has(self, stage: str) -> bool:
         return self.path_for(stage).exists()
 
-    def load(self, stage: str) -> dict | None:
+    def load(self, stage: str, inputs: str = "") -> dict | None:
         """The stage's payload, ``None`` if never checkpointed, or
-        :class:`CheckpointError` if present but corrupt."""
+        :class:`CheckpointError` if present but corrupt or written for
+        other ``inputs``."""
         path = self.path_for(stage)
         try:
             text = path.read_text()
@@ -129,10 +129,10 @@ class CheckpointStore:
             raise CheckpointError(f"checkpoint {path} is not valid JSON") from exc
         if not isinstance(document, dict) or "payload" not in document:
             raise CheckpointError(f"checkpoint {path} is malformed")
+        if document.get("inputs") != inputs:
+            raise CheckpointError(f"checkpoint {path} was written for other inputs")
         expected = document.get("checksum")
-        actual = document_checksum(
-            {"stage": document.get("stage"), "payload": document["payload"]}
-        )
+        actual = document_checksum(document)
         if expected != actual:
             raise CheckpointError(
                 f"checkpoint {path} failed its SHA-256 verification "

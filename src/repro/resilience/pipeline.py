@@ -20,10 +20,11 @@ produces an artifact **byte-identical** to an uninterrupted run
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
+from repro.cache import config_fingerprint
 from repro.core.namer import MiningSummary, Namer, NamerConfig
 from repro.core.persistence import (
     namer_from_document,
@@ -31,7 +32,7 @@ from repro.core.persistence import (
     save_document,
 )
 from repro.corpus.model import Corpus
-from repro.resilience.checkpoint import CheckpointError, CheckpointStore
+from repro.resilience.checkpoint import CheckpointError, CheckpointStore, sha256_of
 from repro.resilience.faults import fault_check
 
 __all__ = ["MinePipelineResult", "run_mine_pipeline"]
@@ -53,6 +54,7 @@ class MinePipelineResult:
 def run_mine_pipeline(
     *,
     corpus_factory: Callable[[], Corpus],
+    corpus_settings: object,
     namer_config: NamerConfig,
     out: str | Path,
     checkpoint_dir: str | Path | None = None,
@@ -70,10 +72,20 @@ def run_mine_pipeline(
     ``train`` checkpoint never rebuilds the corpus at all; one that
     finds only ``mine`` rebuilds it just to re-prepare files for
     classifier training (pattern mining itself is skipped).
+    Checkpoints are stamped with a fingerprint of the run's inputs
+    (``corpus_settings`` — a ``repr``-stable description of what the
+    factory builds — the output-relevant ``namer_config``, ``train``,
+    ``training_size``, ``seed``); a resume ignores any stamped for
+    other inputs.
     """
     out = str(out)
     store = CheckpointStore(checkpoint_dir or f"{out}.ckpt")
     result = MinePipelineResult(out=out)
+    # Worker count and cache directory never change the output.
+    output_config = replace(namer_config, workers=1, cache_dir=None)
+    inputs = sha256_of(
+        config_fingerprint(corpus_settings, output_config, train, training_size, seed)
+    )
 
     corpus: Corpus | None = None
 
@@ -87,7 +99,7 @@ def run_mine_pipeline(
         if not resume:
             return None
         try:
-            return store.load(stage)
+            return store.load(stage, inputs)
         except CheckpointError as exc:
             log(f"ignoring unusable checkpoint: {exc}")
             return None
@@ -107,7 +119,7 @@ def run_mine_pipeline(
             namer = Namer(namer_config)
             result.summary = namer.mine(get_corpus())
             result.quarantined_files = result.summary.quarantined_files
-            store.save("mine", namer_to_document(namer))
+            store.save("mine", namer_to_document(namer), inputs)
             log(
                 f"mined {result.summary.num_patterns} patterns "
                 f"({result.summary.num_confusing_pairs} confusing pairs) "
@@ -140,7 +152,7 @@ def run_mine_pipeline(
                 log(f"trained classifier on {len(training)} labeled violations")
 
         final_document = namer_to_document(namer)
-        store.save("train", final_document)
+        store.save("train", final_document, inputs)
         fault_check("pipeline.after_train", key=out)
 
     save_document(final_document, out)

@@ -5,15 +5,16 @@ here as a long-lived object: the expensive artifacts are loaded exactly
 once, then every analysis request pays only inference — and unchanged
 sources pay only a cache lookup.  Layering (bottom-up):
 
-``Namer.detect_many``  — batch inference, one classifier pass
+``Namer.analyze``      — prepare under the artifact's own settings,
+                         then batch inference, one classifier pass
 :class:`ResultCache`   — content-hash LRU over finished results
 :class:`RequestQueue`  — bounded worker pool with backpressure
 :class:`AnalysisEngine`— ties the three together; the HTTP server and
                          the in-process client both talk to this.
 
-Batches fan per-file preparation (parse, points-to, transform) out over
-the worker pool, then classify all uncached files in a single
-``detect_many`` call.
+A request (one file or a batch) answers its cache hits on the calling
+thread and sends all of its misses to the queue as one job, which
+prepares them and classifies them in a single ``detect_many`` pass.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.cache import ContentCache
 from repro.core.namer import Namer
@@ -36,10 +37,11 @@ from repro.core.persistence import (
     artifact_checksum,
     load_namer,
 )
-from repro.core.prepare import PreparedFile, PrepareError, prepare_file_checked
+# Kept importable here: namerbench's layer table names this binding.
+from repro.core.prepare import prepare_file_checked  # noqa: F401
 from repro.corpus.model import SourceFile
 from repro.resilience.faults import InjectedFault, fault_check
-from repro.resilience.quarantine import ErrorRecord, Quarantine
+from repro.resilience.quarantine import ErrorRecord
 from repro.service.cache import ResultCache, content_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import QueueFullError, RequestQueue
@@ -289,160 +291,98 @@ class AnalysisEngine:
     def analyze(
         self, request: AnalysisRequest, timeout: float | None = None
     ) -> AnalysisResult:
-        """Analyze one file through the queue (cache-aware).
+        """Analyze one file (cache-aware).
 
         Raises :class:`QueueFullError` under backpressure and
         :class:`RequestTimeout` past the deadline; both are counted.
         """
-        self._require_ready()
-        started = time.perf_counter()
-        try:
-            ticket = self.queue.submit(lambda: self._analyze_uncounted(request))
-        except QueueFullError:
-            self.metrics.record_rejected()
-            raise
-        try:
-            result = ticket.result(timeout or self.request_timeout)
-        except TimeoutError:
-            self.metrics.record_timeout()
-            raise
-        self._count(result, time.perf_counter() - started)
-        return result
+        return self._serve([request], timeout)[0]
 
     def analyze_many(
         self, requests: list[AnalysisRequest], timeout: float | None = None
     ) -> list[AnalysisResult]:
-        """Analyze a batch: cache hits answered inline, misses prepared
-        in parallel on the worker pool, then classified in one shared
-        ``detect_many`` pass."""
-        namer = self._require_ready()
-        started = time.perf_counter()
-        generation = self._generation
-        results: list[AnalysisResult | None] = [None] * len(requests)
-        misses: list[int] = []
-        for i, request in enumerate(requests):
-            hit = self.cache.get(request.cache_key())
-            if hit is not None:
-                results[i] = AnalysisResult(
-                    path=request.path, reports=hit.reports, cached=True,
-                    error=hit.error, degraded=self.degraded,
-                    cache_level="memory",
-                )
-                continue
-            disk = self._disk_get(request)
-            if disk is not None:
-                results[i] = disk
-                continue
-            misses.append(i)
-
-        # Fan preparation out over the pool; under backpressure fall
-        # back to preparing inline rather than failing the batch.
-        tickets: dict[int, object] = {}
-        for i in misses:
-            try:
-                tickets[i] = self.queue.submit(
-                    lambda req=requests[i]: self._prepare(req)
-                )
-            except QueueFullError:
-                pass
-        prepared: dict[int, PreparedFile | ErrorRecord] = {}
-        deadline = timeout or self.request_timeout
-        for i in misses:
-            ticket = tickets.get(i)
-            if ticket is not None:
-                prepared[i] = ticket.result(deadline)
-            else:
-                prepared[i] = self._prepare(requests[i])
-
-        analyzable = [i for i in misses if isinstance(prepared[i], PreparedFile)]
-        quarantine = Quarantine()
-        report_groups = namer.detect_many(
-            [prepared[i] for i in analyzable],
-            quarantine=quarantine,
-            executor=self._detect_executor,
-        )
-        detect_errors = {record.path: record for record in quarantine.records}
-        for i, reports in zip(analyzable, report_groups):
-            record = None
-            if not reports:
-                record = detect_errors.get(requests[i].path)
-            results[i] = self._finish(
-                requests[i],
-                [r.to_json() for r in reports],
-                record.brief() if record is not None else None,
-                generation,
-            )
-        for i in misses:
-            if not isinstance(prepared[i], PreparedFile):
-                record = prepared[i]
-                quarantine.add(record)
-                results[i] = self._finish(
-                    requests[i], [], record.brief(), generation
-                )
-        if len(quarantine):
-            self.metrics.record_quarantined(len(quarantine))
-        final = [r for r in results if r is not None]
-        self._count_batch(final, time.perf_counter() - started)
-        return final
+        """Analyze a batch: cache hits answered inline, every miss
+        analyzed by one queue job through one shared ``detect_many``
+        pass.  Raises like :meth:`analyze`."""
+        return self._serve(requests, timeout)
 
     # ------------------------------------------------------------------
 
-    def _prepare(self, request: AnalysisRequest) -> PreparedFile | ErrorRecord:
-        """Parse/analyze/transform one request; failures come back as
-        structured records (quarantine), never as exceptions."""
-        source = SourceFile(
-            path=request.path,
-            source=request.source,
-            language=request.resolved_language,
-        )
-        try:
-            fault_check("engine.prepare", key=request.path)
-            return prepare_file_checked(source, repo=request.repo or "service")
-        except PrepareError as exc:
-            if exc.stage == "parse":
-                # Preserve the long-standing wire message for the
-                # overwhelmingly common case.
-                message = f"unparsable {request.resolved_language} source"
-            else:
-                message = str(exc.cause)
-            return ErrorRecord(
-                path=request.path, stage=exc.stage,
-                kind=type(exc.cause).__name__, message=message,
-                repo=request.repo,
-            )
-        except InjectedFault as exc:
-            return ErrorRecord.capture(
-                request.path, "prepare", exc, repo=request.repo
-            )
+    def _serve(
+        self, requests: list[AnalysisRequest], timeout: float | None
+    ) -> list[AnalysisResult]:
+        """Hits are answered on the calling thread; the misses go to the
+        queue as **one** job (:meth:`_analyze_misses`)."""
+        self._require_ready()
+        started = time.perf_counter()
+        results = [self._cache_hit(request) for request in requests]
+        misses = [i for i, result in enumerate(results) if result is None]
+        if misses:
+            try:
+                ticket = self.queue.submit(
+                    lambda: self._analyze_misses([requests[i] for i in misses])
+                )
+            except QueueFullError:
+                self.metrics.record_rejected()
+                raise
+            try:
+                fresh = ticket.result(timeout or self.request_timeout)
+            except TimeoutError:
+                self.metrics.record_timeout()
+                raise
+            for i, result in zip(misses, fresh):
+                results[i] = result
+        self._count_batch(results, time.perf_counter() - started)
+        return results
 
-    def _analyze_uncounted(self, request: AnalysisRequest) -> AnalysisResult:
-        """Cache-aware single-file analysis (runs on a worker thread);
-        metrics are recorded by the caller, who sees queue wait too."""
-        key = request.cache_key()
-        hit = self.cache.get(key)
-        if hit is not None:
-            return AnalysisResult(
-                path=request.path, reports=hit.reports, cached=True,
-                error=hit.error, degraded=self.degraded,
-                cache_level="memory",
+    def _analyze_misses(
+        self, requests: list[AnalysisRequest]
+    ) -> list[AnalysisResult]:
+        """The queue job: :meth:`Namer.analyze` over every miss, on the
+        artifact loaded when the job starts.  Failures come back as
+        error results (quarantine), never as exceptions."""
+        with self._reload_lock:
+            generation = self._generation
+            namer = self._namer
+            executor = self._detect_executor
+        faulted: dict[int, tuple] = {}
+        sources, repos = [], []
+        for i, r in enumerate(requests):
+            try:
+                fault_check("engine.prepare", key=r.path)
+            except InjectedFault as exc:
+                record = ErrorRecord.capture(r.path, "prepare", exc, repo=r.repo)
+                faulted[i] = ([], record)
+                continue
+            sources.append(
+                SourceFile(path=r.path, source=r.source, language=r.resolved_language)
             )
-        disk = self._disk_get(request)
-        if disk is not None:
-            return disk
-        generation = self._generation
-        namer = self._namer
-        prepared = self._prepare(request)
-        if not isinstance(prepared, PreparedFile):
-            self.metrics.record_quarantined()
-            return self._finish(request, [], prepared.brief(), generation)
-        quarantine = Quarantine()
-        reports = namer.detect_many([prepared], quarantine=quarantine)[0]
-        if quarantine.records:
-            self.metrics.record_quarantined(len(quarantine))
-            return self._finish(
-                request, [], quarantine.records[0].brief(), generation
+            repos.append(r.repo or "service")
+        analyzed = iter(namer.analyze(sources, repo=repos, executor=executor))
+        results = []
+        quarantined = 0
+        for i, request in enumerate(requests):
+            reports, error = faulted.get(i) or next(analyzed)
+            if error is not None:
+                quarantined += 1
+                if error.stage == "parse":
+                    # Preserve the long-standing wire message for the
+                    # overwhelmingly common case.
+                    error = replace(
+                        error,
+                        message=f"unparsable {request.resolved_language} source",
+                    )
+            results.append(
+                self._finish(
+                    request,
+                    [report.to_json() for report in reports],
+                    error.brief() if error is not None else None,
+                    generation,
+                )
             )
-        return self._finish(request, [r.to_json() for r in reports], None, generation)
+        if quarantined:
+            self.metrics.record_quarantined(quarantined)
+        return results
 
     def _finish(
         self,
@@ -482,14 +422,22 @@ class AnalysisEngine:
             fp, f"pipeline{PIPELINE_VERSION}|{request.cache_key()}"
         )
 
-    def _disk_get(self, request: AnalysisRequest) -> AnalysisResult | None:
-        """Serve one request from the persistent content cache.
+    def _cache_hit(self, request: AnalysisRequest) -> AnalysisResult | None:
+        """Serve one request from the in-memory LRU, else from the
+        persistent content cache.
 
-        Keys include the loaded artifact's content fingerprint, so
+        Disk keys include the loaded artifact's content fingerprint, so
         entries written under a different artifact (or schema) can
         never answer — no invalidation protocol, just different keys.
-        A hit also warms the in-memory LRU.
+        A disk hit also warms the in-memory LRU.
         """
+        hit = self.cache.get(request.cache_key())
+        if hit is not None:
+            return AnalysisResult(
+                path=request.path, reports=hit.reports, cached=True,
+                error=hit.error, degraded=self.degraded,
+                cache_level="memory",
+            )
         cache = self.content_cache
         fp = self._artifact_fp
         if cache is None or fp is None:
@@ -599,14 +547,6 @@ class AnalysisEngine:
         delta = indexer.refresh()
         self.metrics.record_index_refresh()
         return delta.to_json()
-
-    def _count(self, result: AnalysisResult, seconds: float) -> None:
-        result.elapsed_ms = seconds * 1000
-        self.metrics.record_request(
-            files=1, violations=len(result.reports), seconds=seconds
-        )
-        if result.error is not None:
-            self.metrics.record_error()
 
     def _count_batch(self, results: list[AnalysisResult], seconds: float) -> None:
         for result in results:

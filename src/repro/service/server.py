@@ -317,6 +317,14 @@ class DrainingListener(ThreadingHTTPServer):
         self._conn_lock = threading.Lock()
         self._parked: dict[int, socket.socket] = {}
         self._draining = False
+        self._serving = False
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        with self._conn_lock:
+            if self._draining:  # stopped before it ever served
+                return
+            self._serving = True
+        super().serve_forever(poll_interval)
 
     def connection_idle(self, handler) -> bool:
         """A handler is about to block for its connection's next
@@ -336,6 +344,7 @@ class DrainingListener(ThreadingHTTPServer):
     def shutdown(self) -> None:
         with self._conn_lock:
             self._draining = True
+            serving = self._serving
             parked = list(self._parked.values())
             self._parked.clear()
         for conn in parked:
@@ -343,7 +352,8 @@ class DrainingListener(ThreadingHTTPServer):
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        super().shutdown()
+        if serving:  # the stdlib waits for a serve loop to acknowledge
+            super().shutdown()
 
 
 class AnalysisServer:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -280,14 +281,11 @@ class TestCheckpointStore:
 # ----------------------------------------------------------------------
 
 
-def _corpus_factory():
-    return generate_python_corpus(
-        GeneratorConfig(num_repos=8, issue_rate=0.15, seed=42)
-    )
-
+_CORPUS = GeneratorConfig(num_repos=8, issue_rate=0.15, seed=42)
 
 _PIPELINE_KWARGS = dict(
-    corpus_factory=_corpus_factory,
+    corpus_factory=lambda: generate_python_corpus(_CORPUS),
+    corpus_settings=("python", _CORPUS),
     namer_config=NamerConfig(mining=SMALL_MINING),
     training_size=80,
     seed=5,
@@ -360,6 +358,35 @@ class TestCheckpointResume:
         )
         assert result.resumed_stages == ["mine"]
         assert any("unusable checkpoint" in m for m in messages)
+        assert out.read_bytes() == baseline_artifact
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"corpus_settings": ("python", replace(_CORPUS, num_repos=4))},
+            {"seed": 6},
+        ],
+        ids=["corpus", "seed"],
+    )
+    def test_resume_ignores_checkpoints_of_other_inputs(
+        self, tmp_path, baseline_artifact, changed
+    ):
+        # Checkpoints left by a run over other inputs (a smaller corpus,
+        # another training seed) must never finish this run.
+        out = tmp_path / "namer.json"
+        earlier = {**_PIPELINE_KWARGS, **changed}
+        if "corpus_settings" in changed:
+            small = changed["corpus_settings"][1]
+            earlier["corpus_factory"] = lambda: generate_python_corpus(small)
+        run_mine_pipeline(out=out, keep_checkpoints=True, **earlier)
+        assert out.read_bytes() != baseline_artifact
+
+        messages = []
+        result = run_mine_pipeline(
+            out=out, resume=True, log=messages.append, **_PIPELINE_KWARGS
+        )
+        assert result.resumed_stages == []
+        assert any("ignoring unusable checkpoint" in m for m in messages)
         assert out.read_bytes() == baseline_artifact
 
     def test_resume_without_checkpoints_runs_fresh(self, tmp_path, baseline_artifact):

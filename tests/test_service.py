@@ -438,6 +438,17 @@ class TestHttpService:
         client.analyze_files(entries)
         assert "memory=1" in client.last_headers["X-Repro-Cache"]
 
+    def test_stop_returns_when_never_served(self, fitted_namer):
+        # An interrupt between the bind and serve_forever reaches
+        # stop() on a listener whose serve loop never ran.
+        server = AnalysisServer(AnalysisEngine(namer=fitted_namer), port=0)
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive(), "stop() hung on a never-served listener"
+        # A stopped listener never starts serving afterwards.
+        server.serve_forever()
+
 
 # ----------------------------------------------------------------------
 # Wire latency: one write per reply, TCP_NODELAY
