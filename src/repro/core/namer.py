@@ -24,6 +24,7 @@ decoration ("w/o A").
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -61,7 +62,7 @@ from repro.ml.pipeline import ClassifierPipeline
 from repro.lang import parse_source
 from repro.parallel.executor import ShardExecutor, resolve_context, resolve_shard
 from repro.parallel.merge import merge_timed_shards
-from repro.parallel.profiler import PhaseProfiler
+from repro.parallel.profiler import GcTimer, PhaseProfiler
 from repro.parallel.sharding import even_spans, pack_spans, spans_by_group
 from repro.resilience.faults import armed_plan_json, fault_check, sync_armed_plan
 from repro.resilience.quarantine import ErrorRecord, Quarantine
@@ -127,6 +128,11 @@ class MiningSummary:
     #: content-addressed cache (empty without ``config.cache_dir``);
     #: surfaced alongside the phase timings
     cache_stats: dict = field(default_factory=dict)
+    #: the cyclic collector's passes during mine() and train():
+    #: ``collections`` and ``seconds`` per generation (see
+    #: :class:`~repro.parallel.profiler.GcTimer`); never persisted,
+    #: like the phase timings, and logged by ``repro mine``
+    gc: dict = field(default_factory=dict)
 
 
 class Namer:
@@ -142,6 +148,8 @@ class Namer:
         self.summary = MiningSummary()
         #: phase timings of the most recent mine()/train() run
         self.profiler = PhaseProfiler()
+        #: cycle-collector passes of the most recent mine()/train() run
+        self.gc_timer = GcTimer()
         #: accumulated detection-side phase timings (match / featurize /
         #: classify) across every detect()/detect_many() call
         self.detect_profiler = PhaseProfiler()
@@ -292,8 +300,20 @@ class Namer:
         deterministic per-repo shard plan; the mined patterns, supports,
         and order are bit-identical to a serial run.  Every phase is
         timed by a :class:`~repro.parallel.profiler.PhaseProfiler` whose
-        rows land on ``MiningSummary.phase_timings``.
+        rows land on ``MiningSummary.phase_timings``; the cycle
+        collector's passes land on ``MiningSummary.gc``.
+
+        Once prepared, the corpus is moved out of the collector's reach
+        with :func:`gc.freeze` (see "Heap and garbage collection" in
+        DESIGN.md).
         """
+        self.gc_timer = GcTimer()
+        with self.gc_timer:
+            self._mine(corpus)
+        self.summary.gc = self.gc_timer.to_json()
+        return self.summary
+
+    def _mine(self, corpus: Corpus) -> None:
         cfg = self.config
         cache = self.content_cache
         self.quarantine = Quarantine()
@@ -330,6 +350,12 @@ class Namer:
         total_files = sum(1 for _ in corpus.files())
         with profiler.phase("prepare", items=total_files):
             self.prepared = self.prepare(corpus, quarantine=self.quarantine)
+        # The prepared corpus lives as long as the namer and every later
+        # phase only adds to the heap; each full collection would rescan
+        # it.  It holds no reference cycles, so refcounting alone frees
+        # it with the namer, frozen or not.  No collection first: the
+        # walk leaves little cyclic garbage to pin.
+        gc.freeze()
         statements = [ps.stmt for pf in self.prepared for ps in pf.statements]
         # The prepared corpus already holds every statement's extracted
         # paths; handing them to the miner spares it (and every shard
@@ -428,7 +454,6 @@ class Namer:
         self.summary.phase_timings = profiler.to_json()
         if cache is not None:
             self.summary.cache_stats = cache.stats_json()
-        return self.summary
 
     def _mine_stats(
         self, spans, shard_keys: list[str] | None, id_lists
@@ -564,7 +589,7 @@ class Namer:
         ``labels`` are 1 for a true naming issue, 0 for a false
         positive; the paper labels 120 violations per language.
         """
-        with self.profiler.phase("train", items=len(violations)):
+        with self.profiler.phase("train", items=len(violations)), self.gc_timer:
             X = np.vstack(
                 extract_features_batch(
                     violations,
@@ -580,6 +605,7 @@ class Namer:
             )
             self.classifier.fit(X, y)
         self.summary.phase_timings = self.profiler.to_json()
+        self.summary.gc = self.gc_timer.to_json()
 
     # ------------------------------------------------------------------
     # Inference

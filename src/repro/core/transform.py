@@ -26,7 +26,7 @@ parsed tree and builds the transformed tree only on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.namepath import NamePath, PathStep
@@ -50,6 +50,9 @@ _CALLABLE_KINDS = {"Call", "FunctionDef", "MethodDecl", "MethodCall", "New"}
 
 #: The prefix step from a literal's ``NumST(1)`` node to its token.
 _LITERAL_STEP = PathStep("NumST(1)", 0)
+
+#: Builds named tuples without their generated ``__new__`` frame.
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -153,43 +156,49 @@ def transform_statement(
         config: Transformation options.
     """
     env = origins if (config.use_origins and origins is not None) else {}
-    paths, originals, key, used = _walk(stmt.root, env, config.max_subtokens)
-    return AstPlusStatement(stmt, paths, originals, key, used, config)
+    walk = _Walk(env, config.max_subtokens)
+    key = walk.visit(stmt.root, None)
+    return AstPlusStatement(stmt, walk.paths, walk.originals, key, walk.used, config)
 
 
-def _walk(
-    root: Node, env: Mapping[str, str], max_subtokens: int
-) -> tuple[list[NamePath], list[str | None], str, dict[str, str]]:
-    """Apply the four steps to ``root`` without building the new tree.
+class _Walk:
+    """Applies the four steps to a parsed tree without building the new
+    tree, mirroring :meth:`_Transformer.rewrite` step for step.
 
-    Returns every name path of the transformed tree in the order
-    :func:`~repro.core.namepath.extract_name_paths` finds them, each
-    path's original identifier, the transformed tree's structural key,
-    and the origins looked up.  Mirrors :meth:`_Transformer.rewrite`
-    step for step.
+    :meth:`visit` returns the transformed tree's structural key and
+    leaves on the walk every name path in the order
+    :func:`~repro.core.namepath.extract_name_paths` finds them
+    (``paths``), each path's original identifier (``originals``) and
+    the origins looked up (``used``).
+
+    Plain methods over explicit state, never nested functions: a
+    recursive closure refers to itself through its cell, and that cycle
+    would keep every path of the statement alive until the cycle
+    collector ran (``tests/test_heap.py`` pins the walk as acyclic).
     """
-    # Named tuples built without their generated ``__new__`` frame.
-    new = tuple.__new__
-    paths: list[NamePath] = []
-    originals: list[str | None] = []
-    used: dict[str, str] = {}
-    prefix: list[PathStep] = []
-    push = prefix.append
-    pop = prefix.pop
-    emit_path = paths.append
-    emit_original = originals.append
 
-    def leaf(end: str, original: str | None) -> None:
-        emit_path(new(NamePath, (tuple(prefix), end)))
-        emit_original(original)
+    __slots__ = ("env", "max_subtokens", "prefix", "paths", "originals", "used")
 
-    def identifier(n: Node, receiver: str | None) -> str:
+    def __init__(self, env: Mapping[str, str], max_subtokens: int) -> None:
+        self.env = env
+        self.max_subtokens = max_subtokens
+        self.prefix: list[PathStep] = []
+        self.paths: list[NamePath] = []
+        self.originals: list[str | None] = []
+        self.used: dict[str, str] = {}
+
+    def leaf(self, end: str, original: str | None) -> None:
+        self.paths.append(_new(NamePath, (tuple(self.prefix), end)))
+        self.originals.append(original)
+
+    def identifier(self, n: Node, receiver: str | None) -> str:
         name = n.value
         subtokens = split_identifier(name)
-        if len(subtokens) > max_subtokens:
+        if len(subtokens) > self.max_subtokens:
             subtokens = [name]
         numst = f"NumST({len(subtokens)})"
         origin = None
+        env = self.env
         if env:
             role = n.meta.get("role", "object")
             if role == "func":
@@ -201,46 +210,48 @@ def _walk(
             if lookup is not None:
                 origin = env.get(lookup)
                 if origin is not None:
-                    used[lookup] = origin
+                    self.used[lookup] = origin
+        prefix = self.prefix
         if origin is None:
             for index, sub in enumerate(subtokens):
-                push(new(PathStep, (numst, index)))
-                leaf(sub, name)
-                pop()
+                prefix.append(_new(PathStep, (numst, index)))
+                self.leaf(sub, name)
+                prefix.pop()
             return f"{numst}({','.join(subtokens)})"
-        origin_step = new(PathStep, (origin, 0))
+        origin_step = _new(PathStep, (origin, 0))
         parts = []
         for index, sub in enumerate(subtokens):
-            push(new(PathStep, (numst, index)))
-            push(origin_step)
-            leaf(sub, name)
-            pop()
-            pop()
+            prefix.append(_new(PathStep, (numst, index)))
+            prefix.append(origin_step)
+            self.leaf(sub, name)
+            prefix.pop()
+            prefix.pop()
             parts.append(f"{origin}({sub})")
         return f"{numst}({','.join(parts)})"
 
-    def visit(n: Node, receiver: str | None) -> str:
+    def visit(self, n: Node, receiver: str | None) -> str:
         kind = n.kind
         value = n.value
+        prefix = self.prefix
         token = _LITERAL_TOKENS.get(kind)
         if token is not None:
-            push(new(PathStep, (value, 0)))
-            push(_LITERAL_STEP)
-            leaf(token, None)
-            pop()
-            pop()
+            prefix.append(_new(PathStep, (value, 0)))
+            prefix.append(_LITERAL_STEP)
+            self.leaf(token, None)
+            prefix.pop()
+            prefix.pop()
             return f"{value}(NumST(1)({token}))"
         children = n.children
         if not children:
             if kind == "Ident":
-                return identifier(n, receiver)
-            leaf(value, None)
+                return self.identifier(n, receiver)
+            self.leaf(value, None)
             return value
 
         wrapped = kind in _CALLABLE_KINDS
         if wrapped:
             numargs = f"NumArgs({_argument_count(n)})"
-            push(new(PathStep, (numargs, 0)))
+            prefix.append(_new(PathStep, (numargs, 0)))
         parts = []
         if kind == "Call" or kind == "MethodCall":
             # Only the callee subtree of a call sees the receiver (the
@@ -249,27 +260,26 @@ def _walk(
             callee = children[0]
             callee_receiver = _receiver_name(n) if kind == "Call" else receiver
             for index, child in enumerate(children):
-                push(new(PathStep, (value, index)))
-                parts.append(visit(child, callee_receiver if child is callee else None))
-                pop()
+                prefix.append(_new(PathStep, (value, index)))
+                parts.append(
+                    self.visit(child, callee_receiver if child is callee else None)
+                )
+                prefix.pop()
         else:
             for index, child in enumerate(children):
-                push(new(PathStep, (value, index)))
-                parts.append(visit(child, receiver))
-                pop()
+                prefix.append(_new(PathStep, (value, index)))
+                parts.append(self.visit(child, receiver))
+                prefix.pop()
         key = f"{value}({','.join(parts)})"
         if wrapped:
-            pop()
+            prefix.pop()
             return f"{numargs}({key})"
         return key
-
-    key = visit(root, None)
-    return paths, originals, key, used
 
 
 @dataclass
 class _Transformer:
-    """Builds the transformed tree that :func:`_walk` only describes.
+    """Builds the transformed tree that :class:`_Walk` only describes.
 
     Read by :attr:`AstPlusStatement.root` (the Figure 2 example and the
     walk's differential tests); no production path builds it.
@@ -277,7 +287,6 @@ class _Transformer:
 
     env: Mapping[str, str]
     config: TransformConfig
-    _warned: set[str] = field(default_factory=set)
 
     def rewrite(self, n: Node, receiver: str | None) -> Node:
         """Recursively rebuild ``n`` applying all four steps."""

@@ -46,6 +46,25 @@ _MODIFIERS = frozenset(
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
 
 
+#: Binary operators by precedence, loosest first; all are
+#: left-associative.
+_BINARY_LEVELS = [
+    ("||",),
+    ("&&",),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", ">", "<=", ">=", "instanceof"),
+    ("<<", ">>", ">>>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+]
+
+#: Each binary operator's level in :data:`_BINARY_LEVELS`.
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
+
 class JavaParseError(ValueError):
     """Raised when the parser cannot make progress."""
 
@@ -779,14 +798,17 @@ class JavaParser:
     # Expressions (precedence climbing)
     # ------------------------------------------------------------------
 
-    def _expression(self) -> Node:
-        return self._assignment()
+    # Each nested call costs one frame per method on the chain
+    # _expression -> _ternary -> _binary -> _unary -> _call (parentheses
+    # go through _primary instead of _call), and the recursion limit
+    # bounds the nesting depth; so the chain is kept short, with every
+    # binary precedence level one loop in _binary, not one frame each.
 
-    def _assignment(self) -> Node:
+    def _expression(self) -> Node:
         left = self._ternary()
         if self.cur.kind is TokenKind.OPERATOR and self.cur.text in _ASSIGN_OPS:
             op = self.advance().text
-            right = self._assignment()
+            right = self._expression()
             target = _to_store(left)
             if op == "=":
                 return node("Assign", target, right)
@@ -794,7 +816,16 @@ class JavaParser:
         return left
 
     def _ternary(self) -> Node:
-        cond = self._lambda_or_binary()
+        # Single-identifier lambda: x -> expr
+        if self.cur.kind is TokenKind.IDENT and self.peek().is_op("->"):
+            param = self.advance().text
+            self.advance()
+            body = self._lambda_body()
+            cond = node(
+                "Lambda", node("Params", node("Param", self._ident(param, role="param"))), body
+            )
+        else:
+            cond = self._binary(0)
         if self.cur.is_op("?"):
             self.advance()
             then = self._expression()
@@ -803,41 +834,31 @@ class JavaParser:
             return node("IfExp", cond, then, other)
         return cond
 
-    def _lambda_or_binary(self) -> Node:
-        # Single-identifier lambda: x -> expr
-        if self.cur.kind is TokenKind.IDENT and self.peek().is_op("->"):
-            param = self.advance().text
-            self.advance()
-            body = self._lambda_body()
-            return node("Lambda", node("Params", node("Param", self._ident(param, role="param"))), body)
-        return self._binary(0)
-
     def _lambda_body(self) -> Node:
         if self.cur.is_sep("{"):
             return self._block()
         return self._expression()
 
-    _BINARY_LEVELS = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">=", "instanceof"),
-        ("<<", ">>", ">>>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
+    def _binary(self, min_level: int) -> Node:
+        """Precedence climbing over :data:`_BINARY_LEVELS`: the operators
+        at ``min_level`` or tighter, all left-associative.
 
-    def _binary(self, level: int) -> Node:
-        if level >= len(self._BINARY_LEVELS):
-            return self._unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self._binary(level + 1)
+        Levels along the left spine never rise: a right operand takes
+        every tighter operator after it, and a tighter operator after
+        ``instanceof``'s type is left to the caller, as one recursive
+        method per level would."""
+        left = self._unary()
+        max_level = len(_BINARY_LEVELS)
         while True:
             tok = self.cur
-            if "instanceof" in ops and tok.is_kw("instanceof"):
+            if tok.kind is TokenKind.OPERATOR or tok.is_kw("instanceof"):
+                level = _BINARY_LEVEL.get(tok.text, -1)
+            else:
+                return left
+            if not min_level <= level <= max_level:
+                return left
+            max_level = level
+            if tok.kind is TokenKind.KEYWORD:
                 self.advance()
                 type_name = self._type_name()
                 if self.cur.kind is TokenKind.IDENT:  # pattern variable
@@ -846,16 +867,15 @@ class JavaParser:
                     "InstanceOf", left, node("NameLoad", self._ident(type_name, role="type"))
                 )
                 continue
-            if tok.kind is TokenKind.OPERATOR and tok.text in ops:
-                # '<' or '>' might be generics in odd spots; expressions
-                # never contain bare generics here, safe to treat as ops.
-                op = self.advance().text
-                right = self._binary(level + 1)
-                left = node("BinOp", left, right, value=f"BinOp{_op_name(op)}")
-                continue
-            return left
+            # '<' or '>' might be generics in odd spots; expressions
+            # never contain bare generics here, safe to treat as ops.
+            op = self.advance().text
+            right = self._binary(level + 1)
+            left = node("BinOp", left, right, value=f"BinOp{_op_name(op)}")
 
     def _unary(self) -> Node:
+        """Prefix operators and casts, then a primary and its postfix
+        chain (member access, calls, method references, indexing)."""
         tok = self.cur
         if tok.is_op("+", "-", "!", "~"):
             op = self.advance().text
@@ -870,35 +890,13 @@ class JavaParser:
             return node(
                 "Cast", node("DeclType", self._ident(cast_type, role="type")), self._unary()
             )
-        return self._postfix()
-
-    def _looks_like_cast(self) -> bool:
-        saved = self.pos
-        try:
-            self.advance()  # '('
-            if self.cur.kind is TokenKind.KEYWORD and self.cur.text in _PRIMITIVES:
-                self._type_name()
-                return self.cur.is_sep(")")
-            if self.cur.kind is not TokenKind.IDENT:
-                return False
-            self._type_name()
-            if not self.cur.is_sep(")"):
-                return False
-            nxt = self.peek()
-            return (
-                nxt.kind in (TokenKind.IDENT, TokenKind.INT, TokenKind.FLOAT,
-                             TokenKind.STRING, TokenKind.CHAR)
-                or nxt.is_kw("this", "new", "true", "false", "null", "super")
-                or nxt.is_sep("(")
-                or nxt.is_op("!", "~")
-            )
-        except JavaParseError:
-            return False
-        finally:
-            self.pos = saved
-
-    def _postfix(self) -> Node:
-        expr = self._primary()
+        if tok.kind is TokenKind.IDENT and self.peek().is_sep("("):
+            # A call by plain name, parsed here rather than in _primary
+            # so that nested calls cost one frame less.
+            self.advance()
+            expr = self._call(node("NameLoad", self._ident(tok.text, role="func")))
+        else:
+            expr = self._primary()
         while True:
             if self.cur.is_sep("."):
                 # method reference or member access
@@ -940,6 +938,31 @@ class JavaParser:
                 expr = node("PostIncDec", expr, value=f"PostIncDec{op}")
                 continue
             return expr
+
+    def _looks_like_cast(self) -> bool:
+        saved = self.pos
+        try:
+            self.advance()  # '('
+            if self.cur.kind is TokenKind.KEYWORD and self.cur.text in _PRIMITIVES:
+                self._type_name()
+                return self.cur.is_sep(")")
+            if self.cur.kind is not TokenKind.IDENT:
+                return False
+            self._type_name()
+            if not self.cur.is_sep(")"):
+                return False
+            nxt = self.peek()
+            return (
+                nxt.kind in (TokenKind.IDENT, TokenKind.INT, TokenKind.FLOAT,
+                             TokenKind.STRING, TokenKind.CHAR)
+                or nxt.is_kw("this", "new", "true", "false", "null", "super")
+                or nxt.is_sep("(")
+                or nxt.is_op("!", "~")
+            )
+        except JavaParseError:
+            return False
+        finally:
+            self.pos = saved
 
     def _call(self, callee: Node) -> Node:
         result = node("Call", callee)
@@ -989,11 +1012,8 @@ class JavaParser:
             self.advance()
             return node("NameLoad", self._ident(tok.text, role="type"))
         if tok.kind is TokenKind.IDENT:
-            name = self.advance().text
-            if self.cur.is_sep("("):
-                callee = node("NameLoad", self._ident(name, role="func"))
-                return self._call(callee)
-            return node("NameLoad", self._ident(name, role="object"))
+            self.advance()
+            return node("NameLoad", self._ident(tok.text, role="object"))
         raise JavaParseError(
             f"{self.file_path}:{tok.line}: unexpected token {tok.text!r} in expression"
         )

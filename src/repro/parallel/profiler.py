@@ -12,17 +12,21 @@ Rows are plain JSON dicts (``phase``, ``seconds``, ``items``,
 schema of their own.  The profiler is always on: its cost is two
 ``perf_counter`` calls per phase, invisible next to the phases it
 measures.
+
+:class:`GcTimer` does the same for the cyclic garbage collector:
+collections and seconds per generation while its ``with`` block runs.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-__all__ = ["PhaseTiming", "PhaseProfiler", "format_phase_table"]
+__all__ = ["GcTimer", "PhaseTiming", "PhaseProfiler", "format_phase_table"]
 
 
 @dataclass
@@ -117,6 +121,43 @@ class PhaseProfiler:
         # this, ``profiler or PhaseProfiler()`` would silently replace
         # an empty one handed in by a caller expecting to read it back.
         return True
+
+
+class GcTimer:
+    """Counts and times the cyclic collector's passes per generation.
+
+    Each ``with`` block registers a :data:`gc.callbacks` hook, so every
+    collection the process runs meanwhile, from any thread, is counted;
+    blocks accumulate.  The collector never nests and runs under the
+    interpreter lock, so one pending start time is enough.
+    """
+
+    def __init__(self) -> None:
+        self._started = 0.0
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+
+    def _callback(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.collections[generation] += 1
+        self.seconds[generation] += time.perf_counter() - self._started
+
+    def __enter__(self) -> "GcTimer":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        gc.callbacks.remove(self._callback)
+
+    def to_json(self) -> dict:
+        """``collections`` and ``seconds``, each a list by generation."""
+        return {
+            "collections": list(self.collections),
+            "seconds": [round(s, 6) for s in self.seconds],
+        }
 
 
 def format_phase_table(rows: list[dict]) -> str:

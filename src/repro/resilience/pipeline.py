@@ -150,6 +150,14 @@ def run_mine_pipeline(
                 namer.train(training, labels)
                 result.trained_on = len(training)
                 log(f"trained classifier on {len(training)} labeled violations")
+        if result.summary is not None:
+            passes = result.summary.gc
+            log("cycle collections (mine, train): " + ", ".join(
+                f"gen{generation} {count} ({seconds:.3f} s)"
+                for generation, (count, seconds) in enumerate(
+                    zip(passes["collections"], passes["seconds"])
+                )
+            ))
 
         final_document = namer_to_document(namer)
         store.save("train", final_document, inputs)

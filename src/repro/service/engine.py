@@ -19,6 +19,7 @@ prepares them and classifies them in a single ``detect_many`` pass.
 
 from __future__ import annotations
 
+import gc
 import logging
 import threading
 import time
@@ -258,6 +259,10 @@ class AnalysisEngine:
             else None
         )
         self.metrics.set_mining_phases(namer.summary.phase_timings)
+        # The loaded artifact is the long-lived heap: frozen, no later
+        # collection rescans it (see "Heap and garbage collection" in
+        # DESIGN.md).
+        gc.freeze()
         if self._startup_seconds is None:
             self._startup_seconds = time.monotonic() - self._start_monotonic
         self._ready.set()
@@ -606,6 +611,13 @@ class AnalysisEngine:
             self._ready.set()
         if old_executor is not None:
             old_executor.close()
+        # Refreeze around the new generation.  The replaced one is
+        # acyclic and frees itself once its last request finishes; the
+        # one collection reclaims whatever cyclic garbage the freeze at
+        # load had pinned with it.
+        gc.unfreeze()
+        gc.collect()
+        gc.freeze()
         self.metrics.record_reload()
         self.metrics.set_mining_phases(namer.summary.phase_timings)
         # Index rows mined under the old artifact are now stale: they
@@ -701,6 +713,12 @@ class AnalysisEngine:
         body["detection_phases"] = (
             namer.detect_profiler.to_json() if namer is not None else []
         )
+        # Cycle-collector passes since process start, per generation,
+        # and the objects frozen out of its reach.
+        body["gc"] = {
+            "collections": [row["collections"] for row in gc.get_stats()],
+            "frozen_objects": gc.get_freeze_count(),
+        }
         return body
 
     def shutdown(self, drain: bool = True, timeout: float | None = 30.0) -> None:

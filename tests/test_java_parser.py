@@ -1,7 +1,11 @@
 """Tests for the Java parser and frontend."""
 
+import time
+
 import pytest
 
+from repro.core.prepare import PrepareError, prepare_file_checked
+from repro.corpus.model import SourceFile
 from repro.lang.java.frontend import JavaFrontendError, parse_java
 
 
@@ -237,3 +241,68 @@ class TestErrors:
         call = next(s.root for s in module.statements if s.root.kind == "Call")
         callee_ident = call.children[0].children[1].children[0]
         assert callee_ident.meta["role"] == "func"
+
+
+def _shape(n) -> str:
+    """A binary expression tree as fully parenthesized text."""
+    if n.kind == "BinOp":
+        return f"({_shape(n.children[0])} {n.value} {_shape(n.children[1])})"
+    if n.kind == "InstanceOf":
+        return f"({_shape(n.children[0])} instanceof {n.children[1].children[0].value})"
+    return n.children[0].value
+
+
+def _initializer(expression: str):
+    stmts = statements_of(wrap(f"        boolean v = {expression};"))
+    return next(s.root for s in stmts if s.root.kind == "VarDecl").children[-1]
+
+
+class TestPrecedence:
+    @pytest.mark.parametrize(
+        "expression, shape",
+        [
+            (
+                "a || b && c | d ^ e & f == g < h << i + j * k",
+                "(a BinOpOr (b BinOpAnd (c BinOpBitOr (d BinOpBitXor (e BinOpBitAnd"
+                " (f BinOpEq (g BinOpLt (h BinOpLShift (i BinOpAdd (j BinOpMult k))))))))))",
+            ),
+            ("a * b + c - d", "(((a BinOpMult b) BinOpAdd c) BinOpSub d)"),
+            ("a - b * c / d % e", "(a BinOpSub (((b BinOpMult c) BinOpDiv d) BinOpMod e))"),
+            ("a < b instanceof T", "((a BinOpLt b) instanceof T)"),
+            ("a == b instanceof T && c", "((a BinOpEq (b instanceof T)) BinOpAnd c)"),
+            ("a instanceof T == b", "((a instanceof T) BinOpEq b)"),
+        ],
+    )
+    def test_binary_tree_shape(self, expression, shape):
+        assert _shape(_initializer(expression)) == shape
+
+    def test_no_tighter_operator_after_instanceof_type(self):
+        # `(a instanceof T) + b` is not Java: a shift or additive
+        # operand cannot be a relational expression.
+        with pytest.raises(JavaFrontendError):
+            parse_java(wrap("        boolean v = a instanceof T + b;"))
+
+
+def _nested_call(depth: int) -> SourceFile:
+    value = "f(" * depth + "1" + ")" * depth
+    return SourceFile(
+        path="Deep.java",
+        source=f"class Deep {{ void m() {{ int x = {value}; }} }}\n",
+        language="java",
+    )
+
+
+class TestNestingDepth:
+    """Each nesting level costs a handful of parser frames, not one per
+    precedence level, so deep but valid code parses."""
+
+    def test_depth_150_prepares(self):
+        prepared = prepare_file_checked(_nested_call(150))
+        assert prepared.statements
+
+    def test_depth_1000_is_a_parse_error_in_under_a_second(self):
+        started = time.perf_counter()
+        with pytest.raises(PrepareError) as caught:
+            prepare_file_checked(_nested_call(1000))
+        assert caught.value.stage == "parse"
+        assert time.perf_counter() - started < 1.0
