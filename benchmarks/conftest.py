@@ -69,17 +69,3 @@ def print_table(title: str, body: str) -> None:
     bar = "=" * 72
     print(f"\n{bar}\n{title}\n{bar}\n{body}\n")
 
-
-def bench_machine() -> dict:
-    """The machine stamp every ``BENCH_*.json`` record carries.
-
-    ``cpu_count`` is the hardware's count; ``usable_cores`` is what the
-    scheduler actually grants this process (cgroup/affinity limits on
-    shared runners).  A reader deciding whether an advisory record is
-    meaningful needs both.
-    """
-    import os
-
-    from repro.parallel.executor import default_workers
-
-    return {"cpu_count": os.cpu_count(), "usable_cores": default_workers()}

@@ -5,7 +5,9 @@ analysis per file, with k-call-site sensitivity (k = 5 by default),
 implemented in Datalog.  When a file would explode to more than
 ``max_avg_contexts`` contexts per method on average, the analysis falls
 back to a context-insensitive run — the paper notes this happens for a
-few programs in its dataset, and that soundness is not required.
+few programs in its dataset, and that soundness is not required.  The
+k-deep solve is cut off as soon as its ``Reachable`` relation proves
+the fallback certain, so an exploding file never runs it to fixpoint.
 
 Contexts are tuples of call-site ids, newest first, truncated to k.
 ``VarPointsTo`` rows are scoped by (context, function, variable) so that
@@ -19,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.analysis.facts import FileFacts
-from repro.datalog.engine import Program
+from repro.datalog.engine import Program, RowLimitExceeded
 from repro.datalog.terms import Atom, Bind, Rule, Var, atom
 
 __all__ = ["PointsToConfig", "PointsToResult", "analyze_pointsto"]
@@ -61,15 +63,33 @@ class PointsToResult:
 def analyze_pointsto(
     facts: FileFacts, config: PointsToConfig = PointsToConfig()
 ) -> PointsToResult:
-    """Run the analysis, falling back to k=0 on context explosion."""
-    result = _run(facts, config.k)
-    if result.avg_contexts > config.max_avg_contexts and config.k > 0:
-        result = _run(facts, 0)
-    return result
+    """Run the analysis, falling back to k=0 on context explosion.
+
+    Every ``VarPointsTo`` (context, function) pair is also a
+    ``Reachable`` row, so ``avg_contexts`` is |Reachable| over the
+    functions reached, and no more functions can be reached than the
+    entry points and call targets.  Once |Reachable| passes
+    ``max_avg_contexts`` times that count the fallback is certain, and
+    the k-deep solve stops there instead of running to fixpoint.
+    """
+    if config.k > 0:
+        functions = set(facts.entry_points())
+        functions.update(callee for _, callee in facts.resolves_to)
+        limit = config.max_avg_contexts * len(functions)
+        try:
+            result = _run(facts, config.k, {"Reachable": limit})
+        except RowLimitExceeded:
+            pass
+        else:
+            if result.avg_contexts <= config.max_avg_contexts:
+                return result
+    return _run(facts, 0)
 
 
-def _run(facts: FileFacts, k: int) -> PointsToResult:
-    database = _program(k).solve(_relations(facts))
+def _run(
+    facts: FileFacts, k: int, limits: dict[str, float] | None = None
+) -> PointsToResult:
+    database = _program(k).solve(_relations(facts), limits)
 
     vpt: dict[tuple[str, str], set[str]] = defaultdict(set)
     contexts_per_function: dict[str, set[tuple]] = defaultdict(set)

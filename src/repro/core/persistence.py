@@ -31,6 +31,8 @@ from repro.resilience.faults import fault_check
 
 __all__ = [
     "artifact_checksum",
+    "config_to_json",
+    "pairs_to_json",
     "save_namer",
     "load_namer",
     "namer_to_document",
@@ -195,30 +197,47 @@ def namer_to_document(namer: Namer) -> dict[str, Any]:
     patterns = namer.matcher.patterns
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "use_analysis": namer.config.use_analysis,
-            "use_classifier": namer.config.use_classifier,
-            "max_paths_per_statement": namer.config.mining.max_paths_per_statement,
-        },
+        "config": config_to_json(namer),
         "patterns": [_pattern_to_json(p) for p in patterns],
-        "pairs": [[m, c, n] for (m, c), n in namer.pairs.counts.items()],
+        "pairs": pairs_to_json(namer),
         "stats": _stats_to_json(namer.stats),
         "classifier": _classifier_to_json(namer.classifier),
     }
 
 
-def save_document(document: dict[str, Any], path: str | Path) -> None:
+def config_to_json(namer: Namer) -> dict[str, Any]:
+    """The artifact's ``config`` section (the frozen header carries it
+    too)."""
+    return {
+        "use_analysis": namer.config.use_analysis,
+        "use_classifier": namer.config.use_classifier,
+        "max_paths_per_statement": namer.config.mining.max_paths_per_statement,
+    }
+
+
+def pairs_to_json(namer: Namer) -> list[list]:
+    """The artifact's ``pairs`` section (the frozen header carries it
+    too)."""
+    return [[m, c, n] for (m, c), n in namer.pairs.counts.items()]
+
+
+def save_document(document: dict[str, Any], path: str | Path) -> str:
     """Stamp the document's SHA-256 checksum (next to ``schema_version``)
     and write it atomically — readers only ever see complete artifacts,
     and ``load_namer`` can prove the bytes are the ones that were saved
-    (a truncated-but-still-valid-JSON file no longer loads silently)."""
+    (a truncated-but-still-valid-JSON file no longer loads silently).
+
+    Returns the checksum, which a frozen blob of the same namer carries
+    as its fingerprint."""
     fault_check("persistence.write", key=str(path))
+    checksum = document_checksum(document)
     stamped: dict[str, Any] = {
         "schema_version": document["schema_version"],
-        "checksum": document_checksum(document),
+        "checksum": checksum,
     }
     stamped.update((k, v) for k, v in document.items() if k != "schema_version")
     atomic_write_text(path, json.dumps(stamped))
+    return checksum
 
 
 def artifact_checksum(path: str | Path) -> str | None:

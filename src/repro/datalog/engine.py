@@ -15,7 +15,9 @@ untrusted source files) ever becomes program text.
 
 ``Program.solve(facts)`` keeps relations, indexes and deltas in locals
 and updates the indexes as rows are inserted, so one compiled program
-may be shared by any number of threads.
+may be shared by any number of threads.  ``limits`` caps the rows of
+chosen predicates: a solve that outgrows one stops at once with
+:class:`RowLimitExceeded`.
 """
 
 from __future__ import annotations
@@ -25,9 +27,13 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.datalog.terms import Atom, Bind, Rule, Var
 
-__all__ = ["Program"]
+__all__ = ["Program", "RowLimitExceeded"]
 
 Tuple_ = tuple[Hashable, ...]
+
+
+class RowLimitExceeded(Exception):
+    """A relation outgrew its row limit during :meth:`Program.solve`."""
 
 
 class Program:
@@ -153,15 +159,20 @@ class Program:
         return out + body + [f"{indent}add({head})", "    return out"]
 
     def solve(
-        self, facts: Mapping[str, Iterable[Sequence[Hashable]]]
+        self,
+        facts: Mapping[str, Iterable[Sequence[Hashable]]],
+        limits: Mapping[str, float] | None = None,
     ) -> dict[str, set[Tuple_]]:
         """Evaluate to fixpoint over ``{predicate: rows}``.
 
         Returns every relation, given and derived.  Rows whose arity
-        differs from the predicate's in the rules are dropped.
+        differs from the predicate's in the rules are dropped.  Raises
+        :class:`RowLimitExceeded` as soon as a predicate in ``limits``
+        holds more rows than its limit.
         """
         relations: dict[str, set[Tuple_]] = {p: set() for p in self._arity}
         indexes: list[dict] = [{} for _ in self._specs]
+        limits = limits or {}
 
         def insert(predicate: str, rows: Iterable[Tuple_], fresh: dict) -> None:
             known = relations[predicate]
@@ -179,6 +190,8 @@ class Program:
                         index[k].append(row)
                     else:
                         index[k] = [row]
+            if predicate in limits and len(known) > limits[predicate]:
+                raise RowLimitExceeded(f"{predicate} outgrew {limits[predicate]} rows")
 
         delta: dict[str, list[Tuple_]] = {}
         for predicate, rows in facts.items():

@@ -1,12 +1,9 @@
-"""Latency-distribution load harness for the serving tier.
+"""Load harness for the serving tier's availability contract.
 
-``BENCH_serving.json`` records files/second, but a service claiming to
-front millions of users needs a *latency distribution* under concurrent
-clients — and an availability contract: requests must not be lost when
-a replica dies or an artifact rolls out mid-run.  This harness drives N
-client threads through any ``/analyze``-speaking endpoint (a single
-:class:`AnalysisServer` or a cluster coordinator), records per-request
-latency and outcome, and summarizes p50/p95/p99 + throughput.
+Requests must not be lost when a replica dies or an artifact rolls out
+mid-run.  This harness drives N client threads through any
+``/analyze``-speaking endpoint (a single :class:`AnalysisServer` or a
+cluster coordinator) and records each request's outcome.
 
 Byte-identity is checked through **normalized digests**: the timing and
 cache fields of a response legitimately vary run to run (``elapsed_ms``,
@@ -22,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 
 from repro.resilience.retry import RetryPolicy
@@ -76,18 +72,14 @@ class LoadSample:
     payload_index: int
     ok: bool
     status: int
-    seconds: float
     digest: str | None = None
-    replica: str | None = None
     error: str | None = None
 
 
 @dataclass
 class LoadResult:
-    """A whole load run: every sample plus the derived summary."""
+    """A whole load run: every request's sample."""
 
-    clients: int
-    seconds: float
     samples: list[LoadSample] = field(default_factory=list)
 
     @property
@@ -98,13 +90,6 @@ class LoadResult:
     def failures(self) -> list[LoadSample]:
         return [s for s in self.samples if not s.ok]
 
-    @property
-    def throughput_rps(self) -> float:
-        return self.requests / self.seconds if self.seconds else 0.0
-
-    def latencies(self) -> list[float]:
-        return [s.seconds for s in self.samples]
-
     def digests_by_payload(self) -> dict[int, set[str]]:
         """Every distinct normalized digest observed per payload —
         a byte-identity check wants exactly one per payload, matching
@@ -114,39 +99,6 @@ class LoadResult:
             if sample.digest is not None:
                 out.setdefault(sample.payload_index, set()).add(sample.digest)
         return out
-
-    def replicas_hit(self) -> set[str]:
-        return {s.replica for s in self.samples if s.replica}
-
-    def to_json(self) -> dict:
-        latencies = self.latencies()
-        return {
-            "clients": self.clients,
-            "requests": self.requests,
-            "failed_requests": len(self.failures),
-            "seconds": round(self.seconds, 3),
-            "throughput_rps": round(self.throughput_rps, 1),
-            "latency_ms": {
-                "p50": round(latency_percentile(latencies, 50) * 1000, 3),
-                "p95": round(latency_percentile(latencies, 95) * 1000, 3),
-                "p99": round(latency_percentile(latencies, 99) * 1000, 3),
-                "mean": round(
-                    (sum(latencies) / len(latencies) * 1000) if latencies else 0.0,
-                    3,
-                ),
-                "max": round(max(latencies) * 1000, 3) if latencies else 0.0,
-            },
-        }
-
-    def __str__(self) -> str:
-        summary = self.to_json()
-        lat = summary["latency_ms"]
-        return (
-            f"{self.requests} requests / {self.clients} clients in "
-            f"{self.seconds:.2f}s ({summary['throughput_rps']:.0f} req/s); "
-            f"p50 {lat['p50']:.1f}ms p95 {lat['p95']:.1f}ms "
-            f"p99 {lat['p99']:.1f}ms; {len(self.failures)} failed"
-        )
 
 
 def run_load(
@@ -211,7 +163,6 @@ def run_load(
             if index is None:
                 break
             payload = payloads[index % len(payloads)]
-            started = time.perf_counter()
             try:
                 body = client.request("POST", "/analyze", payload)
             except ServiceError as exc:
@@ -220,7 +171,6 @@ def run_load(
                         payload_index=index % len(payloads),
                         ok=False,
                         status=exc.status,
-                        seconds=time.perf_counter() - started,
                         error=exc.message,
                     )
                 )
@@ -230,9 +180,7 @@ def run_load(
                     payload_index=index % len(payloads),
                     ok=True,
                     status=200,
-                    seconds=time.perf_counter() - started,
                     digest=normalized_digest(body),
-                    replica=client.last_headers.get("X-Repro-Replica"),
                 )
             )
         with counter_lock:
@@ -242,15 +190,13 @@ def run_load(
         threading.Thread(target=worker, name=f"load-client-{i}", daemon=True)
         for i in range(max(1, clients))
     ]
-    started = time.perf_counter()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    elapsed = time.perf_counter() - started
     for thread in hook_threads:
         thread.join(timeout=60)
-    return LoadResult(clients=max(1, clients), seconds=elapsed, samples=samples)
+    return LoadResult(samples=samples)
 
 
 def reference_digests(engine, payloads: list[dict]) -> list[str]:

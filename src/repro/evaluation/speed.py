@@ -9,18 +9,13 @@ parse, fact extraction, points-to, origins — per file of a corpus.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.origins import compute_origins
 from repro.corpus.model import Corpus
 from repro.lang import parse_source
 
-__all__ = [
-    "SpeedReport",
-    "DetectionThroughput",
-    "measure_analysis_speed",
-    "measure_detection_throughput",
-]
+__all__ = ["SpeedReport", "measure_analysis_speed"]
 
 
 @dataclass(frozen=True)
@@ -34,73 +29,6 @@ class SpeedReport:
 
     def __str__(self) -> str:
         return f"{self.files} files analyzed in {self.total_seconds:.2f}s ({self.ms_per_file:.1f} ms/file)"
-
-
-@dataclass(frozen=True)
-class DetectionThroughput:
-    """One timed ``detect_many`` pass over a prepared batch."""
-
-    workers: int
-    files: int
-    reports: int
-    seconds: float
-    #: match / featurize / classify rows from the run's PhaseProfiler
-    phases: list[dict] = field(default_factory=list)
-
-    @property
-    def files_per_second(self) -> float:
-        return self.files / self.seconds if self.seconds else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "workers": self.workers,
-            "files": self.files,
-            "reports": self.reports,
-            "seconds": round(self.seconds, 3),
-            "files_per_second": round(self.files_per_second, 1),
-            "phases": list(self.phases),
-        }
-
-    def __str__(self) -> str:
-        return (
-            f"{self.files} files in {self.seconds:.2f}s at {self.workers} "
-            f"worker(s) ({self.files_per_second:.0f} files/s, "
-            f"{self.reports} report(s))"
-        )
-
-
-def measure_detection_throughput(
-    namer, prepared: list, workers: int = 1, rounds: int = 1
-) -> DetectionThroughput:
-    """Time batch detection over already-prepared files (best of
-    ``rounds`` passes), isolating the match + featurize + classify
-    stages the serving path pays per request batch."""
-    from repro.parallel.executor import ShardExecutor
-    from repro.parallel.profiler import PhaseProfiler
-
-    best_seconds = None
-    best_profiler = None
-    reports = 0
-    with ShardExecutor(workers) as executor:
-        namer.warm_detect(executor)
-        for _ in range(max(1, rounds)):
-            profiler = PhaseProfiler()
-            started = time.perf_counter()
-            groups = namer.detect_many(
-                prepared, executor=executor, profiler=profiler
-            )
-            elapsed = time.perf_counter() - started
-            if best_seconds is None or elapsed < best_seconds:
-                best_seconds = elapsed
-                best_profiler = profiler
-            reports = sum(len(g) for g in groups)
-    return DetectionThroughput(
-        workers=workers,
-        files=len(prepared),
-        reports=reports,
-        seconds=best_seconds or 0.0,
-        phases=best_profiler.to_json() if best_profiler else [],
-    )
 
 
 def measure_analysis_speed(corpus: Corpus, max_files: int | None = None) -> SpeedReport:

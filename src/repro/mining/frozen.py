@@ -132,17 +132,20 @@ class _Pool:
 # ----------------------------------------------------------------------
 
 
-def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
+def freeze_namer(namer, path: str | Path, fingerprint: str) -> dict[str, Any]:
     """Flatten a fitted Namer's compiled matcher state to ``path``.
 
+    ``fingerprint`` is the checksum of the namer's artifact document,
+    as :func:`~repro.core.persistence.save_document` returns it; a
+    server maps the blob only beside the artifact stamped with it.
     Raises :class:`FrozenError` for a namer that has not been mined.
     Returns a small summary dict (sizes, counts) for CLI output.
     """
     from repro.core.persistence import (
         SCHEMA_VERSION,
-        namer_to_document,
+        config_to_json,
+        pairs_to_json,
     )
-    from repro.resilience.checkpoint import document_checksum
 
     matcher = namer.matcher
     if matcher is None or namer.stats is None:
@@ -204,8 +207,6 @@ def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
         trie_rows.append([step_idx(s) for s in children])
         trie_child_rows.append(list(children.values()))
 
-    document = namer_to_document(namer)
-    fingerprint = document_checksum(document)
     stats = namer.stats
 
     arrays: list[tuple[str, np.ndarray]] = []
@@ -338,8 +339,8 @@ def freeze_namer(namer, path: str | Path) -> dict[str, Any]:
         "pipeline_version": PIPELINE_VERSION,
         "artifact_schema": SCHEMA_VERSION,
         "fingerprint": fingerprint,
-        "config": document["config"],
-        "pairs": document["pairs"],
+        "config": config_to_json(namer),
+        "pairs": pairs_to_json(namer),
         "classifier": clf_header,
         "strings": strings.items,
         "steps": steps.items,

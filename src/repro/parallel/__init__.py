@@ -19,7 +19,7 @@ same without giving up determinism:
   --profile``, and the service ``/metrics`` endpoint.
 
 The correctness contract — enforced by ``tests/test_parallel.py`` and
-``benchmarks/test_perf_parallel_mining.py`` — is that sharded mining is
+``benchmarks/test_perf_parallel.py`` — is that sharded mining is
 **bit-identical** to serial mining: same patterns, same supports, same
 order, for any contiguous shard plan and any worker count.
 """

@@ -15,8 +15,8 @@ Design constraints:
   faults the *same* files on every run, so tests can assert exact
   quarantine contents.
 * **Free when disarmed.** The common case is no plan armed; a check is
-  one attribute load and a ``None`` test (guarded by
-  ``benchmarks/test_perf_resilience_overhead.py``).
+  one attribute load and a ``None`` test (``tests/test_resilience.py``
+  holds it under 5% of a warm ``detect_many`` pass).
 * **Serializable.** Plans round-trip through JSON so the CLI can arm
   them (``--fault-plan``) for end-to-end drills.
 """

@@ -163,7 +163,7 @@ def run_mine_pipeline(
         store.save("train", final_document, inputs)
         fault_check("pipeline.after_train", key=out)
 
-    save_document(final_document, out)
+    checksum = save_document(final_document, out)
     if freeze:
         # The compiled-matcher blob next to the JSON artifact: serving
         # tiers mmap it for near-instant cold starts, and fall back to
@@ -175,7 +175,7 @@ def run_mine_pipeline(
             # namer was never materialized, so decode it once to freeze.
             namer = namer_from_document(final_document, label=f"artifact {out}")
         frozen_path = default_frozen_path(out)
-        frozen = freeze_namer(namer, frozen_path)
+        frozen = freeze_namer(namer, frozen_path, checksum)
         result.frozen_out = str(frozen_path)
         log(
             f"frozen matcher blob saved to {frozen_path} "

@@ -29,7 +29,7 @@ from pathlib import Path
 from repro.analysis.facts import extract_facts
 from repro.analysis.pointsto import PointsToConfig, PointsToResult, analyze_pointsto
 from repro.core.namer import Namer, NamerConfig
-from repro.core.persistence import load_namer, save_namer
+from repro.core.persistence import load_namer, namer_to_document, save_namer
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
 from repro.corpus.javagen import generate_java_corpus
 from repro.evaluation.oracle import Oracle
@@ -37,6 +37,7 @@ from repro.lang import parse_source
 from repro.evaluation.precision import sample_balanced_training
 from repro.mining.frozen import freeze_namer
 from repro.mining.miner import MiningConfig
+from repro.resilience.checkpoint import document_checksum
 from repro.resilience.faults import FAULTS, FaultPlan, FaultSpec
 from repro.resilience.quarantine import Quarantine
 
@@ -99,7 +100,7 @@ def artifact_digest(namer: Namer, path: Path) -> str:
 
 def frozen_digest(namer: Namer, path: Path) -> str:
     """sha256 of the frozen blob ``freeze_namer`` writes for ``namer``."""
-    freeze_namer(namer, path)
+    freeze_namer(namer, path, document_checksum(namer_to_document(namer)))
     return sha256(path.read_bytes())
 
 

@@ -25,13 +25,14 @@ import types
 
 import pytest
 
-from repro.core.persistence import save_namer
+from repro.core.persistence import namer_to_document, save_document
 from repro.resilience.retry import CircuitBreaker
 from repro.evaluation.loadtest import (
     latency_percentile,
     reference_digests,
     run_load,
 )
+from repro.mining.frozen import default_frozen_path, freeze_namer
 from repro.resilience.faults import FAULTS, FaultPlan, FaultSpec
 from repro.service.client import HttpClient, ServiceError
 from repro.service.cluster import (
@@ -353,8 +354,11 @@ class TestAggregation:
 
 @pytest.fixture(scope="module")
 def artifact_file(fitted_namer, tmp_path_factory):
+    # Frozen beside the JSON, as ``mine --freeze`` leaves it: replicas
+    # serve the frozen blob.
     path = tmp_path_factory.mktemp("cluster") / "namer.json"
-    save_namer(fitted_namer, path)
+    checksum = save_document(namer_to_document(fitted_namer), path)
+    freeze_namer(fitted_namer, default_frozen_path(path), checksum)
     return path
 
 
@@ -397,6 +401,12 @@ class TestClusterEndToEnd:
         assert health["ready"] is True
         status = client.request("GET", "/cluster/status")
         assert [r["state"] for r in status["replicas"]] == [READY, READY]
+        # The coordinator's readiness probe pulled each replica's own
+        # cold-start numbers onto its handle.
+        for replica in status["replicas"]:
+            assert replica["artifact_source"] == "frozen", replica
+            assert replica["startup_seconds"] is not None, replica
+            assert replica["artifact_load_seconds"] is not None, replica
 
     def test_stable_routing_and_cache_affinity(self, cluster, payloads):
         client = HttpClient(cluster.url)
@@ -408,6 +418,12 @@ class TestClusterEndToEnd:
             assert client.last_headers.get("X-Repro-Replica") == owner
         # The owning replica's result cache answers the repeats.
         assert "memory=1" in client.last_headers.get("X-Repro-Cache", "")
+        # Different files spread over the replicas.
+        owners = set()
+        for payload in payloads:
+            client.request("POST", "/analyze", payload)
+            owners.add(client.last_headers.get("X-Repro-Replica"))
+        assert len(owners) >= 2, owners
 
     def test_kill_replica_under_load_loses_nothing(
         self, cluster, payloads, reference

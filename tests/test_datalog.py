@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.datalog.engine import Program
+from repro.datalog.engine import Program, RowLimitExceeded
 from repro.datalog.terms import Bind, Rule, Var, atom
 
 PATH_RULES = [
@@ -66,6 +66,14 @@ class TestEvaluation:
         db = Program(PATH_RULES).solve({"edge": edges})
         assert ("a", "d") in db["path"]
         assert len(db["path"]) == 6
+
+    def test_row_limit(self):
+        edges = [("a", "b"), ("b", "c"), ("c", "d")]
+        program = Program(PATH_RULES)
+        full = program.solve({"edge": edges})
+        assert program.solve({"edge": edges}, {"path": 6}) == full
+        with pytest.raises(RowLimitExceeded, match="path"):
+            program.solve({"edge": edges}, {"path": 5})
 
     def test_cycle_terminates(self):
         db = Program(PATH_RULES).solve({"edge": [("a", "b"), ("b", "a")]})

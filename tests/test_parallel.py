@@ -157,6 +157,23 @@ class TestProfiler:
             "prune",
         }
 
+    def test_pooled_miner_fills_caller_profiler(self):
+        # Pool workers send their prune seconds back as prune_shard rows
+        # on the caller's profiler.
+        profiler = PhaseProfiler()
+        miner = PatternMiner(SMALL, confusing_pairs=[("True", "Equal")])
+        miner.mine(
+            idiom_corpus(20), PatternKind.CONFUSING_WORD, profiler=profiler, workers=2
+        )
+        assert {row.phase for row in profiler.rows()} == {
+            "intern",
+            "frequency",
+            "growth",
+            "generate",
+            "prune_shard",
+            "prune",
+        }
+
     def test_format_phase_table(self):
         table = format_phase_table(
             [{"phase": "growth", "seconds": 1.0, "items": 3, "calls": 2}]

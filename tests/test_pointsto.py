@@ -2,15 +2,23 @@
 
 import sys
 import threading
+import time
+
+import pytest
 
 from repro.analysis.facts import extract_facts
 from repro.analysis.pointsto import (
     PointsToConfig,
     _program,
     _relations,
+    _run,
     analyze_pointsto,
 )
+from repro.core.prepare import prepare_file_checked
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
+from repro.corpus.model import SourceFile
+from repro.datalog.engine import RowLimitExceeded
+from repro.lang import parse_source
 from repro.lang.python_frontend import parse_module
 
 
@@ -106,6 +114,30 @@ class TestContexts:
             lines.append("    x = f5()")
         result, _ = run("\n".join(lines), k=5, max_avg_contexts=1.0)
         assert result.used_k == 0
+
+    def test_nested_method_calls_stop_at_the_row_limit(self):
+        """``o.m(o.m(...))`` pushes a new context per call site at every
+        depth: the k=5 solve grows as 14^5 at depth 14.  It must stop at
+        the Reachable row limit and answer the k=0 result at once."""
+        value = "o.m(" * 14 + "o" + ")" * 14
+        source = SourceFile(
+            path="Deep.java",
+            source=(
+                "class Deep { Object o; Object m(Object a) "
+                f"{{ Object x = {value}; return x; }} }}\n"
+            ),
+            language="java",
+        )
+        started = time.perf_counter()
+        prepare_file_checked(source)
+        assert time.perf_counter() - started < 1.0
+        module = parse_source(source.source, "java", source.path)
+        facts = extract_facts(module)
+        result = analyze_pointsto(facts)
+        assert result.used_k == 0
+        assert result == _run(facts, 0)
+        with pytest.raises(RowLimitExceeded, match="Reachable"):
+            _run(facts, 5, {"Reachable": 16})
 
     def test_call_edges(self):
         src = "def pub():\n    helper()\ndef helper():\n    pass"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,7 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
+    fault_check,
 )
 from repro.resilience.pipeline import run_mine_pipeline
 from repro.resilience.quarantine import ErrorRecord, Quarantine
@@ -108,6 +110,45 @@ class TestFaultPlan:
         loaded = FaultPlan.load(path)
         assert loaded.seed == 11
         assert loaded.specs == plan.specs
+
+    def test_disarmed_sites_add_under_5_percent_to_detect_many(
+        self, fitted_namer
+    ):
+        """With no plan armed each site costs one attribute load and a
+        ``None`` test: the sites one warm ``detect_many`` pass consults
+        must cost under 5% of the pass."""
+        files = fitted_namer.prepared
+        fitted_namer.detect_many(files)  # warm up
+        detect_seconds = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            fitted_namer.detect_many(files)
+            detect_seconds = min(detect_seconds, time.perf_counter() - started)
+
+        class CountingPlan(FaultPlan):
+            calls = 0
+
+            def fire(self, site: str, key: str = "") -> None:
+                self.calls += 1
+
+        counter = CountingPlan()
+        FAULTS.arm(counter)
+        try:
+            fitted_namer.detect_many(files)
+        finally:
+            FAULTS.disarm()
+        assert counter.calls >= len(files)  # at least one site per file
+
+        batch = max(100_000, counter.calls * 100)
+        started = time.perf_counter()
+        for _ in range(batch):
+            fault_check("bench.site", key="bench-key")
+        per_check = (time.perf_counter() - started) / batch
+        ratio = counter.calls * per_check / detect_seconds
+        assert ratio < 0.05, (
+            f"disarmed fault checks cost {ratio * 100:.2f}% of a warm "
+            "detect_many pass (budget: 5%)"
+        )
 
     def test_armed_context_restores_previous_plan(self):
         assert FAULTS.plan is None

@@ -284,6 +284,38 @@ class TestAnalysisEngine:
         again = engine.analyze_many(requests)
         assert again[0].cached
 
+    def test_warm_result_cache_is_at_least_10x_faster(
+        self, fitted_namer, small_corpus
+    ):
+        """A re-sent batch is answered from the content-hash cache with
+        the cold pass's exact reports, at least an order of magnitude
+        faster than analyzing it."""
+        requests = [
+            AnalysisRequest(source=source.source, path=source.path, repo=repo.name)
+            for repo, source in small_corpus.files()
+        ]
+        engine = AnalysisEngine(
+            namer=fitted_namer, workers=2, queue_capacity=256, cache_entries=4096
+        )
+        try:
+            started = time.perf_counter()
+            cold = engine.analyze_many(requests)
+            cold_seconds = time.perf_counter() - started
+            warm_seconds = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                warm = engine.analyze_many(requests)
+                warm_seconds = min(warm_seconds, time.perf_counter() - started)
+        finally:
+            engine.shutdown(drain=False, timeout=5)
+        assert not any(r.cached for r in cold)
+        assert all(r.cached for r in warm)
+        assert [r.reports for r in warm] == [r.reports for r in cold]
+        assert engine.cache.stats.hit_rate > 0.5
+        assert cold_seconds >= 10 * warm_seconds, (
+            f"cold {cold_seconds * 1000:.0f} ms, warm {warm_seconds * 1000:.0f} ms"
+        )
+
     def test_unparsable_source_reports_error(self, engine):
         result = engine.analyze(AnalysisRequest(source=UNPARSABLE, path="bad.py"))
         assert result.error is not None and result.reports == []
@@ -527,6 +559,31 @@ class TestPersistentDetectCache:
             assert engine.analyze(request).cache_level == "memory"
         finally:
             engine.shutdown(drain=False, timeout=5)
+
+    def test_batch_is_served_from_disk_after_restart(
+        self, artifact_file, small_corpus, tmp_path
+    ):
+        requests = [
+            AnalysisRequest(source=source.source, path=source.path, repo=repo.name)
+            for repo, source in small_corpus.files()
+        ]
+        requests.append(AnalysisRequest(source=UNPARSABLE, path="broken.py"))
+        engine = self.fresh_engine(artifact_file, tmp_path / "c")
+        try:
+            cold = engine.analyze_many(requests)
+        finally:
+            engine.shutdown(drain=False, timeout=5)
+        engine = self.fresh_engine(artifact_file, tmp_path / "c")
+        try:
+            warm = engine.analyze_many(requests)
+        finally:
+            engine.shutdown(drain=False, timeout=5)
+        assert [r.reports for r in warm] == [r.reports for r in cold]
+        # every error-free file comes off disk; the error is recomputed
+        assert [r.cache_level == "disk" for r in warm] == [
+            r.error is None for r in cold
+        ]
+        assert cold[-1].error is not None
 
     def test_errors_are_never_persisted(self, artifact_file, tmp_path):
         request = AnalysisRequest(source=UNPARSABLE, path="broken.py")

@@ -21,9 +21,10 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.persistence import save_namer
+from repro.core.persistence import namer_to_document, save_namer
 from repro.core.prepare import prepare_file
 from repro.mining.frozen import default_frozen_path, freeze_namer
+from repro.resilience.checkpoint import document_checksum
 
 pytestmark = pytest.mark.service
 
@@ -97,7 +98,11 @@ def test_serving_process_never_imports_scipy(
     frozen_dir.mkdir()
     save_namer(fitted_namer, json_dir / "namer.json")
     save_namer(fitted_namer, frozen_dir / "namer.json")
-    freeze_namer(fitted_namer, default_frozen_path(frozen_dir / "namer.json"))
+    freeze_namer(
+        fitted_namer,
+        default_frozen_path(frozen_dir / "namer.json"),
+        document_checksum(namer_to_document(fitted_namer)),
+    )
     spec = tmp_path / "spec.json"
     spec.write_text(
         json.dumps(
