@@ -22,7 +22,7 @@ from repro.core.namer import Namer, NamerConfig
 from repro.core.patterns import PatternKind
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
 from repro.mining.miner import MiningConfig, PatternMiner
-from repro.parallel.executor import ShardExecutor, default_workers
+from repro.parallel.executor import ShardExecutor, usable_cores
 from repro.parallel.sharding import pack_spans, spans_by_group
 
 WORKERS = 4
@@ -34,8 +34,8 @@ MINING_FLOOR = 1.3
 DETECT_FLOOR = 1.5
 
 pytestmark = pytest.mark.skipif(
-    default_workers() < WORKERS,
-    reason=f"needs {WORKERS} usable cores, this machine grants {default_workers()}",
+    usable_cores() < WORKERS,
+    reason=f"needs {WORKERS} usable cores, this machine grants {usable_cores()}",
 )
 
 

@@ -665,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="process-pool size for preparation and sharded mining "
-        "(default: every core the scheduler allows this process; "
+        "(default: every usable core, or 1 below 4 usable cores; "
         "results are identical for any N)",
     )
     mine.add_argument(
@@ -709,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="process-pool size for batch detection (default: every "
-        "core the scheduler allows this process; reports are identical "
+        "usable core, or 1 below 4 usable cores; reports are identical "
         "for any N)",
     )
     analyze.add_argument(
@@ -728,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers", type=int, default=None, metavar="N",
             help="process-pool size for batch detection (default: every "
-            "core the scheduler allows this process)",
+            "usable core, or 1 below 4 usable cores)",
         )
 
     index = sub.add_parser(

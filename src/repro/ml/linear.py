@@ -2,15 +2,20 @@
 
 The paper selected a linear-kernel SVM by cross-validation, with
 logistic regression and linear discriminant analysis as the other
-candidates (Section 5.1).  Both gradient-based models here optimize a
-smooth regularized loss with L-BFGS from scipy:
+candidates (Section 5.1).  Both gradient-based models here minimize a
+smooth, convex, regularized loss over ``[w, b]``:
 
 * :class:`LinearSVM` — squared hinge loss (the smooth SVM variant),
 * :class:`LogisticRegression` — log loss.
 
-scipy's optimizer is imported at the first :meth:`~_LinearModel.fit`,
-not with this module: serving only evaluates ``w·x + b``, so a process
-that loads a fitted model and classifies never loads scipy.
+Training sets are small (about a hundred labelled violations over at
+most 17 features), so :meth:`_LinearModel.fit` solves them exactly with
+a damped Newton method in numpy alone: each step solves the model's
+(generalized) Hessian system with ``lstsq``, so a singular Hessian is
+not an error; Armijo backtracking keeps the loss decreasing; the loop
+stops once the gradient vanishes or after ``max_iter`` steps.  For the
+squared hinge this is the finite Newton method of Keerthi & DeCoste
+(JMLR 2005).  Neither fitting nor classifying imports scipy.
 
 Labels are {0, 1} at the API boundary and mapped to {-1, +1}
 internally.
@@ -22,9 +27,21 @@ import numpy as np
 
 __all__ = ["LinearSVM", "LogisticRegression"]
 
+#: the fit stops once no gradient component exceeds this
+GRAD_TOL = 1e-10
+#: Armijo sufficient-decrease constant
+ARMIJO = 1e-4
+#: step halvings before a line search gives up: no decrease is left to
+#: find above floating-point roundoff
+MAX_HALVINGS = 50
+
 
 class _LinearModel:
-    """Shared fit/predict machinery for w·x + b models."""
+    """Shared fit/predict machinery for w·x + b models.
+
+    Subclasses give the loss, its gradient and its Hessian over
+    ``params = [w, b]`` for inputs ``X1 = [X, 1]``.
+    """
 
     def __init__(self, C: float = 1.0, max_iter: int = 500) -> None:
         self.C = C
@@ -32,27 +49,36 @@ class _LinearModel:
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
 
-    def _loss_grad(self, params, X, y):  # pragma: no cover - overridden
+    def _loss_grad(self, params, X1, signs):  # pragma: no cover - overridden
+        raise NotImplementedError
+
+    def _hessian(self, params, X1, signs):  # pragma: no cover - overridden
         raise NotImplementedError
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_LinearModel":
-        from scipy.optimize import minimize
-
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        signs = np.where(y > 0, 1.0, -1.0)
-        n_features = X.shape[1]
-        x0 = np.zeros(n_features + 1)
-        result = minimize(
-            self._loss_grad,
-            x0,
-            args=(X, signs),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": self.max_iter},
-        )
-        self.coef_ = result.x[:-1]
-        self.intercept_ = float(result.x[-1])
+        signs = np.where(np.asarray(y) > 0, 1.0, -1.0)
+        X1 = np.column_stack([X, np.ones(len(X))])
+        params = np.zeros(X1.shape[1])
+        loss, grad = self._loss_grad(params, X1, signs)
+        for _ in range(self.max_iter):
+            if np.max(np.abs(grad)) <= GRAD_TOL:
+                break
+            hessian = self._hessian(params, X1, signs)
+            step = np.linalg.lstsq(hessian, -grad, rcond=None)[0]
+            slope = grad @ step
+            t = 1.0
+            for _ in range(MAX_HALVINGS):
+                trial = params + t * step
+                trial_loss, trial_grad = self._loss_grad(trial, X1, signs)
+                if trial_loss <= loss + ARMIJO * t * slope:
+                    break
+                t *= 0.5
+            else:
+                break  # optimal to within roundoff
+            params, loss, grad = trial, trial_loss, trial_grad
+        self.coef_ = params[:-1]
+        self.intercept_ = float(params[-1])
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
@@ -70,16 +96,21 @@ class LinearSVM(_LinearModel):
     minimizes  ``0.5 ||w||^2 + C * sum(max(0, 1 - y_i (w x_i + b))^2)``
     """
 
-    def _loss_grad(self, params, X, signs):
-        w, b = params[:-1], params[-1]
-        margins = signs * (X @ w + b)
-        slack = np.maximum(0.0, 1.0 - margins)
-        loss = 0.5 * w @ w + self.C * np.sum(slack**2)
+    def _loss_grad(self, params, X1, signs):
+        w = params[:-1]
+        slack = np.maximum(0.0, 1.0 - signs * (X1 @ params))
+        loss = 0.5 * w @ w + self.C * (slack @ slack)
         # d/dmargin of slack^2 is -2*slack where slack > 0
-        coeff = -2.0 * self.C * slack * signs
-        grad_w = w + X.T @ coeff
-        grad_b = np.sum(coeff)
-        return loss, np.concatenate([grad_w, [grad_b]])
+        grad = X1.T @ (-2.0 * self.C * slack * signs)
+        grad[:-1] += w
+        return loss, grad
+
+    def _hessian(self, params, X1, signs):
+        # generalized Hessian: only samples with margin < 1 curve the loss
+        active = X1[signs * (X1 @ params) < 1.0]
+        hessian = 2.0 * self.C * (active.T @ active)
+        hessian[:-1, :-1] += np.eye(len(params) - 1)
+        return hessian
 
 
 class LogisticRegression(_LinearModel):
@@ -88,17 +119,21 @@ class LogisticRegression(_LinearModel):
     minimizes ``0.5/C ||w||^2 + sum(log(1 + exp(-y_i (w x_i + b))))``
     """
 
-    def _loss_grad(self, params, X, signs):
-        w, b = params[:-1], params[-1]
-        z = signs * (X @ w + b)
+    def _loss_grad(self, params, X1, signs):
+        w = params[:-1]
+        z = signs * (X1 @ params)
         # log(1 + e^-z) computed stably
-        loss_terms = np.logaddexp(0.0, -z)
-        loss = 0.5 / self.C * (w @ w) + np.sum(loss_terms)
+        loss = 0.5 / self.C * (w @ w) + np.sum(np.logaddexp(0.0, -z))
         sigma = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
-        coeff = -signs * sigma
-        grad_w = w / self.C + X.T @ coeff
-        grad_b = np.sum(coeff)
-        return loss, np.concatenate([grad_w, [grad_b]])
+        grad = X1.T @ (-signs * sigma)
+        grad[:-1] += w / self.C
+        return loss, grad
+
+    def _hessian(self, params, X1, signs):
+        p = 1.0 / (1.0 + np.exp(-np.clip(X1 @ params, -500, 500)))
+        hessian = (X1.T * (p * (1.0 - p))) @ X1
+        hessian[:-1, :-1] += np.eye(len(params) - 1) / self.C
+        return hessian
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         z = self.decision_function(X)

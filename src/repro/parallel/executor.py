@@ -53,6 +53,7 @@ __all__ = [
     "default_workers",
     "resolve_context",
     "resolve_shard",
+    "usable_cores",
 ]
 
 T = TypeVar("T")
@@ -69,13 +70,25 @@ SHARDS_PER_WORKER = 2
 _SHARED: dict[int, Sequence] = {}
 _SHARED_KEYS = itertools.count(1)
 
-def default_workers() -> int:
-    """Worker count when the caller does not choose: every core the
-    scheduler lets this process use."""
+#: Fewest usable cores at which the default worker count is a pool:
+#: ``benchmarks/test_perf_parallel.py`` verifies a pool win at 4, a
+#: 2-core pool measured slower than serial, and 3 cores is unmeasured.
+MIN_POOL_CORES = 4
+
+
+def usable_cores() -> int:
+    """Cores the scheduler lets this process use."""
     try:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         return max(1, os.cpu_count() or 1)
+
+
+def default_workers() -> int:
+    """Worker count when the caller does not choose: every usable core,
+    or 1 (serial) below :data:`MIN_POOL_CORES`."""
+    cores = usable_cores()
+    return cores if cores >= MIN_POOL_CORES else 1
 
 
 def _resolved_start_method() -> str:

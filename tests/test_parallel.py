@@ -219,6 +219,20 @@ class TestShardExecutor:
     def test_default_workers_positive(self):
         assert default_workers() >= 1
 
+    @pytest.mark.parametrize(
+        "cores, expected", [(1, 1), (2, 1), (3, 1), (4, 4), (16, 16)]
+    )
+    def test_default_workers_serial_below_four_cores(
+        self, monkeypatch, cores, expected
+    ):
+        from repro.parallel import executor as ex
+
+        monkeypatch.setattr(
+            ex.os, "sched_getaffinity", lambda pid: set(range(cores))
+        )
+        assert ex.usable_cores() == cores
+        assert default_workers() == expected
+
     def test_fork_unavailable_when_default_is_not_fork(self, monkeypatch):
         # An *unset* start method must resolve to the platform default,
         # not be assumed fork-capable (macOS defaults to spawn, Python

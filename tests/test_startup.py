@@ -1,9 +1,9 @@
 """Serving cold start: what a serving process imports, and the clock
 ``/metrics`` reports it on.
 
-Serving only evaluates the fitted ``w·x + b``; scipy's optimizer is
-needed to *fit* a model, so no process that only loads artifacts and
-classifies may import scipy.  ``startup_seconds`` counts from the first
+The classifier is fitted and evaluated with numpy alone, so no process
+imports scipy: not one that loads artifacts and classifies, and not one
+that fits a model either.  ``startup_seconds`` counts from the first
 ``import repro`` (:data:`repro.IMPORT_STARTED`), so it covers import
 time, under ``repro serve`` and under a cluster replica alike.
 """
@@ -31,7 +31,7 @@ pytestmark = pytest.mark.service
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: runs in a fresh interpreter: serve from a JSON artifact and from a
-#: frozen blob, check scipy never loaded, then fit a classifier
+#: frozen blob, fit a classifier, then check scipy never loaded
 SERVE_THEN_FIT = """
 import json, sys
 import numpy as np
@@ -50,9 +50,6 @@ for artifact, source in (
         assert result.reports, "the served file must reach the classifier"
     finally:
         engine.shutdown(drain=False)
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded[:5]
-
 from repro.core.persistence import load_namer
 from repro.core.prepare import prepare_file
 from repro.corpus.model import SourceFile
@@ -67,9 +64,10 @@ violations = [
 ]
 labels = [i % 2 for i in range(len(violations))]
 namer.train(violations, labels)
-assert "scipy.optimize" in sys.modules
 weights = namer.classifier.feature_weights()
 assert weights.size and np.isfinite(weights).all(), weights
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
 print("ok", len(violations))
 """
 
@@ -89,7 +87,7 @@ def served_files(fitted_namer, small_corpus):
     return out
 
 
-def test_serving_process_never_imports_scipy(
+def test_no_process_imports_scipy(
     fitted_namer, served_files, tmp_path
 ):
     json_dir = tmp_path / "json"
