@@ -134,7 +134,12 @@ def cmd_mine(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"cannot write artifacts to {args.out}: {exc}")
     if args.profile:
-        if result.summary is not None and result.summary.phase_timings:
+        if result.replayed_from is not None:
+            print(
+                "no phase timings (replayed from cache entry "
+                f"train/{result.replayed_from[:16]})"
+            )
+        elif result.summary is not None and result.summary.phase_timings:
             print(f"phase timings ({workers} worker(s)):")
             print(format_phase_table(result.summary.phase_timings))
         else:

@@ -5,18 +5,26 @@ that produced it (file bytes, config fields, schema version) — there is
 no invalidation protocol: changed inputs simply hash to a different key
 and the stale entry ages out via LRU eviction.
 
-Entries follow the PR 2 artifact rules: written atomically (temp file +
+Entries follow the same rules as artifacts: written atomically (temp file +
 ``os.replace``) so readers never observe torn bytes, and carry a payload
 checksum so a corrupt or truncated entry is detected on load and treated
 as a miss — a damaged cache can slow a run down, never crash it or
-change its output.  Loads pass through the ``cache.load`` fault site so
-tests can drill that fallback deterministically.
+change its output.  Lookups pass through the ``cache.load`` fault site
+so tests can drill that fallback deterministically.
 
 Layout: ``<directory>/<level>/<key>.bin`` where ``level`` groups entries
 by pipeline stage (``prepare``, ``frequency``, ``growth``, ``prune``,
-``pairs``, ``stats``, ``detect``).  Each file is one JSON header line
-(schema, level, key, payload sha256, payload size) followed by the
-pickled payload.
+``pairs``, ``stats``, ``mine``, ``train``, ``detect``).  Each file is
+one JSON header line (schema, level, key, payload sha256, payload size)
+followed by the pickled payload.
+
+The payload sha256 is also the entry's *content* address: :meth:`put`
+returns it, and :meth:`digest` reads it back from the header alone,
+without reading or unpickling the payload.  Mining keys every level
+after ``prepare`` on these digests, so an edit that leaves a file's
+prepared form unchanged stops at its ``prepare`` entry (early cutoff),
+and a run whose ``train`` entry answers never decodes a prepared file
+at all; :meth:`decode` reads the payload only when it is used.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import hashlib
 import json
 import os
 import pickle
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -39,7 +48,8 @@ __all__ = ["CACHE_SCHEMA_VERSION", "CacheLevelStats", "ContentCache"]
 #: v2: statistics counters keyed by pattern index.
 #: v3: name paths are named tuples; prepared statements hold AST+ walk
 #: results instead of a transformed tree.
-CACHE_SCHEMA_VERSION = 3
+#: v4: shard keys hash prepared-payload digests; the ``train`` level.
+CACHE_SCHEMA_VERSION = 4
 
 _HEADER_LIMIT = 4096  # a header line is ~200 bytes; cap reads defensively
 
@@ -48,19 +58,27 @@ _HEADER_LIMIT = 4096  # a header line is ~200 bytes; cap reads defensively
 class CacheLevelStats:
     """Counters for one cache level, exposed on summaries/metrics."""
 
+    #: lookups (:meth:`ContentCache.get` or :meth:`ContentCache.digest`)
+    #: that found a usable entry, and those that did not
     hits: int = 0
     misses: int = 0
     stores: int = 0
     evictions: int = 0
     corrupt: int = 0
+    #: payload bytes read, verified and unpickled, and the seconds that
+    #: took (a header-only :meth:`ContentCache.digest` decodes nothing)
+    decoded_bytes: int = 0
+    decode_seconds: float = 0.0
 
-    def to_json(self) -> dict[str, int]:
+    def to_json(self) -> dict[str, int | float]:
         return {
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
             "evictions": self.evictions,
             "corrupt": self.corrupt,
+            "decoded_bytes": self.decoded_bytes,
+            "decode_seconds": round(self.decode_seconds, 6),
         }
 
 
@@ -68,6 +86,10 @@ class CacheLevelStats:
 class _Level:
     directory: Path
     stats: CacheLevelStats = field(default_factory=CacheLevelStats)
+    #: ``.bin`` files believed present: one scan when the level is
+    #: first stored to, then +1 per store (an overwrite over-counts,
+    #: which only brings the next eviction scan forward)
+    entries: int | None = None
 
 
 class ContentCache:
@@ -117,80 +139,167 @@ class ContentCache:
 
     # -- API ----------------------------------------------------------
 
+    @staticmethod
+    def _read_header(handle, key: str) -> dict:
+        """The entry's header, checked against the schema and ``key``."""
+        header = json.loads(handle.readline(_HEADER_LIMIT))
+        if header.get("schema") != CACHE_SCHEMA_VERSION:
+            raise ValueError("cache schema mismatch")
+        if header.get("key") != key:
+            raise ValueError("cache key mismatch")
+        return header
+
+    def _discard(self, level: _Level, path: Path) -> None:
+        """Count a damaged entry and unlink it best-effort, so it stops
+        costing a read on every warm run."""
+        level.stats.corrupt += 1
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+
+    @staticmethod
+    def _touch(path: Path) -> None:
+        try:
+            os.utime(path)  # refresh mtime: entry is recently used
+        except OSError:
+            pass
+
+    def _decode(self, level: _Level, handle, header: dict) -> Any:
+        """Read, verify and unpickle the payload after ``header``."""
+        started = time.perf_counter()
+        payload = handle.read()
+        if len(payload) != header.get("size"):
+            raise ValueError("truncated cache payload")
+        if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
+            raise ValueError("cache payload checksum mismatch")
+        value = pickle.loads(payload)
+        level.stats.decoded_bytes += len(payload)
+        level.stats.decode_seconds += time.perf_counter() - started
+        return value
+
     def get(self, level_name: str, key: str) -> Any | None:
         """Return the cached payload or ``None`` on any failure.
 
         Missing entries are plain misses; unreadable, truncated, or
         checksum-mismatched entries additionally bump the ``corrupt``
-        counter and are unlinked best-effort so they stop costing a
-        read on every warm run.
+        counter and are unlinked best-effort.
         """
         level = self._level(level_name)
         path = self._entry_path(level, key)
         try:
             fault_check("cache.load", key=f"{level_name}:{key[:12]}")
             with open(path, "rb") as handle:
-                header_line = handle.readline(_HEADER_LIMIT)
-                header = json.loads(header_line)
-                payload = handle.read()
-            if header.get("schema") != CACHE_SCHEMA_VERSION:
-                raise ValueError("cache schema mismatch")
-            if header.get("key") != key:
-                raise ValueError("cache key mismatch")
-            if len(payload) != header.get("size"):
-                raise ValueError("truncated cache payload")
-            if hashlib.sha256(payload).hexdigest() != header.get("sha256"):
-                raise ValueError("cache payload checksum mismatch")
-            value = pickle.loads(payload)
+                value = self._decode(level, handle, self._read_header(handle, key))
         except FileNotFoundError:
             level.stats.misses += 1
             return None
         except Exception:
             level.stats.misses += 1
-            level.stats.corrupt += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            self._discard(level, path)
             return None
         level.stats.hits += 1
-        try:
-            os.utime(path)  # refresh mtime: entry is recently used
-        except OSError:
-            pass
+        self._touch(path)
         return value
 
-    def put(self, level_name: str, key: str, value: Any) -> None:
-        """Store ``value``; best-effort — a full disk degrades, not fails."""
+    def digest(self, level_name: str, key: str) -> str | None:
+        """The entry's payload sha256, read from its header alone.
+
+        A lookup like :meth:`get` (same counters, fault site and damage
+        handling), except that the payload is neither read nor
+        unpickled: the entry's size on disk must match its header, and
+        :meth:`decode` verifies the checksum if the payload is ever
+        used.  ``None`` when the entry is missing or damaged.
+        """
+        level = self._level(level_name)
+        path = self._entry_path(level, key)
+        try:
+            fault_check("cache.load", key=f"{level_name}:{key[:12]}")
+            with open(path, "rb") as handle:
+                header = self._read_header(handle, key)
+                size = os.fstat(handle.fileno()).st_size
+                if size != handle.tell() + header.get("size", -1):
+                    raise ValueError("truncated cache payload")
+                digest = header["sha256"]
+        except FileNotFoundError:
+            level.stats.misses += 1
+            return None
+        except Exception:
+            level.stats.misses += 1
+            self._discard(level, path)
+            return None
+        level.stats.hits += 1
+        self._touch(path)
+        return digest
+
+    def decode(self, level_name: str, key: str, digest: str) -> Any | None:
+        """The payload of an entry :meth:`digest` found, or ``None``.
+
+        Not a lookup: the hit was counted when the digest was read.  An
+        entry that is damaged, or no longer holds the payload with
+        sha256 ``digest``, is counted ``corrupt`` and unlinked.  One
+        that is gone was evicted since (a run storing more entries than
+        the level's cap can evict its own earlier hits) and is counted
+        nowhere: the caller's re-store shows up as a store."""
+        level = self._level(level_name)
+        path = self._entry_path(level, key)
+        try:
+            with open(path, "rb") as handle:
+                header = self._read_header(handle, key)
+                if header.get("sha256") != digest:
+                    raise ValueError("cache entry replaced since its digest was read")
+                return self._decode(level, handle, header)
+        except FileNotFoundError:
+            return None
+        except Exception:
+            self._discard(level, path)
+            return None
+
+    def put(self, level_name: str, key: str, value: Any) -> str:
+        """Store ``value`` and return its payload sha256 (the digest
+        :meth:`digest` reads back).  Best-effort — a full disk degrades
+        to a skipped store, not a failure."""
         level = self._level(level_name)
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        digest = hashlib.sha256(payload).hexdigest()
         header = {
             "schema": CACHE_SCHEMA_VERSION,
             "level": level_name,
             "key": key,
-            "sha256": hashlib.sha256(payload).hexdigest(),
+            "sha256": digest,
             "size": len(payload),
         }
         data = json.dumps(header, separators=(",", ":")).encode() + b"\n" + payload
+        del payload
         try:
             atomic_write_bytes(self._entry_path(level, key), data)
         except OSError:
-            return
+            return digest
         level.stats.stores += 1
-        self._evict(level)
+        if level.entries is None:
+            level.entries = len(self._scan(level))
+        else:
+            level.entries += 1
+        if level.entries > self.max_entries_per_level:
+            self._evict(level)
+        return digest
+
+    @staticmethod
+    def _scan(level: _Level) -> list[os.DirEntry]:
+        try:
+            with os.scandir(level.directory) as scan:
+                return [entry for entry in scan if entry.name.endswith(".bin")]
+        except OSError:
+            return []
 
     def _evict(self, level: _Level) -> None:
-        """Drop least-recently-used entries above the per-level cap."""
-        try:
-            entries = [
-                entry
-                for entry in os.scandir(level.directory)
-                if entry.name.endswith(".bin")
-            ]
-        except OSError:
-            return
+        """Drop least-recently-used entries of a level whose count
+        passed the cap, down to the cap, and resynchronize the count
+        with what is on disk."""
+        entries = self._scan(level)
         excess = len(entries) - self.max_entries_per_level
         if excess <= 0:
+            level.entries = len(entries)
             return
 
         def mtime(entry: os.DirEntry) -> float:
@@ -199,14 +308,17 @@ class ContentCache:
             except OSError:
                 return 0.0
 
+        removed = 0
         for entry in sorted(entries, key=mtime)[:excess]:
             try:
                 os.unlink(entry.path)
                 level.stats.evictions += 1
+                removed += 1
             except OSError:
                 pass
+        level.entries = len(entries) - removed
 
-    def stats_json(self) -> dict[str, dict[str, int]]:
+    def stats_json(self) -> dict[str, dict[str, int | float]]:
         """Per-level counters, sorted by level name for stable output."""
         return {
             name: level.stats.to_json()

@@ -4,8 +4,11 @@ The cache contract is *content addressing*: a key must change exactly
 when recomputing the entry could produce different bytes.  Three kinds
 of inputs feed the keys:
 
-* **File content** — the source bytes (plus language/repo/path, since a
-  statement's provenance rides into the artifact).
+* **File content** — a ``prepare`` entry is keyed by the source bytes
+  (plus language/repo/path, since a statement's provenance rides into
+  the artifact); every later level by the sha256 of the prepared
+  payload that entry holds, so an edit that prepares identically (a
+  comment, trailing whitespace) stops there (early cutoff).
 * **Config** — the :class:`~repro.core.namer.NamerConfig` fields that
   affect the stage.  Frozen dataclasses have deterministic ``repr``\\ s,
   which we hash rather than parse.
@@ -86,9 +89,10 @@ def shard_content_keys(
 
     ``file_statement_counts[i]`` is how many statements file ``i``
     contributed to the flattened statement sequence, and
-    ``file_keys[i]`` is that file's content key.  A span's key hashes
-    the keys of every file whose statements it covers, so the key
-    changes iff any covered file's content (or config) changed.
+    ``file_keys[i]`` is that file's content key (in mining, its
+    prepared-payload digest).  A span's key hashes the keys of every
+    file whose statements it covers, so the key changes iff any
+    covered file's prepared content changed.
 
     Returns ``None`` when a span boundary falls inside a file — then
     per-shard results are not a pure function of whole files and must

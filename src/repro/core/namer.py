@@ -67,7 +67,13 @@ from repro.parallel.sharding import even_spans, pack_spans, spans_by_group
 from repro.resilience.faults import armed_plan_json, fault_check, sync_armed_plan
 from repro.resilience.quarantine import ErrorRecord, Quarantine
 
-__all__ = ["DETECT_FILES_PER_TASK", "NamerConfig", "Namer", "MiningSummary"]
+__all__ = [
+    "DETECT_FILES_PER_TASK",
+    "NamerConfig",
+    "Namer",
+    "MiningSummary",
+    "PreparedIndex",
+]
 
 #: Parallel detection batches ~this many files into each worker task.
 #: Every task pays fixed overhead (fault-plan JSON, context resolution,
@@ -124,15 +130,38 @@ class MiningSummary:
     #: prune, stats, train); surfaced by ``repro mine --profile`` and
     #: the service ``/metrics`` endpoint
     phase_timings: list[dict] = field(default_factory=list)
-    #: per-level hit/miss/store/eviction/corrupt counters of the
-    #: content-addressed cache (empty without ``config.cache_dir``);
-    #: surfaced alongside the phase timings
+    #: per-level hit/miss/store/eviction/corrupt counters, payload bytes
+    #: decoded and decode seconds of the content-addressed cache (empty
+    #: without ``config.cache_dir``); surfaced alongside the phase timings
     cache_stats: dict = field(default_factory=dict)
     #: the cyclic collector's passes during mine() and train():
     #: ``collections`` and ``seconds`` per generation (see
     #: :class:`~repro.parallel.profiler.GcTimer`); never persisted,
     #: like the phase timings, and logged by ``repro mine``
     gc: dict = field(default_factory=dict)
+
+
+@dataclass
+class PreparedIndex:
+    """A corpus's prepared files by content digest (cache on), from
+    :meth:`Namer.index_prepared`.
+
+    ``files`` holds one ``(repo name, source, prepare key, payload
+    sha256)`` row per file that prepared, in corpus order.  Files that
+    had no usable entry were prepared while indexing and wait in
+    ``fresh`` (by key); the rest stay on disk until
+    :meth:`Namer.load_prepared` decodes them.  ``quarantine`` holds the
+    records of the files that failed to prepare.
+    """
+
+    language: str
+    files: list[tuple[str, SourceFile, str, str]]
+    fresh: dict[str, PreparedFile]
+    quarantine: Quarantine
+
+    @property
+    def digests(self) -> list[str]:
+        return [row[3] for row in self.files]
 
 
 class Namer:
@@ -183,57 +212,137 @@ class Namer:
         parse/analyze/transform work over a process pool; file order
         (and therefore every downstream result) is preserved.
 
-        With ``config.cache_dir`` set, prepared files are served from
-        the content cache by (repo, path, language, source bytes,
-        prepare-relevant config): only changed or new files are
-        re-prepared.  Failures are never cached, so a warm run
-        re-prepares (and re-quarantines) them identically to a cold
-        run.
+        With ``config.cache_dir`` set this is :meth:`index_prepared`
+        then :meth:`load_prepared`: only changed or new files are
+        re-prepared.
         """
-        cache = self.content_cache
-        if cache is None:
+        if self.content_cache is None:
             return self._prepare_uncached(corpus, quarantine, workers)
+        index = self._index_prepared(corpus, quarantine, workers)
+        return self.load_prepared(index, workers)[0]
 
+    def index_prepared(
+        self,
+        corpus: Corpus,
+        quarantine: Quarantine | None = None,
+        workers: int | None = None,
+    ) -> PreparedIndex:
+        """Every corpus file's prepared-payload digest, without decoding
+        one (needs ``config.cache_dir``).
+
+        A file's ``prepare`` entry is found by (repo, path, language,
+        source bytes, prepare-relevant config), and its digest is read
+        from the entry's header.  Files without an entry are prepared
+        now, batched through the normal pool fan-out, and stored.
+        Failures are never cached, so a warm run re-prepares (and
+        re-quarantines, into ``quarantine``) them identically to a cold
+        run.
+
+        This starts a new run's phase timings and collector counts, as
+        its ``prepare`` phase; :meth:`mine` handed the index continues
+        them.
+        """
+        if self.content_cache is None:
+            raise ValueError("index_prepared() needs config.cache_dir")
+        self.profiler, self.gc_timer = PhaseProfiler(), GcTimer()
+        with self.gc_timer, self.profiler.phase(
+            "prepare", items=corpus.file_count()
+        ):
+            return self._index_prepared(corpus, quarantine, workers)
+
+    def _index_prepared(
+        self,
+        corpus: Corpus,
+        quarantine: Quarantine | None,
+        workers: int | None,
+    ) -> PreparedIndex:
+        cache = self.content_cache
+        if quarantine is None:
+            quarantine = Quarantine()
         salt = self._prepare_salt()
         keyed = [
-            (repo, source, self._file_key(repo.name, source, salt))
+            (repo.name, source, self._file_key(repo.name, source, salt))
             for repo, source in corpus.files()
         ]
-        cached = {
-            key: entry
+        digests = {
+            key: digest
             for _, _, key in keyed
-            if (entry := cache.get("prepare", key)) is not None
+            if (digest := cache.digest("prepare", key)) is not None
         }
-        # Re-prepare only the misses, batched through the normal pool
-        # fan-out.  corpus.files() yields repo-by-repo, so grouping
-        # consecutive misses preserves corpus order and repo grouping.
-        missing_repos: list[Repository] = []
-        for repo, source, key in keyed:
-            if key in cached:
-                continue
-            if missing_repos and missing_repos[-1].name == repo.name:
-                missing_repos[-1].files.append(source)
-            else:
-                missing_repos.append(Repository(name=repo.name, files=[source]))
-        fresh: dict[tuple[str, str], PreparedFile] = {}
-        if missing_repos:
-            prepared_missing = self._prepare_uncached(
-                Corpus(repositories=missing_repos, language=corpus.language),
-                quarantine,
-                workers,
-            )
-            fresh = {(pf.repo, pf.path): pf for pf in prepared_missing}
+        fresh = self._prepare_rows(
+            corpus.language,
+            [row for row in keyed if row[2] not in digests],
+            quarantine,
+            workers,
+        )
+        for key, prepared in fresh.items():
+            digests[key] = cache.put("prepare", key, prepared)
+        return PreparedIndex(
+            language=corpus.language,
+            files=[
+                (repo_name, source, key, digests[key])
+                for repo_name, source, key in keyed
+                if key in digests
+            ],
+            fresh=fresh,
+            quarantine=quarantine,
+        )
 
-        out: list[PreparedFile] = []
-        for repo, source, key in keyed:
-            entry = cached.get(key)
-            if entry is None:
-                entry = fresh.get((repo.name, source.path))
-                if entry is None:
-                    continue  # failed to prepare: quarantined, not cached
-                cache.put("prepare", key, entry)
-            out.append(entry)
-        return out
+    def load_prepared(
+        self, index: PreparedIndex, workers: int | None = None
+    ) -> tuple[list[PreparedFile], list[str]]:
+        """The indexed files, prepared, with their payload digests, both
+        in corpus order.  Files prepared while indexing are not decoded;
+        a payload that fails verification, or was evicted since it was
+        indexed (a corpus larger than the level cap), is prepared again
+        and re-stored."""
+        cache = self.content_cache
+        loaded: dict[str, tuple[PreparedFile, str]] = {}
+        damaged = []
+        for repo_name, source, key, digest in index.files:
+            prepared = index.fresh.get(key)
+            if prepared is None:
+                prepared = cache.decode("prepare", key, digest)
+            if prepared is None:
+                damaged.append((repo_name, source, key))
+            else:
+                loaded[key] = (prepared, digest)
+        redone = self._prepare_rows(
+            index.language, damaged, index.quarantine, workers
+        )
+        for key, prepared in redone.items():
+            loaded[key] = (prepared, cache.put("prepare", key, prepared))
+        rows = [loaded[key] for _, _, key, _ in index.files if key in loaded]
+        return [row[0] for row in rows], [row[1] for row in rows]
+
+    def _prepare_rows(
+        self,
+        language: str,
+        rows: list[tuple[str, SourceFile, str]],
+        quarantine: Quarantine | None,
+        workers: int | None,
+    ) -> dict[str, PreparedFile]:
+        """Prepare ``(repo name, source, key)`` rows uncached, keyed by
+        ``key``; files that fail are quarantined and absent.  Rows come
+        in corpus order, so grouping consecutive rows of one repo keeps
+        the corpus order and repo grouping."""
+        if not rows:
+            return {}
+        repos: list[Repository] = []
+        for repo_name, source, _ in rows:
+            if repos and repos[-1].name == repo_name:
+                repos[-1].files.append(source)
+            else:
+                repos.append(Repository(name=repo_name, files=[source]))
+        prepared = self._prepare_uncached(
+            Corpus(repositories=repos, language=language), quarantine, workers
+        )
+        by_id = {(pf.repo, pf.path): pf for pf in prepared}
+        return {
+            key: pf
+            for repo_name, source, key in rows
+            if (pf := by_id.get((repo_name, source.path))) is not None
+        }
 
     def _prepare_uncached(
         self,
@@ -288,7 +397,17 @@ class Namer:
             repo_name, source.path, source.language, source.source, salt
         )
 
-    def mine(self, corpus: Corpus) -> MiningSummary:
+    @staticmethod
+    def pairs_key(corpus: Corpus) -> str:
+        """Content key of the confusing-pair counts: every commit text."""
+        return ContentCache.key(
+            corpus.language,
+            *(text for c in corpus.commits for text in (c.before, c.after)),
+        )
+
+    def mine(
+        self, corpus: Corpus, index: PreparedIndex | None = None
+    ) -> MiningSummary:
         """Mine name patterns and build the statistics index.
 
         Per-file parse/analyze/transform failures are quarantined (one
@@ -303,21 +422,28 @@ class Namer:
         rows land on ``MiningSummary.phase_timings``; the cycle
         collector's passes land on ``MiningSummary.gc``.
 
+        With the cache on, every level after ``prepare`` is keyed on the
+        prepared files' payload digests, not on their source bytes.  An
+        ``index`` just built by :meth:`index_prepared` for ``corpus``
+        spares the header reads and holds the quarantine records; its
+        timings and collector counts open this run's.
+
         Once prepared, the corpus is moved out of the collector's reach
         with :func:`gc.freeze` (see "Heap and garbage collection" in
         DESIGN.md).
         """
-        self.gc_timer = GcTimer()
+        if index is None:
+            self.profiler, self.gc_timer = PhaseProfiler(), GcTimer()
         with self.gc_timer:
-            self._mine(corpus)
+            self._mine(corpus, index)
         self.summary.gc = self.gc_timer.to_json()
         return self.summary
 
-    def _mine(self, corpus: Corpus) -> None:
+    def _mine(self, corpus: Corpus, index: PreparedIndex | None) -> None:
         cfg = self.config
         cache = self.content_cache
         self.quarantine = Quarantine()
-        self.profiler = profiler = PhaseProfiler()
+        profiler = self.profiler
 
         with profiler.phase("pairs", items=len(corpus.commits)):
             # Confusing-pair counts are a pure function of the commit
@@ -327,14 +453,7 @@ class Namer:
             pairs_key = None
             pairs = None
             if cache is not None:
-                pairs_key = ContentCache.key(
-                    corpus.language,
-                    *(
-                        text
-                        for c in corpus.commits
-                        for text in (c.before, c.after)
-                    ),
-                )
+                pairs_key = self.pairs_key(corpus)
                 pairs = cache.get("pairs", pairs_key)
             if pairs is None:
                 pairs = mine_confusing_pairs(
@@ -347,9 +466,16 @@ class Namer:
                     cache.put("pairs", pairs_key, pairs)
             self.pairs = pairs
 
-        total_files = sum(1 for _ in corpus.files())
-        with profiler.phase("prepare", items=total_files):
-            self.prepared = self.prepare(corpus, quarantine=self.quarantine)
+        # A handed-in index already counted the files it prepared.
+        items = 0 if index is not None else corpus.file_count()
+        with profiler.phase("prepare", items=items):
+            if cache is None:
+                self.prepared = self.prepare(corpus, quarantine=self.quarantine)
+            else:
+                if index is None:
+                    index = self._index_prepared(corpus, self.quarantine, None)
+                self.quarantine = index.quarantine
+                self.prepared, digests = self.load_prepared(index)
         # The prepared corpus lives as long as the namer and every later
         # phase only adds to the heap; each full collection would rescan
         # it.  It holds no reference cycles, so refcounting alone frees
@@ -383,20 +509,15 @@ class Namer:
             )
             shard_keys = None
             if cache is not None:
-                source_by_id = {
-                    (repo.name, f.path): f for repo, f in corpus.files()
-                }
-                salt = self._prepare_salt()
-                file_keys = [
-                    self._file_key(
-                        pf.repo, source_by_id[(pf.repo, pf.path)], salt
-                    )
-                    for pf in self.prepared
-                ]
+                # Keyed on what each file prepared to, not on its bytes
+                # (an edit that prepares identically, like a comment,
+                # stops at its prepare entry), and on the pipeline
+                # version, which the mine and stats memo salts lack.
+                pipeline = f"|pipeline{PIPELINE_VERSION}"
                 shard_keys = shard_content_keys(
                     spans,
                     [len(pf.statements) for pf in self.prepared],
-                    file_keys,
+                    [digest + pipeline for digest in digests],
                 )
             with profiler.phase("intern", items=len(statements)):
                 # One corpus-wide pass assigns every distinct name path

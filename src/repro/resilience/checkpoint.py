@@ -81,15 +81,26 @@ class CheckpointError(RuntimeError):
     """A checkpoint file exists but cannot be trusted."""
 
 
+def _stamp(stage: str, inputs: str, payload: bytes) -> str:
+    """A checkpoint's SHA-256 stamp over its stage, its inputs and its
+    payload's encoded JSON text."""
+    digest = hashlib.sha256(json.dumps([stage, inputs]).encode() + b"\n")
+    digest.update(payload)
+    return digest.hexdigest()
+
+
 class CheckpointStore:
     """Named stage checkpoints under one directory.
 
     Each ``save(stage, payload, inputs)`` writes
     ``<dir>/<stage>.ckpt.json`` atomically with a SHA-256 stamp over the
-    payload and the ``inputs`` fingerprint of the run that produced it;
-    ``load`` verifies both and raises :class:`CheckpointError` on any
-    mismatch, so a resume never silently continues from torn state or
-    from a run over other inputs.
+    stage, the ``inputs`` fingerprint of the run that produced it and
+    the payload's ``json.dumps`` text — the same text the file holds, so
+    the payload is encoded once.  ``load`` re-encodes the decoded
+    payload (``json`` round-trips its own output exactly), verifies the
+    stamp, and raises :class:`CheckpointError` on any mismatch, so a
+    resume never silently continues from torn state or from a run over
+    other inputs.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -102,11 +113,14 @@ class CheckpointStore:
         from repro.resilience.faults import fault_check
 
         self.directory.mkdir(parents=True, exist_ok=True)
-        document = {"stage": stage, "inputs": inputs, "payload": payload}
-        document["checksum"] = document_checksum(document)
+        data = json.dumps(payload).encode()
+        head = (
+            f'{{"stage": {json.dumps(stage)}, "inputs": {json.dumps(inputs)}, '
+            f'"checksum": "{_stamp(stage, inputs, data)}", "payload": '
+        )
         path = self.path_for(stage)
         fault_check("checkpoint.save", key=str(path))
-        atomic_write_text(path, json.dumps(document))
+        atomic_write_bytes(path, head.encode() + data + b"}")
         return path
 
     def has(self, stage: str) -> bool:
@@ -132,7 +146,7 @@ class CheckpointStore:
         if document.get("inputs") != inputs:
             raise CheckpointError(f"checkpoint {path} was written for other inputs")
         expected = document.get("checksum")
-        actual = document_checksum(document)
+        actual = _stamp(stage, inputs, json.dumps(document["payload"]).encode())
         if expected != actual:
             raise CheckpointError(
                 f"checkpoint {path} failed its SHA-256 verification "

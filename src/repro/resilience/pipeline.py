@@ -15,6 +15,12 @@ run never trusts torn state.  Resuming replays only the missing stages,
 and — because corpus generation, mining, and training are all seeded —
 produces an artifact **byte-identical** to an uninterrupted run
 (asserted in ``tests/test_resilience.py``).
+
+With the content cache on, a finished run also stores the exact bytes
+it wrote (artifact and frozen blob) in the cache's ``train`` level,
+keyed by everything they are a function of.  A re-run over the same
+prepared corpus replays them from that one entry: it decodes no
+prepared file and mines, trains and encodes nothing.
 """
 
 from __future__ import annotations
@@ -24,18 +30,40 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from repro.cache import config_fingerprint
-from repro.core.namer import MiningSummary, Namer, NamerConfig
+from repro.cache import ContentCache, config_fingerprint, fingerprint_of
+from repro.core.namer import MiningSummary, Namer, NamerConfig, PreparedIndex
 from repro.core.persistence import (
+    SCHEMA_VERSION,
     namer_from_document,
     namer_to_document,
     save_document,
 )
 from repro.corpus.model import Corpus
-from repro.resilience.checkpoint import CheckpointError, CheckpointStore, sha256_of
+from repro.mining import PIPELINE_VERSION
+from repro.resilience.checkpoint import (
+    CheckpointError,
+    CheckpointStore,
+    atomic_write_bytes,
+    sha256_of,
+)
 from repro.resilience.faults import fault_check
 
-__all__ = ["MinePipelineResult", "run_mine_pipeline"]
+__all__ = [
+    "MinePipelineResult",
+    "TRAIN_VERSION",
+    "run_mine_pipeline",
+    "train_key",
+]
+
+#: Version of everything between the mined patterns and the written
+#: artifact that no other version covers: violation listing, training
+#: set sampling, the classifier and its fit, and the artifact's JSON
+#: encoding.  Salted into the ``train`` cache key (with
+#: :data:`repro.mining.PIPELINE_VERSION` and the artifact
+#: ``SCHEMA_VERSION``), so a replay never writes the bytes an older
+#: build trained.  Bump when a change to any of them could alter an
+#: artifact byte.
+TRAIN_VERSION = 1
 
 
 @dataclass
@@ -49,6 +77,11 @@ class MinePipelineResult:
     quarantined_files: int = 0
     #: path of the frozen matcher blob (``freeze=True``), else None
     frozen_out: str | None = None
+    #: key of the ``train`` cache entry the outputs were replayed from
+    #: (nothing was mined or trained), else None
+    replayed_from: str | None = None
+    #: per-level content-cache counters (empty without a cache)
+    cache_stats: dict = field(default_factory=dict)
 
 
 def run_mine_pipeline(
@@ -77,6 +110,11 @@ def run_mine_pipeline(
     factory builds — the output-relevant ``namer_config``, ``train``,
     ``training_size``, ``seed``); a resume ignores any stamped for
     other inputs.
+
+    With ``namer_config.cache_dir`` set, the run first indexes the
+    prepared corpus (:meth:`Namer.index_prepared`) and looks up its
+    ``train`` entry (:func:`train_key`); a hit writes the stored
+    artifact and frozen blob and returns.
     """
     out = str(out)
     store = CheckpointStore(checkpoint_dir or f"{out}.ckpt")
@@ -86,6 +124,11 @@ def run_mine_pipeline(
     inputs = sha256_of(
         config_fingerprint(corpus_settings, output_config, train, training_size, seed)
     )
+    frozen_path = None
+    if freeze:
+        from repro.mining.frozen import default_frozen_path
+
+        frozen_path = default_frozen_path(out)
 
     corpus: Corpus | None = None
 
@@ -104,20 +147,52 @@ def run_mine_pipeline(
             log(f"ignoring unusable checkpoint: {exc}")
             return None
 
+    cache: ContentCache | None = None
+    replay_key: str | None = None
     final_document = load_stage("train")
     namer: Namer | None = None
     if final_document is not None:
         result.resumed_stages.append("train")
         log("resumed from checkpoint 'train' (mining and training skipped)")
     else:
+        miner = Namer(namer_config)
+        cache = miner.content_cache
+        index: PreparedIndex | None = None
+        if cache is not None:
+            index = miner.index_prepared(get_corpus())
+            replay_key = train_key(inputs, index, get_corpus(), freeze)
+            entry = cache.get("train", replay_key)
+            if entry is not None:
+                artifact, frozen = entry
+                fault_check("persistence.write", key=out)
+                atomic_write_bytes(out, artifact)
+                if frozen_path is not None:
+                    atomic_write_bytes(frozen_path, frozen)
+                    result.frozen_out = str(frozen_path)
+                result.replayed_from = replay_key
+                result.quarantined_files = len(index.quarantine)
+                result.cache_stats = cache.stats_json()
+                log(
+                    f"replayed from cache entry train/{replay_key[:16]} "
+                    "(mining and training skipped)"
+                )
+                if result.quarantined_files:
+                    log(
+                        f"quarantined {result.quarantined_files} "
+                        "unpreparable file(s)"
+                    )
+                if not keep_checkpoints:
+                    store.clear()
+                log(f"artifacts saved to {out}")
+                return result
         mine_document = load_stage("mine")
         if mine_document is not None:
             namer = namer_from_document(mine_document, label="checkpoint 'mine'")
             result.resumed_stages.append("mine")
             log("resumed from checkpoint 'mine' (pattern mining skipped)")
         else:
-            namer = Namer(namer_config)
-            result.summary = namer.mine(get_corpus())
+            namer = miner
+            result.summary = namer.mine(get_corpus(), index)
             result.quarantined_files = result.summary.quarantined_files
             store.save("mine", namer_to_document(namer), inputs)
             log(
@@ -140,7 +215,11 @@ def run_mine_pipeline(
                 # Resumed from the mine checkpoint: the prepared corpus
                 # is an input, not an artifact, so rebuild it (seeded —
                 # identical to the original run) for training.
-                namer.prepared = namer.prepare(get_corpus(), namer.quarantine)
+                namer.prepared = (
+                    miner.load_prepared(index)[0]
+                    if index is not None
+                    else namer.prepare(get_corpus(), namer.quarantine)
+                )
             oracle = Oracle(get_corpus())
             violations = namer.all_violations()
             training, labels = sample_balanced_training(
@@ -164,24 +243,53 @@ def run_mine_pipeline(
         fault_check("pipeline.after_train", key=out)
 
     checksum = save_document(final_document, out)
-    if freeze:
+    if frozen_path is not None:
         # The compiled-matcher blob next to the JSON artifact: serving
         # tiers mmap it for near-instant cold starts, and fall back to
         # the JSON decode if it is ever damaged.
-        from repro.mining.frozen import default_frozen_path, freeze_namer
+        from repro.mining.frozen import freeze_namer
 
         if namer is None:
             # Resumed straight from the 'train' checkpoint: the fitted
             # namer was never materialized, so decode it once to freeze.
             namer = namer_from_document(final_document, label=f"artifact {out}")
-        frozen_path = default_frozen_path(out)
         frozen = freeze_namer(namer, frozen_path, checksum)
         result.frozen_out = str(frozen_path)
         log(
             f"frozen matcher blob saved to {frozen_path} "
             f"({frozen['bytes']} bytes, {frozen['arrays']} arrays)"
         )
+    if cache is not None:
+        # Stored only once both outputs are on disk: the exact bytes a
+        # replay writes.  The document and the mined namer go first, so
+        # the entry's few MB reuse their memory rather than raise the
+        # run's peak.
+        del final_document, namer, miner, index
+        cache.put("train", replay_key, (
+            Path(out).read_bytes(),
+            frozen_path.read_bytes() if frozen_path is not None else None,
+        ))
+        result.cache_stats = cache.stats_json()
     if not keep_checkpoints:
         store.clear()
     log(f"artifacts saved to {out}")
     return result
+
+
+def train_key(
+    inputs: str, index: PreparedIndex, corpus: Corpus, freeze: bool
+) -> str:
+    """The ``train`` cache key: everything the written artifact and
+    frozen blob are a function of — the run's ``inputs`` fingerprint,
+    each prepared file's payload digest in corpus order, the commit
+    texts the confusing pairs are mined from, the ground truth the
+    training oracle labels with, whether a blob is written, and the
+    versions of the code that mines, trains and encodes them."""
+    return ContentCache.key(
+        f"pipeline{PIPELINE_VERSION}|schema{SCHEMA_VERSION}|train{TRAIN_VERSION}",
+        inputs,
+        fingerprint_of(index.digests),
+        Namer.pairs_key(corpus),
+        fingerprint_of(corpus.ground_truth),
+        repr(freeze),
+    )

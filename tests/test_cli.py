@@ -169,6 +169,22 @@ class TestCommands:
         assert "resumed from checkpoint" in capsys.readouterr().out
         assert out_b.read_bytes() == out_a.read_bytes()
 
+    def test_mine_rerun_replays_from_the_cache(self, tmp_path, capsys):
+        base = ["--repos", "6", "--min-support", "12", "--min-frequency", "5",
+                "--freeze", "--cache-dir", str(tmp_path / "cache")]
+        out = tmp_path / "namer.json"
+        uncached = tmp_path / "uncached.json"
+        assert main(["mine", "--out", str(uncached), "--no-cache", *base[:-2]]) == 0
+        assert main(["mine", "--out", str(out), *base]) == 0
+        assert "replayed" not in capsys.readouterr().out
+        assert main(["mine", "--out", str(out), "--profile", *base]) == 0
+        printed = capsys.readouterr().out
+        assert "replayed from cache entry train/" in printed
+        assert "no phase timings (replayed from cache entry train/" in printed
+        assert out.read_bytes() == uncached.read_bytes()
+        frozen = pathlib.Path(f"{out}.frozen").read_bytes()
+        assert frozen == pathlib.Path(f"{uncached}.frozen").read_bytes()
+
     def test_scan_style_flag(self, artifacts, tmp_path, capsys):
         project = tmp_path / "styleproj"
         project.mkdir()

@@ -179,15 +179,20 @@ class TestStore:
 
     def test_version_2_entry_is_a_miss(self, cache, monkeypatch):
         """Schema 2 pickled prepared statements as transformed trees and
-        paths as dataclasses; those entries must never be decoded now."""
-        assert CACHE_SCHEMA_VERSION == 3
-        with monkeypatch.context() as patched:
-            patched.setattr("repro.cache.contentcache.CACHE_SCHEMA_VERSION", 2)
-            old_key = ContentCache.key("file-bytes")
-            cache.put("prepare", old_key, "v2 payload")
-        assert ContentCache.key("file-bytes") != old_key
-        assert cache.get("prepare", ContentCache.key("file-bytes")) is None
-        assert cache.get("prepare", old_key) is None
+        paths as dataclasses, and schema 3 keyed mining shards on source
+        bytes; those entries must never be decoded now."""
+        assert CACHE_SCHEMA_VERSION == 4
+        for old in (2, 3):
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    "repro.cache.contentcache.CACHE_SCHEMA_VERSION", old
+                )
+                old_key = ContentCache.key("file-bytes")
+                cache.put("prepare", old_key, f"v{old} payload")
+            assert ContentCache.key("file-bytes") != old_key
+            assert cache.get("prepare", ContentCache.key("file-bytes")) is None
+            assert cache.get("prepare", old_key) is None
+            assert cache.digest("prepare", old_key) is None
 
     def test_injected_load_fault_is_a_corrupt_miss(self, cache):
         """The `cache.load` fault site: an injected failure degrades to
@@ -227,3 +232,123 @@ class TestStore:
         level_dir.write_text("not a directory")
         cache.put("prepare", ContentCache.key("k"), "v")  # must not raise
         assert cache.stats_json()["prepare"]["stores"] == 0
+
+
+# ----------------------------------------------------------------------
+# Header-only digests and deferred decodes
+# ----------------------------------------------------------------------
+
+
+class TestDigest:
+    def test_put_returns_the_digest_the_header_holds(self, cache):
+        key = ContentCache.key("d")
+        digest = cache.put("prepare", key, {"value": 1})
+        assert cache.digest("prepare", key) == digest
+        assert cache.decode("prepare", key, digest) == {"value": 1}
+        stats = cache.stats_json()["prepare"]
+        # One lookup (the digest); the decode is not another.
+        assert stats["hits"] == 1 and stats["misses"] == 0
+        assert stats["decoded_bytes"] > 0
+
+    def test_digest_reads_no_payload(self, cache):
+        key = ContentCache.key("d")
+        cache.put("prepare", key, list(range(1000)))
+        assert cache.digest("prepare", key) is not None
+        stats = cache.stats_json()["prepare"]
+        assert stats["decoded_bytes"] == 0 and stats["decode_seconds"] == 0
+
+    def test_digest_of_absent_entry_is_a_plain_miss(self, cache):
+        assert cache.digest("prepare", ContentCache.key("nope")) is None
+        stats = cache.stats_json()["prepare"]
+        assert stats["misses"] == 1 and stats["corrupt"] == 0
+
+    def test_digest_sees_truncation(self, cache):
+        key = ContentCache.key("t")
+        cache.put("prepare", key, list(range(100)))
+        (path,) = _entry_files(cache, "prepare")
+        path.write_bytes(path.read_bytes()[:-5])
+        assert cache.digest("prepare", key) is None
+        assert cache.stats_json()["prepare"]["corrupt"] == 1
+        assert not path.exists()
+
+    def test_decode_verifies_what_the_digest_did_not_read(self, cache):
+        key = ContentCache.key("b")
+        digest = cache.put("prepare", key, list(range(100)))
+        (path,) = _entry_files(cache, "prepare")
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0xFF
+        path.write_bytes(bytes(data))
+        assert cache.digest("prepare", key) == digest  # same size
+        assert cache.decode("prepare", key, digest) is None
+        assert cache.stats_json()["prepare"]["corrupt"] == 1
+        assert not path.exists()
+
+    def test_decode_refuses_an_entry_replaced_since(self, cache):
+        key = ContentCache.key("r")
+        first = cache.put("prepare", key, "first")
+        cache.put("prepare", key, "second")
+        assert cache.decode("prepare", key, first) is None
+
+    def test_decode_of_an_evicted_entry_is_not_corruption(self, cache):
+        key = ContentCache.key("e")
+        digest = cache.put("prepare", key, "payload")
+        assert cache.digest("prepare", key) == digest
+        (path,) = _entry_files(cache, "prepare")
+        path.unlink()
+        assert cache.decode("prepare", key, digest) is None
+        assert cache.stats_json()["prepare"]["corrupt"] == 0
+
+    def test_digest_passes_the_fault_site(self, cache):
+        key = ContentCache.key("f")
+        cache.put("prepare", key, "payload")
+        plan = FaultPlan([FaultSpec(site="cache.load", rate=1.0)], seed=1)
+        with FAULTS.armed(plan):
+            assert cache.digest("prepare", key) is None
+        assert cache.stats_json()["prepare"]["corrupt"] == 1
+
+
+# ----------------------------------------------------------------------
+# Eviction bookkeeping
+# ----------------------------------------------------------------------
+
+
+class TestEvictionScans:
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        calls = []
+        scandir = os.scandir
+
+        def counting(path):
+            calls.append(path)
+            return scandir(path)
+
+        monkeypatch.setattr("repro.cache.contentcache.os.scandir", counting)
+        return calls
+
+    def test_stores_under_the_cap_scan_each_level_once(self, tmp_path, scans):
+        cache = ContentCache(tmp_path / "c", max_entries_per_level=1000)
+        for i in range(200):
+            cache.put("prepare", ContentCache.key(f"p{i}"), i)
+            cache.put("stats", ContentCache.key(f"s{i}"), i)
+        assert len(scans) == 2
+
+    def test_a_fill_past_the_cap_evicts_to_the_cap(self, tmp_path, scans):
+        cache = ContentCache(tmp_path / "c", max_entries_per_level=16)
+        for i in range(64):
+            cache.put("prepare", ContentCache.key(f"k{i}"), i)
+        # One scan when the level is first stored to; none until the
+        # count passes 16; then each store over the cap scans and
+        # evicts one entry.
+        assert len(scans) == 1 + 48
+        assert cache.stats_json()["prepare"]["evictions"] == 48
+        assert len(_entry_files(cache, "prepare")) == 16
+
+    def test_count_resynchronizes_with_the_disk(self, tmp_path):
+        """Overwrites over-count; the next eviction scan corrects the
+        count instead of evicting live entries."""
+        cache = ContentCache(tmp_path / "c", max_entries_per_level=4)
+        key = ContentCache.key("same")
+        for i in range(10):
+            cache.put("prepare", key, i)
+        assert cache.get("prepare", key) == 9
+        assert cache.stats_json()["prepare"]["evictions"] == 0

@@ -5,7 +5,10 @@ The contract under test, in order of importance:
 1. **Bit identity** — mined patterns and saved artifact bytes are
    identical with the cache off, cold, or warm.
 2. **Incrementality** — a warm re-mine recomputes nothing when nothing
-   changed, and only the affected shards when one file changed.
+   changed, re-prepares only an edited file, and re-mines only the
+   shards whose prepared content changed; a whole ``repro mine`` run
+   over an unchanged prepared corpus replays its outputs from the
+   ``train`` level.
 3. **Invalidation** — content edits, renames with identical bytes,
    config changes, and schema bumps all produce different keys (stale
    entries can never answer).
@@ -14,7 +17,10 @@ The contract under test, in order of importance:
 """
 
 import copy
+import dataclasses
 import json
+import shutil
+import sys
 
 import pytest
 
@@ -24,6 +30,7 @@ from repro.core.persistence import namer_to_document
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
 from repro.mining.miner import MiningConfig
 from repro.resilience.faults import FAULTS, FaultPlan, FaultSpec
+from repro.resilience.pipeline import run_mine_pipeline
 
 pytestmark = pytest.mark.cache
 
@@ -59,6 +66,15 @@ def level(namer, name) -> dict:
 
 def phase_names(namer) -> list[str]:
     return [row["phase"] for row in namer.summary.phase_timings]
+
+
+def bump(monkeypatch, name):
+    """Bump the version constant ``name`` in every ``repro`` module
+    that binds it, as a new release would."""
+    for module in list(sys.modules.values()):
+        module_name = getattr(module, "__name__", "") or ""
+        if module_name.partition(".")[0] == "repro" and hasattr(module, name):
+            monkeypatch.setattr(module, name, getattr(module, name) + 1)
 
 
 # ----------------------------------------------------------------------
@@ -124,28 +140,53 @@ class TestWarmIdentity:
 
 
 class TestIncrementalEdit:
-    def test_comment_edit_recomputes_only_that_files_shard(
-        self, corpus, tmp_path
-    ):
+    def test_comment_edit_stops_at_its_prepared_file(self, corpus, tmp_path):
+        """Early cutoff: every level after ``prepare`` is keyed on the
+        prepared payload's digest, and a comment prepares identically,
+        so the edit costs one re-prepare and every memo still hits."""
         cold = mine(corpus, tmp_path / "c")
         edited = copy.deepcopy(corpus)
         edited.repositories[0].files[0].source += "\n# cache probe\n"
         warm = mine(edited, tmp_path / "c")
 
         nfiles = sum(len(r.files) for r in corpus.repositories)
-        # Exactly the edited file re-prepares ...
+        # Exactly the edited file re-prepares (and is re-stored under
+        # its new source key) ...
         assert level(warm, "prepare")["misses"] == 1
         assert level(warm, "prepare")["hits"] == nfiles - 1
-        # ... and exactly its statement shard re-counts.  (The second
-        # pattern kind reuses the in-process frequency memo, so the
-        # count is per-run, not per-kind.)
+        assert level(warm, "prepare")["stores"] == 1
+        # ... to the same payload, so both whole-kind memos and the
+        # merged statistics index answer: nothing is re-mined.
+        assert level(warm, "mine")["hits"] == 2
+        assert level(warm, "stats")["hits"] == 1
+        assert level(warm, "stats")["misses"] == 0
+        for name in ("frequency", "growth", "prune"):
+            assert name not in warm.summary.cache_stats, name
+        assert "prune_shard" not in phase_names(warm)
+        assert level(warm, "pairs")["hits"] == 1
+        assert doc_bytes(warm) == doc_bytes(cold)
+
+    def test_code_edit_recomputes_only_that_files_shard(self, corpus, tmp_path):
+        """An edit that changes what a file prepares to re-mines exactly
+        that file's shard.  A leading blank line moves every statement
+        of the file (its line numbers are in the prepared payload) but
+        changes no name path, so the global frequent-path and pattern
+        sets stay, and every later pass re-runs that shard alone."""
+        cold = mine(corpus, tmp_path / "c")
+        edited = copy.deepcopy(corpus)
+        source = edited.repositories[0].files[0]
+        source.source = "\n" + source.source
+        warm = mine(edited, tmp_path / "c")
+
         total_shards = level(cold, "frequency")["stores"]
         assert total_shards >= 2
+        assert level(warm, "prepare")["misses"] == 1
+        # (The second pattern kind reuses the in-process frequency
+        # memo, so the count is per-run, not per-kind.)
         assert level(warm, "frequency")["misses"] == 1
         assert level(warm, "frequency")["hits"] == total_shards - 1
-        # A comment changes no statements, so the global frequent-path
-        # and pattern sets are unchanged — later passes re-run only the
-        # edited shard (once per pattern kind).
+        # Growth and prune re-run only the edited shard, once per
+        # pattern kind.
         assert level(warm, "growth")["misses"] == 2
         assert level(warm, "prune")["misses"] == 2
         # The statistics index re-counts only the edited shard too (the
@@ -153,14 +194,11 @@ class TestIncrementalEdit:
         assert level(cold, "stats")["stores"] == total_shards + 1
         assert level(warm, "stats")["misses"] == 2
         assert level(warm, "stats")["hits"] == total_shards - 1
-        # The content changed, so both whole-kind memos miss (and are
-        # re-stored for the next zero-change run).
+        # The prepared content changed, so both whole-kind memos miss
+        # (and are re-stored for the next zero-change run).
         assert level(warm, "mine")["misses"] == 2
         assert level(warm, "mine")["stores"] == 2
-        # Commit histories didn't change: the pair store still hits.
-        assert level(warm, "pairs")["hits"] == 1
-        # The mined artifact is identical — the edit was cosmetic.
-        assert doc_bytes(warm) == doc_bytes(cold)
+        assert doc_bytes(warm) == doc_bytes(mine(edited))
 
     def test_rename_with_identical_bytes_invalidates(self, corpus, tmp_path):
         """Statement provenance includes the file path, so a rename
@@ -213,6 +251,19 @@ class TestInvalidation:
         assert level(warm, "mine")["misses"] == 1  # confusing words
         assert doc_bytes(warm) == doc_bytes(mine(edited))
 
+    def test_pipeline_version_bump_misses_every_mining_level(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        """The files re-prepare to the same payloads, so the version
+        must reach the ``mine`` and ``stats`` memos through the shard
+        keys, or they would answer with the old code's results."""
+        mine(corpus, tmp_path / "c")
+        bump(monkeypatch, "PIPELINE_VERSION")
+        warm = mine(corpus, tmp_path / "c")
+        for name in ("prepare", "frequency", "growth", "prune", "stats", "mine"):
+            assert level(warm, name)["hits"] == 0, name
+            assert level(warm, name)["misses"] > 0, name
+
     def test_schema_bump_orphans_every_entry(self, corpus, tmp_path, monkeypatch):
         mine(corpus, tmp_path / "c")
         monkeypatch.setattr(
@@ -256,3 +307,213 @@ class TestResilience:
             stats["corrupt"] for stats in warm.summary.cache_stats.values()
         )
         assert total_corrupt > 0
+
+
+# ----------------------------------------------------------------------
+# The train level: a finished run's outputs, replayed
+# ----------------------------------------------------------------------
+
+
+PIPELINE = dict(
+    corpus_settings=("python", "incremental-test-corpus"),
+    training_size=40,
+    seed=7,
+    freeze=True,
+)
+
+
+def run_pipeline(corpus, out_dir, cache_dir=None, **changes):
+    """One ``repro mine``-shaped pipeline run; returns the result and
+    the bytes of the artifact and the frozen blob it wrote."""
+    kwargs = {**PIPELINE, **changes}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    out = out_dir / "namer.json"
+    result = run_mine_pipeline(
+        corpus_factory=lambda: copy.deepcopy(corpus),
+        namer_config=NamerConfig(
+            mining=MINING,
+            cache_dir=str(cache_dir) if cache_dir is not None else None,
+        ),
+        out=out,
+        **kwargs,
+    )
+    frozen = out.with_name(out.name + ".frozen")
+    return result, (
+        out.read_bytes(),
+        frozen.read_bytes() if kwargs["freeze"] else None,
+    )
+
+
+def comment_edited(corpus):
+    edited = copy.deepcopy(corpus)
+    edited.repositories[0].files[0].source += "\n# cache probe\n"
+    return edited
+
+
+def code_edited(corpus):
+    edited = copy.deepcopy(corpus)
+    source = edited.repositories[0].files[0]
+    source.source = source.source.replace("fullpath", "fullname")
+    return edited
+
+
+@pytest.fixture(scope="module")
+def uncached_outputs(corpus, tmp_path_factory):
+    """The artifact and blob bytes of a ``--no-cache`` run."""
+    return run_pipeline(corpus, tmp_path_factory.mktemp("nocache"))[1]
+
+
+@pytest.fixture(scope="module")
+def filled_cache(corpus, tmp_path_factory, uncached_outputs):
+    """A cache directory one pipeline run filled (copied per test)."""
+    root = tmp_path_factory.mktemp("filled")
+    result, outputs = run_pipeline(corpus, root, root / "cache")
+    assert result.replayed_from is None
+    assert result.cache_stats["train"]["stores"] == 1
+    assert outputs == uncached_outputs
+    return root / "cache"
+
+
+@pytest.fixture()
+def cache_dir(filled_cache, tmp_path):
+    return shutil.copytree(filled_cache, tmp_path / "cache")
+
+
+class TestTrainReplay:
+    def test_zero_edit_rerun_replays_without_decoding(
+        self, corpus, tmp_path, cache_dir, uncached_outputs
+    ):
+        messages = []
+        result, outputs = run_pipeline(
+            corpus, tmp_path, cache_dir, log=messages.append
+        )
+        assert outputs == uncached_outputs
+        assert result.replayed_from is not None
+        assert result.summary is None and result.trained_on is None
+        stats = result.cache_stats
+        assert stats["train"]["hits"] == 1
+        assert stats["prepare"]["hits"] == corpus.file_count()
+        assert stats["prepare"]["decoded_bytes"] == 0
+        for name in ("mine", "stats", "frequency", "growth", "prune", "pairs"):
+            assert name not in stats, name
+        assert any(
+            f"train/{result.replayed_from[:16]}" in message for message in messages
+        )
+
+    def test_comment_edit_costs_one_prepare_then_replays(
+        self, corpus, tmp_path, cache_dir, uncached_outputs
+    ):
+        result, outputs = run_pipeline(comment_edited(corpus), tmp_path, cache_dir)
+        assert outputs == uncached_outputs
+        assert result.replayed_from is not None
+        assert result.cache_stats["prepare"]["misses"] == 1
+        assert result.cache_stats["prepare"]["decoded_bytes"] == 0
+
+    def test_code_edit_misses_and_matches_a_cold_mine(
+        self, corpus, tmp_path, cache_dir
+    ):
+        edited = code_edited(corpus)
+        result, outputs = run_pipeline(edited, tmp_path, cache_dir)
+        assert result.replayed_from is None
+        assert result.cache_stats["train"]["misses"] == 1
+        assert result.cache_stats["prepare"]["misses"] == 1
+        # Only the hits are decoded: the edited file was prepared once.
+        assert result.cache_stats["prepare"]["decoded_bytes"] > 0
+        assert outputs == run_pipeline(edited, tmp_path / "cold")[1]
+        # The run's prepare phase covers the indexing the pipeline did
+        # before mining (the first call) and the decode (the second).
+        (prepare,) = [
+            row for row in result.summary.phase_timings if row["phase"] == "prepare"
+        ]
+        assert prepare["items"] == corpus.file_count() and prepare["calls"] == 2
+        # The miss stored the edited run's entry: it replays next time.
+        again, replayed = run_pipeline(edited, tmp_path, cache_dir)
+        assert again.replayed_from is not None and replayed == outputs
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"training_size": 30},
+            {"seed": 8},
+            {"freeze": False},
+            {"train": False},
+        ],
+        ids=["training_size", "seed", "freeze", "train"],
+    )
+    def test_run_settings_miss_the_train_level(
+        self, corpus, tmp_path, cache_dir, changes
+    ):
+        result, _ = run_pipeline(corpus, tmp_path, cache_dir, **changes)
+        assert result.replayed_from is None
+        assert result.cache_stats["train"]["misses"] == 1
+        assert result.cache_stats["train"]["hits"] == 0
+
+    @pytest.mark.parametrize(
+        "name", ["PIPELINE_VERSION", "SCHEMA_VERSION", "TRAIN_VERSION"]
+    )
+    def test_code_version_bump_misses_the_train_level(
+        self, corpus, tmp_path, cache_dir, monkeypatch, name
+    ):
+        """A replay writes the bytes the storing build made; a build
+        whose mining, artifact or training code is another version must
+        mine and train afresh."""
+        bump(monkeypatch, name)
+        result, _ = run_pipeline(corpus, tmp_path, cache_dir)
+        assert result.replayed_from is None
+        assert result.cache_stats["train"]["misses"] == 1
+        assert result.cache_stats["train"]["hits"] == 0
+        if name == "PIPELINE_VERSION":
+            assert result.cache_stats["mine"]["hits"] == 0
+            assert result.cache_stats["stats"]["hits"] == 0
+
+    def test_ground_truth_change_misses_the_train_level(
+        self, corpus, tmp_path, cache_dir
+    ):
+        edited = copy.deepcopy(corpus)
+        first = edited.ground_truth[0]
+        edited.ground_truth[0] = dataclasses.replace(first, line=first.line + 1)
+        result, outputs = run_pipeline(edited, tmp_path, cache_dir)
+        assert result.replayed_from is None
+        assert result.cache_stats["train"]["misses"] == 1
+        assert outputs == run_pipeline(edited, tmp_path / "cold")[1]
+
+    def test_replay_reports_the_quarantined_files(self, corpus, tmp_path):
+        """Files that fail to prepare are never cached: a replay
+        re-prepares (and re-quarantines) them, then replays."""
+        plan = FaultPlan([FaultSpec(site="corpus.prepare_file", rate=0.2)], seed=3)
+        messages = []
+        with FAULTS.armed(plan):
+            uncached = run_pipeline(corpus, tmp_path / "nocache")[1]
+            first, outputs = run_pipeline(corpus, tmp_path, tmp_path / "cache")
+            again, replayed = run_pipeline(
+                corpus, tmp_path, tmp_path / "cache", log=messages.append
+            )
+        assert first.quarantined_files > 0
+        assert again.replayed_from is not None
+        assert again.quarantined_files == first.quarantined_files
+        assert again.cache_stats["prepare"]["misses"] == first.quarantined_files
+        assert replayed == outputs == uncached
+        assert any("quarantined" in message for message in messages)
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip", "fault"])
+    def test_damaged_train_entry_falls_back_to_the_full_run(
+        self, corpus, tmp_path, cache_dir, uncached_outputs, damage
+    ):
+        (entry,) = (cache_dir / "train").glob("*.bin")
+        data = bytearray(entry.read_bytes())
+        if damage == "truncate":
+            entry.write_bytes(data[: len(data) // 2])
+        elif damage == "flip":
+            data[-100] ^= 0x01
+            entry.write_bytes(bytes(data))
+        plan = FaultPlan(
+            [FaultSpec(site="cache.load", match="train:")]
+            if damage == "fault"
+            else [],
+            seed=1,
+        )
+        with FAULTS.armed(plan):
+            result, outputs = run_pipeline(corpus, tmp_path, cache_dir)
+        assert result.replayed_from is None
+        assert result.cache_stats["train"]["corrupt"] == 1
+        assert outputs == uncached_outputs

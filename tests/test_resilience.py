@@ -296,6 +296,44 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="SHA-256"):
             store.load("mine")
 
+    def test_payload_is_encoded_once_and_stored_as_that_text(
+        self, tmp_path, monkeypatch
+    ):
+        payload = {"numbers": [1, 2.5, 1e-05], "nested": {"b": None, "a": "é"}}
+        encodes = []
+        dumps = json.dumps
+
+        def counting(value, *args, **kwargs):
+            if value is payload:
+                encodes.append(kwargs)
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr("repro.resilience.checkpoint.json.dumps", counting)
+        path = CheckpointStore(tmp_path).save("mine", payload, "inputs-1")
+        assert len(encodes) == 1
+        monkeypatch.undo()
+        text = path.read_text()
+        assert dumps(payload) in text
+        assert json.loads(text)["payload"] == payload
+        assert CheckpointStore(tmp_path).load("mine", "inputs-1") == payload
+
+    def test_checkpoint_of_the_canonical_stamp_format_is_ignored(self, tmp_path):
+        """Checkpoints stamped with the canonical whole-document checksum
+        fail verification once, and the stage is re-run."""
+        store = CheckpointStore(tmp_path)
+        document = {"stage": "mine", "inputs": "", "payload": {"x": 1}}
+        document["checksum"] = document_checksum(document)
+        store.path_for("mine").write_text(json.dumps(document))
+        with pytest.raises(CheckpointError, match="SHA-256"):
+            store.load("mine")
+
+    def test_checkpoint_moved_to_another_stage_fails_verification(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.save("mine", {"x": 1})
+        store.path_for("mine").rename(store.path_for("train"))
+        with pytest.raises(CheckpointError, match="SHA-256"):
+            store.load("train")
+
     def test_invalid_json_is_an_error(self, tmp_path):
         store = CheckpointStore(tmp_path)
         store.path_for("mine").parent.mkdir(parents=True, exist_ok=True)

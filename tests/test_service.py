@@ -576,8 +576,10 @@ class TestPersistentDetectCache:
         engine = self.fresh_engine(artifact_file, tmp_path / "c")
         try:
             warm = engine.analyze_many(requests)
+            detect = engine.metrics_json()["content_cache"]["detect"]
         finally:
             engine.shutdown(drain=False, timeout=5)
+        assert detect["decoded_bytes"] > 0 and detect["decode_seconds"] > 0
         assert [r.reports for r in warm] == [r.reports for r in cold]
         # every error-free file comes off disk; the error is recomputed
         assert [r.cache_level == "disk" for r in warm] == [
