@@ -2,18 +2,14 @@
 
 :class:`~repro.cache.contentcache.ContentCache` stores pickled stage
 outputs under SHA-256 keys derived from the *content* of their inputs
-(file bytes, the relevant :class:`~repro.core.namer.NamerConfig` fields,
-and a cache schema version), so a warm re-run recomputes only what
-actually changed.  :mod:`repro.cache.incremental` holds the key
-derivation helpers shared by the miner, ``Namer``, and the service
-engine.
+(file bytes, the relevant :class:`~repro.core.namer.NamerConfig` fields)
+and of the ``repro`` package's source, so a warm re-run recomputes only
+what actually changed, code included.  :mod:`repro.cache.incremental`
+holds the key derivation helpers shared by the miner, ``Namer``, and
+the service engine.
 """
 
-from repro.cache.contentcache import (
-    CACHE_SCHEMA_VERSION,
-    CacheLevelStats,
-    ContentCache,
-)
+from repro.cache.contentcache import CacheLevelStats, ContentCache
 from repro.cache.incremental import (
     CACHE_SHARD_TARGET,
     config_fingerprint,
@@ -23,7 +19,6 @@ from repro.cache.incremental import (
 )
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "CACHE_SHARD_TARGET",
     "CacheLevelStats",
     "ContentCache",

@@ -1,9 +1,11 @@
 """Content-addressed on-disk cache with atomic, checksummed entries.
 
 Every entry is addressed by a SHA-256 key computed over the *inputs*
-that produced it (file bytes, config fields, schema version) — there is
-no invalidation protocol: changed inputs simply hash to a different key
-and the stale entry ages out via LRU eviction.
+that produced it (file bytes, config fields) and over the code that
+computed it (:func:`code_digest`, a hash of every module of the
+``repro`` package) — there is no invalidation protocol and no version
+to bump: changed inputs or an edited module simply hash to a different
+key, and the stale entry ages out via LRU eviction.
 
 Entries follow the same rules as artifacts: written atomically (temp file +
 ``os.replace``) so readers never observe torn bytes, and carry a payload
@@ -15,7 +17,7 @@ so tests can drill that fallback deterministically.
 Layout: ``<directory>/<level>/<key>.bin`` where ``level`` groups entries
 by pipeline stage (``prepare``, ``frequency``, ``growth``, ``prune``,
 ``pairs``, ``stats``, ``mine``, ``train``, ``detect``).  Each file is
-one JSON header line (schema, level, key, payload sha256, payload size)
+one JSON header line (level, key, payload sha256, payload size)
 followed by the pickled payload.
 
 The payload sha256 is also the entry's *content* address: :meth:`put`
@@ -29,11 +31,13 @@ at all; :meth:`decode` reads the payload only when it is used.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import pickle
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -41,17 +45,31 @@ from typing import Any
 from repro.resilience.checkpoint import atomic_write_bytes
 from repro.resilience.faults import fault_check
 
-__all__ = ["CACHE_SCHEMA_VERSION", "CacheLevelStats", "ContentCache"]
-
-#: Bumped whenever the pickled payload layout of any level changes;
-#: part of every key, so old entries become unreachable (not corrupt).
-#: v2: statistics counters keyed by pattern index.
-#: v3: name paths are named tuples; prepared statements hold AST+ walk
-#: results instead of a transformed tree.
-#: v4: shard keys hash prepared-payload digests; the ``train`` level.
-CACHE_SCHEMA_VERSION = 4
+__all__ = ["CacheLevelStats", "ContentCache", "code_digest"]
 
 _HEADER_LIMIT = 4096  # a header line is ~200 bytes; cap reads defensively
+
+
+@functools.cache
+def code_digest() -> str:
+    """SHA-256 over the source of every module of the ``repro``
+    package: each ``.py`` file's package-relative path and bytes,
+    length-prefixed, in sorted path order.
+
+    Part of every cache key, so an entry answers only the exact code
+    that stored it: any edit to any module makes the next run refill
+    rather than replay bytes an older build computed.  Computed once
+    per process, when the first :class:`ContentCache` opens, so a
+    long-running process keys on the sources it imported.
+    """
+    package = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        name = path.relative_to(package).as_posix().encode()
+        data = path.read_bytes()
+        digest.update(b"%d:%s%d:" % (len(name), name, len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
 
 @dataclass
@@ -86,10 +104,10 @@ class CacheLevelStats:
 class _Level:
     directory: Path
     stats: CacheLevelStats = field(default_factory=CacheLevelStats)
-    #: ``.bin`` files believed present: one scan when the level is
-    #: first stored to, then +1 per store (an overwrite over-counts,
-    #: which only brings the next eviction scan forward)
-    entries: int | None = None
+    #: keys of the entries on disk, least recently used first: read by
+    #: one scan (ordered by mtime) when the level is first stored to,
+    #: then kept in step by every hit, store and eviction
+    lru: OrderedDict[str, None] | None = None
 
 
 class ContentCache:
@@ -105,18 +123,20 @@ class ContentCache:
         self.max_entries_per_level = max_entries_per_level
         self._levels: dict[str, _Level] = {}
         self.directory.mkdir(parents=True, exist_ok=True)
+        code_digest()  # hash the sources now, before any later edit
 
     # -- keys ---------------------------------------------------------
 
     @staticmethod
     def key(*parts: str | bytes) -> str:
-        """SHA-256 over length-prefixed parts plus the schema version.
+        """SHA-256 over :func:`code_digest` plus length-prefixed parts.
 
-        Length prefixes keep distinct part tuples from colliding by
+        The one place that decides staleness: callers pass only the
+        inputs an entry is a function of, never a version.  Length
+        prefixes keep distinct part tuples from colliding by
         concatenation (``("ab", "c")`` vs ``("a", "bc")``).
         """
-        digest = hashlib.sha256()
-        digest.update(f"repro-cache-v{CACHE_SCHEMA_VERSION}".encode())
+        digest = hashlib.sha256(code_digest().encode())
         for part in parts:
             data = part.encode("utf-8") if isinstance(part, str) else part
             digest.update(f"|{len(data)}:".encode())
@@ -141,10 +161,9 @@ class ContentCache:
 
     @staticmethod
     def _read_header(handle, key: str) -> dict:
-        """The entry's header, checked against the schema and ``key``."""
+        """The entry's header, checked against ``key`` (which hashes the
+        code that wrote it)."""
         header = json.loads(handle.readline(_HEADER_LIMIT))
-        if header.get("schema") != CACHE_SCHEMA_VERSION:
-            raise ValueError("cache schema mismatch")
         if header.get("key") != key:
             raise ValueError("cache key mismatch")
         return header
@@ -159,9 +178,14 @@ class ContentCache:
             pass
 
     @staticmethod
-    def _touch(path: Path) -> None:
+    def _touch(level: _Level, key: str, path: Path) -> None:
+        """Mark an entry most recently used: in the level's record, and
+        by its mtime for the next process's scan."""
+        if level.lru is not None:
+            level.lru[key] = None
+            level.lru.move_to_end(key)
         try:
-            os.utime(path)  # refresh mtime: entry is recently used
+            os.utime(path)
         except OSError:
             pass
 
@@ -199,7 +223,7 @@ class ContentCache:
             self._discard(level, path)
             return None
         level.stats.hits += 1
-        self._touch(path)
+        self._touch(level, key, path)
         return value
 
     def digest(self, level_name: str, key: str) -> str | None:
@@ -229,7 +253,7 @@ class ContentCache:
             self._discard(level, path)
             return None
         level.stats.hits += 1
-        self._touch(path)
+        self._touch(level, key, path)
         return digest
 
     def decode(self, level_name: str, key: str, digest: str) -> Any | None:
@@ -263,7 +287,6 @@ class ContentCache:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest()
         header = {
-            "schema": CACHE_SCHEMA_VERSION,
             "level": level_name,
             "key": key,
             "sha256": digest,
@@ -271,36 +294,22 @@ class ContentCache:
         }
         data = json.dumps(header, separators=(",", ":")).encode() + b"\n" + payload
         del payload
+        path = self._entry_path(level, key)
         try:
-            atomic_write_bytes(self._entry_path(level, key), data)
+            atomic_write_bytes(path, data)
         except OSError:
             return digest
         level.stats.stores += 1
-        if level.entries is None:
-            level.entries = len(self._scan(level))
-        else:
-            level.entries += 1
-        if level.entries > self.max_entries_per_level:
+        if level.lru is None:
+            level.lru = self._scan(level)
+        self._touch(level, key, path)
+        if len(level.lru) > self.max_entries_per_level:
             self._evict(level)
         return digest
 
     @staticmethod
-    def _scan(level: _Level) -> list[os.DirEntry]:
-        try:
-            with os.scandir(level.directory) as scan:
-                return [entry for entry in scan if entry.name.endswith(".bin")]
-        except OSError:
-            return []
-
-    def _evict(self, level: _Level) -> None:
-        """Drop least-recently-used entries of a level whose count
-        passed the cap, down to the cap, and resynchronize the count
-        with what is on disk."""
-        entries = self._scan(level)
-        excess = len(entries) - self.max_entries_per_level
-        if excess <= 0:
-            level.entries = len(entries)
-            return
+    def _scan(level: _Level) -> OrderedDict[str, None]:
+        """The keys of the level's entries on disk, oldest mtime first."""
 
         def mtime(entry: os.DirEntry) -> float:
             try:
@@ -308,15 +317,29 @@ class ContentCache:
             except OSError:
                 return 0.0
 
-        removed = 0
-        for entry in sorted(entries, key=mtime)[:excess]:
+        try:
+            with os.scandir(level.directory) as scan:
+                entries = [entry for entry in scan if entry.name.endswith(".bin")]
+        except OSError:
+            entries = []
+        return OrderedDict(
+            (entry.name[: -len(".bin")], None) for entry in sorted(entries, key=mtime)
+        )
+
+    def _evict(self, level: _Level) -> None:
+        """Unlink least-recently-used entries until the level is at its
+        cap, without a scan.  An entry already gone means the record is
+        stale (another process evicted or cleared entries), so the level
+        is rescanned and eviction goes on from what is on disk."""
+        while len(level.lru) > self.max_entries_per_level:
+            key, _ = level.lru.popitem(last=False)
             try:
-                os.unlink(entry.path)
+                os.unlink(self._entry_path(level, key))
                 level.stats.evictions += 1
-                removed += 1
+            except FileNotFoundError:
+                level.lru = self._scan(level)
             except OSError:
                 pass
-        level.entries = len(entries) - removed
 
     def stats_json(self) -> dict[str, dict[str, int | float]]:
         """Per-level counters, sorted by level name for stable output."""

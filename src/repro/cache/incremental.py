@@ -1,7 +1,7 @@
 """Key derivation for the incremental mining pipeline.
 
 The cache contract is *content addressing*: a key must change exactly
-when recomputing the entry could produce different bytes.  Three kinds
+when recomputing the entry could produce different bytes.  Four kinds
 of inputs feed the keys:
 
 * **File content** — a ``prepare`` entry is keyed by the source bytes
@@ -18,6 +18,10 @@ of inputs feed the keys:
   a change *anywhere* in the corpus that shifts the global state
   invalidates every shard of the later passes (correctness first —
   the common warm case is "nothing changed", which still hits).
+* **Code** — :meth:`~repro.cache.contentcache.ContentCache.key` hashes
+  the source of every ``repro`` module into every key, so an edit to
+  any of them misses every level instead of replaying what the old
+  code computed.  No caller passes a version.
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ from repro.core.reports import Report
 from repro.core.stats_index import StatsIndex
 from repro.core.transform import TransformConfig
 from repro.corpus.model import Corpus, Repository, SourceFile
-from repro.mining import PIPELINE_VERSION
 from repro.mining.confusing_pairs import ConfusingPairStore, mine_confusing_pairs
 from repro.mining.interner import PathInterner
 from repro.mining.matcher import PatternMatcher, prefix_frequencies_ids
@@ -381,9 +380,7 @@ class Namer:
         count, the cache directory itself) must not invalidate
         prepared-file entries.
         """
-        return config_fingerprint(
-            *self.prepare_settings(), f"pipeline{PIPELINE_VERSION}"
-        )
+        return config_fingerprint(*self.prepare_settings())
 
     @staticmethod
     def _file_key(repo_name: str, source, salt: str) -> str:
@@ -511,13 +508,9 @@ class Namer:
             if cache is not None:
                 # Keyed on what each file prepared to, not on its bytes
                 # (an edit that prepares identically, like a comment,
-                # stops at its prepare entry), and on the pipeline
-                # version, which the mine and stats memo salts lack.
-                pipeline = f"|pipeline{PIPELINE_VERSION}"
+                # stops at its prepare entry).
                 shard_keys = shard_content_keys(
-                    spans,
-                    [len(pf.statements) for pf in self.prepared],
-                    [digest + pipeline for digest in digests],
+                    spans, [len(pf.statements) for pf in self.prepared], digests
                 )
             with profiler.phase("intern", items=len(statements)):
                 # One corpus-wide pass assigns every distinct name path

@@ -46,9 +46,7 @@ earlier one.
 
 The automaton is picklable (the per-ID tables are dropped and rebuilt
 lazily) so one compiled structure ships to a worker pool once
-and serves every task.  :data:`repro.mining.PIPELINE_VERSION`
-participates in the content-cache keys of results produced through the
-automaton; bump it whenever a change here could alter any output byte.
+and serves every task.
 """
 
 from __future__ import annotations

@@ -36,9 +36,9 @@ Three properties the rest of the system leans on:
   tables are dropped and rebuilt there); only :class:`FrozenStats`
   stays array-backed and pickles as its blob path.
 
-The header records :data:`repro.mining.PIPELINE_VERSION`; a blob
-written under another version is a load miss.  Bump the version
-whenever a change here could alter any output byte.
+The header records :data:`repro.mining.PIPELINE_VERSION`, the blob
+layout version; a blob written under another layout is a load miss.
+Bump the version whenever the blob's bytes change shape.
 """
 
 from __future__ import annotations

@@ -28,11 +28,6 @@ Three invariants make this safe:
   functions of their own shard carry *local* IDs plus the shard's
   first-occurrence vocabulary slice; the parent remaps through its own
   interner on merge (see :class:`ShardPathCounts`).
-
-:data:`repro.mining.PIPELINE_VERSION` is salted into the cache keys of
-every level whose entries are produced through interned IDs
-(prepare/frequency/growth/prune/detect); bump it whenever a change
-here could alter any output byte.
 """
 
 from __future__ import annotations

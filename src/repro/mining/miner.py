@@ -46,7 +46,6 @@ from repro.cache.incremental import (
 from repro.core.namepath import NamePath, extract_name_paths
 from repro.core.patterns import NamePattern, PatternKind, Relation
 from repro.lang.astir import StatementAst
-from repro.mining import PIPELINE_VERSION
 from repro.mining.fptree import FPNode, FPTree
 from repro.mining.interner import (
     PathInterner,
@@ -361,8 +360,7 @@ class PatternMiner:
             _through_cache(
                 run,
                 "frequency",
-                lambda: config_fingerprint(self.config)
-                + f"|pipeline{PIPELINE_VERSION}",
+                lambda: config_fingerprint(self.config),
                 lambda missing: run.executor.map(
                     _frequency_task,
                     [(run.arrays[i], run.interner_payload) for i in missing],
@@ -401,7 +399,6 @@ class PatternMiner:
                 + fingerprint_of(
                     sorted(interner.resolve(int(pid)) for pid in frequent_pids)
                 )
-                + f"|pipeline{PIPELINE_VERSION}"
             )
 
         tree = FPTree()
@@ -599,13 +596,10 @@ class PatternMiner:
 
 
 def _prune_salt(config: MiningConfig, supported: list[NamePattern]) -> str:
-    """Cache salt for per-shard prune entries: the config, the pipeline
-    version (entries are computed through the compiled matcher), and
-    the candidate list the counts are keyed into."""
-    return (
-        config_fingerprint(config, "prune")
-        + f"|pipeline{PIPELINE_VERSION}|"
-        + fingerprint_of(pattern_fingerprint(p) for p in supported)
+    """Cache salt for per-shard prune entries: the config and the
+    candidate list the counts are keyed into."""
+    return config_fingerprint(
+        config, "prune", fingerprint_of(pattern_fingerprint(p) for p in supported)
     )
 
 

@@ -33,13 +33,11 @@ from typing import Callable
 from repro.cache import ContentCache, config_fingerprint, fingerprint_of
 from repro.core.namer import MiningSummary, Namer, NamerConfig, PreparedIndex
 from repro.core.persistence import (
-    SCHEMA_VERSION,
     namer_from_document,
     namer_to_document,
     save_document,
 )
 from repro.corpus.model import Corpus
-from repro.mining import PIPELINE_VERSION
 from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointStore,
@@ -50,21 +48,9 @@ from repro.resilience.faults import fault_check
 
 __all__ = [
     "MinePipelineResult",
-    "TRAIN_VERSION",
     "run_mine_pipeline",
     "train_key",
 ]
-
-#: Version of everything between the mined patterns and the written
-#: artifact that no other version covers: violation listing, training
-#: set sampling, the classifier and its fit, and the artifact's JSON
-#: encoding.  Salted into the ``train`` cache key (with
-#: :data:`repro.mining.PIPELINE_VERSION` and the artifact
-#: ``SCHEMA_VERSION``), so a replay never writes the bytes an older
-#: build trained.  Bump when a change to any of them could alter an
-#: artifact byte.
-TRAIN_VERSION = 1
-
 
 @dataclass
 class MinePipelineResult:
@@ -283,10 +269,10 @@ def train_key(
     frozen blob are a function of — the run's ``inputs`` fingerprint,
     each prepared file's payload digest in corpus order, the commit
     texts the confusing pairs are mined from, the ground truth the
-    training oracle labels with, whether a blob is written, and the
-    versions of the code that mines, trains and encodes them."""
+    training oracle labels with, and whether a blob is written.  The
+    key also hashes the code that mines, trains and encodes them, so a
+    replay never writes the bytes an older build made."""
     return ContentCache.key(
-        f"pipeline{PIPELINE_VERSION}|schema{SCHEMA_VERSION}|train{TRAIN_VERSION}",
         inputs,
         fingerprint_of(index.digests),
         Namer.pairs_key(corpus),

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.cache import ContentCache
 from repro.core.namer import Namer
-from repro.mining import PIPELINE_VERSION
 from repro.mining.frozen import (
     FrozenError,
     default_frozen_path,
@@ -419,20 +418,15 @@ class AnalysisEngine:
     @staticmethod
     def _detect_key(fp: str, request: AnalysisRequest) -> str:
         """Persistent detect-cache key: artifact fingerprint + request
-        content + the pipeline version — reports are produced through
-        the compiled automaton scanning interned path IDs, so a change
-        there must miss rather than replay bytes matched under the old
-        version."""
-        return ContentCache.key(
-            fp, f"pipeline{PIPELINE_VERSION}|{request.cache_key()}"
-        )
+        content (the key itself hashes the code that detects)."""
+        return ContentCache.key(fp, request.cache_key())
 
     def _cache_hit(self, request: AnalysisRequest) -> AnalysisResult | None:
         """Serve one request from the in-memory LRU, else from the
         persistent content cache.
 
         Disk keys include the loaded artifact's content fingerprint, so
-        entries written under a different artifact (or schema) can
+        entries written under a different artifact (or code) can
         never answer — no invalidation protocol, just different keys.
         A disk hit also warms the in-memory LRU.
         """

@@ -1,9 +1,10 @@
 """Tests for the content-addressed cache store (`repro.cache`).
 
-The store's contract: a key identifies content exactly (schema version,
-length-prefixed parts), entries round-trip through pickle, damage of any
-kind — truncation, bit flips, wrong schema, injected I/O faults — reads
-as a miss (never an exception), and levels evict LRU past their cap.
+The store's contract: a key identifies content exactly (the package's
+code digest, length-prefixed parts), entries round-trip through pickle,
+damage of any kind — truncation, bit flips, a foreign header, injected
+I/O faults — reads as a miss (never an exception), and levels evict LRU
+past their cap.
 """
 
 import json
@@ -12,7 +13,6 @@ import os
 import pytest
 
 from repro.cache import (
-    CACHE_SCHEMA_VERSION,
     ContentCache,
     config_fingerprint,
     fingerprint_of,
@@ -41,11 +41,10 @@ class TestKeys:
     def test_key_accepts_bytes_and_text(self):
         assert ContentCache.key(b"raw") != ContentCache.key("raw", "x")
 
-    def test_schema_version_is_part_of_every_key(self, monkeypatch):
+    def test_code_digest_is_part_of_every_key(self, monkeypatch):
         before = ContentCache.key("same", "parts")
         monkeypatch.setattr(
-            "repro.cache.contentcache.CACHE_SCHEMA_VERSION",
-            CACHE_SCHEMA_VERSION + 1,
+            "repro.cache.contentcache.code_digest", lambda: "0" * 64
         )
         assert ContentCache.key("same", "parts") != before
 
@@ -162,37 +161,35 @@ class TestStore:
         assert cache.get("prepare", key) is None
         assert cache.stats_json()["prepare"]["corrupt"] == 1
 
-    def test_stale_schema_entry_reads_as_corrupt_miss(self, cache):
-        """An entry written by an older schema version: even if a key
-        somehow collided, the header schema check rejects it."""
-        key = ContentCache.key("s")
-        cache.put("prepare", key, "payload")
-        (path,) = _entry_files(cache, "prepare")
-        header_line, _, payload = path.read_bytes().partition(b"\n")
-        header = json.loads(header_line)
-        header["schema"] = CACHE_SCHEMA_VERSION - 1
-        path.write_bytes(
-            json.dumps(header, separators=(",", ":")).encode() + b"\n" + payload
+    def test_entry_under_another_key_is_corrupt_miss(self, cache):
+        """An entry file whose header names another key (say, one copied
+        in from a build with other code) is never decoded."""
+        key, other = ContentCache.key("s"), ContentCache.key("t")
+        cache.put("prepare", other, "payload")
+        (cache.directory / "prepare" / f"{other}.bin").rename(
+            cache.directory / "prepare" / f"{key}.bin"
         )
         assert cache.get("prepare", key) is None
         assert cache.stats_json()["prepare"]["corrupt"] == 1
 
     def test_version_2_entry_is_a_miss(self, cache, monkeypatch):
-        """Schema 2 pickled prepared statements as transformed trees and
-        paths as dataclasses, and schema 3 keyed mining shards on source
-        bytes; those entries must never be decoded now."""
-        assert CACHE_SCHEMA_VERSION == 4
-        for old in (2, 3):
+        """Older builds pickled prepared statements as transformed trees
+        and keyed mining shards on source bytes; their entries hash
+        under their own code digest, so this code's keys never reach
+        them: plain misses, never decoded."""
+        for old in ("2", "3"):
             with monkeypatch.context() as patched:
                 patched.setattr(
-                    "repro.cache.contentcache.CACHE_SCHEMA_VERSION", old
+                    "repro.cache.contentcache.code_digest", lambda: old * 64
                 )
                 old_key = ContentCache.key("file-bytes")
                 cache.put("prepare", old_key, f"v{old} payload")
             assert ContentCache.key("file-bytes") != old_key
             assert cache.get("prepare", ContentCache.key("file-bytes")) is None
-            assert cache.get("prepare", old_key) is None
-            assert cache.digest("prepare", old_key) is None
+            assert cache.digest("prepare", ContentCache.key("file-bytes")) is None
+        stats = cache.stats_json()["prepare"]
+        assert (stats["hits"], stats["misses"], stats["corrupt"]) == (0, 4, 0)
+        assert stats["decoded_bytes"] == 0
 
     def test_injected_load_fault_is_a_corrupt_miss(self, cache):
         """The `cache.load` fault site: an injected failure degrades to
@@ -336,16 +333,45 @@ class TestEvictionScans:
         cache = ContentCache(tmp_path / "c", max_entries_per_level=16)
         for i in range(64):
             cache.put("prepare", ContentCache.key(f"k{i}"), i)
-        # One scan when the level is first stored to; none until the
-        # count passes 16; then each store over the cap scans and
-        # evicts one entry.
-        assert len(scans) == 1 + 48
+        # One scan when the level is first stored to; past the cap each
+        # store unlinks the oldest entry the level's record holds.
+        assert len(scans) <= 2
         assert cache.stats_json()["prepare"]["evictions"] == 48
         assert len(_entry_files(cache, "prepare")) == 16
+        assert _entry_files(cache, "prepare") == sorted(
+            cache.directory / "prepare" / f"{ContentCache.key(f'k{i}')}.bin"
+            for i in range(48, 64)
+        )
+
+    def test_a_hit_keeps_an_entry_past_the_cap(self, tmp_path, scans):
+        cache = ContentCache(tmp_path / "c", max_entries_per_level=4)
+        keys = [ContentCache.key(f"k{i}") for i in range(6)]
+        for i, key in enumerate(keys[:4]):
+            cache.put("prepare", key, i)
+        assert cache.get("prepare", keys[0]) == 0  # now most recent
+        cache.put("prepare", keys[4], 4)
+        cache.put("prepare", keys[5], 5)
+        assert cache.get("prepare", keys[0]) == 0
+        assert cache.get("prepare", keys[1]) is None
+        assert cache.get("prepare", keys[2]) is None
+        assert len(scans) == 1
+
+    def test_an_entry_gone_from_disk_rescans_the_level(self, tmp_path, scans):
+        """Another process removed entries the record still holds:
+        eviction rescans once and still stops exactly at the cap."""
+        cache = ContentCache(tmp_path / "c", max_entries_per_level=4)
+        for i in range(4):
+            cache.put("prepare", ContentCache.key(f"k{i}"), i)
+        for name in ("k0", "k1"):  # the two oldest in the record
+            os.unlink(cache.directory / "prepare" / f"{ContentCache.key(name)}.bin")
+        for i in range(4, 8):
+            cache.put("prepare", ContentCache.key(f"k{i}"), i)
+        assert len(scans) == 2
+        assert len(_entry_files(cache, "prepare")) == 4
 
     def test_count_resynchronizes_with_the_disk(self, tmp_path):
-        """Overwrites over-count; the next eviction scan corrects the
-        count instead of evicting live entries."""
+        """An overwrite is one entry, not another: storing one key
+        again and again never evicts."""
         cache = ContentCache(tmp_path / "c", max_entries_per_level=4)
         key = ContentCache.key("same")
         for i in range(10):

@@ -10,21 +10,25 @@ The contract under test, in order of importance:
    over an unchanged prepared corpus replays its outputs from the
    ``train`` level.
 3. **Invalidation** — content edits, renames with identical bytes,
-   config changes, and schema bumps all produce different keys (stale
-   entries can never answer).
+   config changes, and edits to any ``repro`` module all produce
+   different keys (stale entries can never answer).
 4. **Resilience** — a damaged or fault-injected cache falls back to a
    cold computation with identical results.
 """
 
 import copy
 import dataclasses
+import hashlib
 import json
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cache import CACHE_SCHEMA_VERSION
+import repro
 from repro.core.namer import Namer, NamerConfig
 from repro.core.persistence import namer_to_document
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
@@ -68,13 +72,15 @@ def phase_names(namer) -> list[str]:
     return [row["phase"] for row in namer.summary.phase_timings]
 
 
-def bump(monkeypatch, name):
-    """Bump the version constant ``name`` in every ``repro`` module
-    that binds it, as a new release would."""
-    for module in list(sys.modules.values()):
-        module_name = getattr(module, "__name__", "") or ""
-        if module_name.partition(".")[0] == "repro" and hasattr(module, name):
-            monkeypatch.setattr(module, name, getattr(module, name) + 1)
+def edit_module(monkeypatch, module):
+    """Key the cache as a build whose ``module`` (package-relative path)
+    differs from this one would: every key takes a new code digest."""
+    from repro.cache import contentcache
+
+    edited = hashlib.sha256(
+        f"{contentcache.code_digest()}|edited {module}".encode()
+    ).hexdigest()
+    monkeypatch.setattr(contentcache, "code_digest", lambda: edited)
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +218,7 @@ class TestIncrementalEdit:
 
 
 # ----------------------------------------------------------------------
-# Invalidation: config and schema
+# Invalidation: config and code
 # ----------------------------------------------------------------------
 
 
@@ -254,11 +260,12 @@ class TestInvalidation:
     def test_pipeline_version_bump_misses_every_mining_level(
         self, corpus, tmp_path, monkeypatch
     ):
-        """The files re-prepare to the same payloads, so the version
-        must reach the ``mine`` and ``stats`` memos through the shard
-        keys, or they would answer with the old code's results."""
+        """An edit to mining code: the files re-prepare to the same
+        payloads, so the code digest must reach the ``mine`` and
+        ``stats`` memos through the shard keys, or they would answer
+        with the old code's results."""
         mine(corpus, tmp_path / "c")
-        bump(monkeypatch, "PIPELINE_VERSION")
+        edit_module(monkeypatch, "mining/automaton.py")
         warm = mine(corpus, tmp_path / "c")
         for name in ("prepare", "frequency", "growth", "prune", "stats", "mine"):
             assert level(warm, name)["hits"] == 0, name
@@ -266,10 +273,7 @@ class TestInvalidation:
 
     def test_schema_bump_orphans_every_entry(self, corpus, tmp_path, monkeypatch):
         mine(corpus, tmp_path / "c")
-        monkeypatch.setattr(
-            "repro.cache.contentcache.CACHE_SCHEMA_VERSION",
-            CACHE_SCHEMA_VERSION + 1,
-        )
+        edit_module(monkeypatch, "cache/contentcache.py")
         warm = mine(corpus, tmp_path / "c")
         for name, stats in warm.summary.cache_stats.items():
             assert stats["hits"] == 0, name
@@ -449,22 +453,24 @@ class TestTrainReplay:
         assert result.cache_stats["train"]["hits"] == 0
 
     @pytest.mark.parametrize(
-        "name", ["PIPELINE_VERSION", "SCHEMA_VERSION", "TRAIN_VERSION"]
+        "module",
+        ["mining/automaton.py", "core/persistence.py", "resilience/pipeline.py"],
+        # named for the retired constant such an edit once had to bump
+        ids=["PIPELINE_VERSION", "SCHEMA_VERSION", "TRAIN_VERSION"],
     )
     def test_code_version_bump_misses_the_train_level(
-        self, corpus, tmp_path, cache_dir, monkeypatch, name
+        self, corpus, tmp_path, cache_dir, monkeypatch, module
     ):
         """A replay writes the bytes the storing build made; a build
-        whose mining, artifact or training code is another version must
-        mine and train afresh."""
-        bump(monkeypatch, name)
+        whose mining, artifact or training code differs must mine and
+        train afresh."""
+        edit_module(monkeypatch, module)
         result, _ = run_pipeline(corpus, tmp_path, cache_dir)
         assert result.replayed_from is None
         assert result.cache_stats["train"]["misses"] == 1
         assert result.cache_stats["train"]["hits"] == 0
-        if name == "PIPELINE_VERSION":
-            assert result.cache_stats["mine"]["hits"] == 0
-            assert result.cache_stats["stats"]["hits"] == 0
+        assert result.cache_stats["mine"]["hits"] == 0
+        assert result.cache_stats["stats"]["hits"] == 0
 
     def test_ground_truth_change_misses_the_train_level(
         self, corpus, tmp_path, cache_dir
@@ -517,3 +523,72 @@ class TestTrainReplay:
         assert result.replayed_from is None
         assert result.cache_stats["train"]["corrupt"] == 1
         assert outputs == uncached_outputs
+
+
+# ----------------------------------------------------------------------
+# Code edits: every key hashes the package's source
+# ----------------------------------------------------------------------
+
+#: ``repro mine`` in a fresh interpreter, printing the run's replay key
+#: and per-level cache counters as its last line
+MINE = """
+import json, sys
+import repro.resilience.pipeline as pipeline
+from repro.__main__ import main
+
+run = pipeline.run_mine_pipeline
+
+def reporting(**kwargs):
+    result = run(**kwargs)
+    print(json.dumps([result.replayed_from, result.cache_stats]))
+    return result
+
+pipeline.run_mine_pipeline = reporting
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_module_edit_misses_every_level_then_replays(tmp_path):
+    """Appending a comment to one module of an installed copy of the
+    package: the next mine replays nothing and hits no level (every key
+    hashes the code), yet writes the same bytes; the mine after that
+    replays its own run."""
+    package = tmp_path / "src" / "repro"
+    shutil.copytree(
+        Path(repro.__file__).parent,
+        package,
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    cache = tmp_path / "cache"
+
+    def run_mine(name):
+        out = tmp_path / name / "namer.json"
+        out.parent.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", MINE, "mine", "--repos", "4", "--freeze",
+             "--workers", "1", "--out", str(out), "--cache-dir", str(cache)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        replayed, levels = json.loads(done.stdout.splitlines()[-1])
+        outputs = (
+            out.read_bytes(),
+            out.with_name(out.name + ".frozen").read_bytes(),
+        )
+        return replayed, levels, outputs
+
+    replayed, _, filled = run_mine("fill")
+    assert replayed is None
+    with open(package / "mining" / "automaton.py", "a") as module:
+        module.write("# cache probe\n")
+    replayed, levels, outputs = run_mine("edited")
+    assert replayed is None
+    assert set(levels) >= {"prepare", "frequency", "stats", "mine", "train"}
+    for name, stats in levels.items():
+        assert stats["hits"] == 0 and stats["misses"] > 0, name
+        assert stats["corrupt"] == 0, name
+    assert outputs == filled
+    replayed, levels, outputs = run_mine("again")
+    assert replayed is not None and levels["train"]["hits"] == 1
+    assert outputs == filled

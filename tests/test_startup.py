@@ -3,7 +3,8 @@
 
 The classifier is fitted and evaluated with numpy alone, so no process
 imports scipy: not one that loads artifacts and classifies, and not one
-that fits a model either.  ``startup_seconds`` counts from the first
+that fits a model either.  An engine without a persistent cache never
+hashes the package's source for cache keys.  ``startup_seconds`` counts from the first
 ``import repro`` (:data:`repro.IMPORT_STARTED`), so it covers import
 time, under ``repro serve`` and under a cluster replica alike.
 """
@@ -180,3 +181,30 @@ def test_replica_reports_startup_from_first_import(
         assert engine.metrics_json()["startup_seconds"] >= 1000.0
     finally:
         engine.shutdown(drain=False)
+
+
+def test_serving_without_a_cache_dir_never_hashes_the_code(
+    fitted_namer, served_files, tmp_path, monkeypatch
+):
+    from repro.service.engine import AnalysisEngine, AnalysisRequest
+
+    hashed = []
+    monkeypatch.setattr(
+        "repro.cache.contentcache.code_digest",
+        lambda: hashed.append(1) or "0" * 64,
+    )
+    save_namer(fitted_namer, tmp_path / "namer.json")
+    for cache_dir in (None, tmp_path / "cache"):
+        engine = AnalysisEngine(
+            artifact_path=str(tmp_path / "namer.json"),
+            workers=1,
+            cache_dir=str(cache_dir) if cache_dir else None,
+        )
+        try:
+            result = engine.analyze(AnalysisRequest(**served_files[0]))
+            assert result.reports
+        finally:
+            engine.shutdown(drain=False)
+        # Only the engine with a persistent cache keys on the code.
+        assert bool(hashed) == (cache_dir is not None)
+
