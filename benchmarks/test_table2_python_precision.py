@@ -45,3 +45,10 @@ def test_table2_python_precision(python_ablation, benchmark):
     assert true_full >= true_no_a
     # Namer achieves high precision (the paper reports ~70%).
     assert full.precision >= 0.6
+    # Pinned exactly (EXPERIMENTS.md's rows): corpus, oracle and seeds
+    # are fixed, so any drift in mining, training or detection shows.
+    assert [
+        (row.reports, row.semantic_defects, row.code_quality_issues,
+         row.false_positives)
+        for row in (full, no_c, no_a, no_ca)
+    ] == [(41, 14, 26, 1), (125, 26, 59, 40), (41, 10, 27, 4), (162, 26, 49, 87)]

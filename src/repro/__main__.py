@@ -64,8 +64,8 @@ def _fail(message: str, code: int = 1) -> int:
 
 
 def _load_artifacts(path: str) -> Namer | None:
-    """Load saved artifacts; ``None`` (after an stderr message) when the
-    file is missing, malformed, or from another schema version."""
+    """Load saved artifacts; ``None`` (after an stderr message) when
+    their frozen blob is missing, damaged, or of another layout."""
     try:
         return load_namer(path)
     except PersistenceError as exc:
@@ -126,7 +126,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
             train=not args.no_classifier,
             seed=args.seed,
             keep_checkpoints=args.keep_checkpoints,
-            freeze=args.freeze,
             log=print,
         )
     except InjectedFault as exc:
@@ -686,11 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="disable the warm cache; every run recomputes from scratch",
     )
-    mine.add_argument(
-        "--freeze", action="store_true",
-        help="also write <out>.frozen — a memory-mappable compiled-matcher "
-        "blob that serving tiers load near-instantly (zero-copy)",
-    )
+    # Accepted and ignored: every mine writes <out>.frozen, and scripts
+    # such as the namerbench harness still pass the flag.
+    mine.add_argument("--freeze", action="store_true", help=argparse.SUPPRESS)
     mine.set_defaults(fn=cmd_mine)
 
     scan = sub.add_parser("scan", help="scan sources with saved artifacts")
@@ -809,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--strict-artifacts", action="store_true",
-        help="refuse to start on a corrupt classifier section instead "
+        help="refuse to start on damaged classifier arrays instead "
         "of serving degraded pattern-only results",
     )
     serve.add_argument(

@@ -3,14 +3,16 @@
 Mining over a big corpus is the expensive one-time step; a deployed
 tool ships the *artifacts* — mined patterns, confusing word pairs, the
 corpus statistics index, and the trained classifier — and only runs
-inference.  This module serializes all four to a single JSON document
-(numpy arrays as lists; everything else is naturally JSON-shaped).
+inference.  Saving writes two files: a JSON document of all four
+(numpy arrays as lists; everything else is naturally JSON-shaped),
+which is the export the golden digests pin, and the frozen blob
+(:mod:`repro.mining.frozen`) beside it, which :func:`load_namer`, the
+only artifact reader, maps.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Any
 
@@ -21,6 +23,12 @@ from repro.core.namepath import EPSILON, NamePath, PathStep
 from repro.core.patterns import NamePattern, PatternKind
 from repro.core.stats_index import StatsIndex
 from repro.mining.confusing_pairs import ConfusingPairStore
+from repro.mining.frozen import (
+    FrozenError,
+    default_frozen_path,
+    freeze_namer,
+    load_frozen_namer,
+)
 from repro.mining.matcher import PatternMatcher
 from repro.mining.miner import MiningConfig
 from repro.ml.linear import LinearSVM
@@ -30,7 +38,6 @@ from repro.resilience.checkpoint import atomic_write_text, document_checksum
 from repro.resilience.faults import fault_check
 
 __all__ = [
-    "artifact_checksum",
     "config_to_json",
     "pairs_to_json",
     "save_namer",
@@ -42,10 +49,9 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-#: Version stamp written into every artifact document.  Bumped whenever
-#: the JSON layout changes incompatibly; ``load_namer`` (and therefore
-#: the service's hot ``/reload``) refuses artifacts from another era.
-#: v3 added the mandatory SHA-256 ``checksum`` stamp.
+#: Version stamp written into every artifact document (and into the
+#: frozen header as ``artifact_schema``).  Bump it whenever the JSON
+#: layout changes incompatibly.  v3 added the SHA-256 ``checksum`` stamp.
 SCHEMA_VERSION = 3
 
 
@@ -223,12 +229,10 @@ def pairs_to_json(namer: Namer) -> list[list]:
 
 def save_document(document: dict[str, Any], path: str | Path) -> str:
     """Stamp the document's SHA-256 checksum (next to ``schema_version``)
-    and write it atomically — readers only ever see complete artifacts,
-    and ``load_namer`` can prove the bytes are the ones that were saved
-    (a truncated-but-still-valid-JSON file no longer loads silently).
+    and write it atomically, so readers only ever see a complete export.
 
-    Returns the checksum, which a frozen blob of the same namer carries
-    as its fingerprint."""
+    Returns the checksum, which the frozen blob of the same namer
+    carries as its fingerprint."""
     fault_check("persistence.write", key=str(path))
     checksum = document_checksum(document)
     stamped: dict[str, Any] = {
@@ -240,44 +244,24 @@ def save_document(document: dict[str, Any], path: str | Path) -> str:
     return checksum
 
 
-def artifact_checksum(path: str | Path) -> str | None:
-    """The checksum :func:`save_document` stamped on the artifact at
-    ``path``, read from the file's first bytes without decoding the
-    rest; ``None`` when the file is unreadable or carries no stamp."""
-    try:
-        with open(path, "rb") as handle:
-            head = handle.read(256)
-    except OSError:
-        return None
-    match = _STAMP.match(head)
-    return match.group(1).decode() if match else None
-
-
-_STAMP = re.compile(rb'\{"schema_version": \d+, "checksum": "([0-9a-f]{64})"')
-
-
 def save_namer(namer: Namer, path: str | Path) -> None:
-    """Serialize a fitted Namer's artifacts to ``path`` (JSON).
+    """Save a fitted Namer's artifacts: the JSON export at ``path`` and
+    the frozen blob :func:`load_namer` reads beside it.
 
     The prepared corpus itself is not saved — it is an input, not an
     artifact — so a loaded Namer supports inference
     (:meth:`~repro.core.namer.Namer.violations_in` /
     :meth:`~repro.core.namer.Namer.detect`) but not re-mining.
     """
-    save_document(namer_to_document(namer), path)
+    checksum = save_document(namer_to_document(namer), path)
+    freeze_namer(namer, default_frozen_path(path), checksum)
 
 
 def namer_from_document(
-    document: dict[str, Any], label: str = "<document>", degraded_ok: bool = False
+    document: dict[str, Any], label: str = "<document>"
 ) -> Namer:
-    """Decode an artifact document into a Namer.
-
-    With ``degraded_ok`` a corrupt ``classifier`` section is dropped
-    instead of failing the load: the Namer comes back pattern-only with
-    the reason recorded in ``namer.degraded_reasons`` (the service layer
-    surfaces it as ``degraded: true``).  Corrupt patterns/stats always
-    raise — there is nothing useful to serve without them.
-    """
+    """Decode an artifact document into a Namer (the stage checkpoints
+    of :mod:`repro.resilience.pipeline` hold documents)."""
     try:
         config = document["config"]
     except (KeyError, TypeError) as exc:
@@ -299,85 +283,28 @@ def namer_from_document(
             namer.pairs.add(mistaken, correct, count)
         namer.stats = _stats_from_json(document["stats"])
         namer.stats.bind(namer.matcher)
+        namer.classifier = _classifier_from_json(document.get("classifier"))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         if isinstance(exc, PersistenceError):
             raise
         raise PersistenceError(
             f"artifact {label} is truncated or malformed: {exc!r}"
         ) from exc
-    try:
-        namer.classifier = _classifier_from_json(document.get("classifier"))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        if not degraded_ok:
-            raise PersistenceError(
-                f"artifact {label} has a corrupt classifier section: {exc!r}"
-            ) from exc
-        namer.classifier = None
-        namer.degraded_reasons.append(
-            f"classifier section is corrupt ({exc!r}); serving pattern-only results"
-        )
     return namer
 
 
 def load_namer(path: str | Path, *, degraded_ok: bool = False) -> Namer:
-    """Reconstruct a fitted Namer from :func:`save_namer` output.
+    """Load the fitted Namer saved at ``path`` by mapping its frozen
+    blob, ``<path>.frozen`` (the JSON export itself is never read).
 
-    Raises :class:`PersistenceError` for anything that is not a
-    well-formed artifact of the current :data:`SCHEMA_VERSION` —
-    unreadable files, invalid JSON, a missing or mismatched version
-    stamp, a failed checksum, or truncated documents.
-
-    ``degraded_ok`` relaxes exactly the classifier half: if the
-    patterns, pairs, and statistics decode cleanly but the classifier
-    section (or the checksum covering it) is bad, the Namer is returned
-    pattern-only with ``degraded_reasons`` populated.
+    Raises :class:`PersistenceError` for a missing, truncated or
+    damaged blob, or one of another layout version.  ``degraded_ok``
+    relaxes exactly the classifier half: a blob whose only damage is in
+    the classifier arrays loads pattern-only, with the reason in
+    ``degraded_reasons``.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise PersistenceError(f"cannot read artifact file {path}: {exc}") from exc
     fault_check("persistence.read", key=str(path))
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PersistenceError(f"artifact file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise PersistenceError(f"artifact file {path} is not a JSON object")
-    # Pre-versioning documents used the key "version"; either way a
-    # stamp must be present and must match.
-    version = document.get("schema_version", document.get("version"))
-    if version is None:
-        raise PersistenceError(
-            f"artifact file {path} has no schema_version stamp; "
-            "re-run `python -m repro mine` to regenerate it"
-        )
-    if version != SCHEMA_VERSION:
-        raise PersistenceError(
-            f"artifact file {path} has schema_version {version!r}, "
-            f"but this build reads version {SCHEMA_VERSION}"
-        )
-
-    checksum_error: PersistenceError | None = None
-    stamped = document.get("checksum")
-    if stamped is None:
-        checksum_error = PersistenceError(
-            f"artifact file {path} has no checksum stamp; "
-            "re-run `python -m repro mine` to regenerate it"
-        )
-    elif stamped != document_checksum(document):
-        checksum_error = PersistenceError(
-            f"artifact file {path} failed its SHA-256 content check "
-            "(truncated or tampered with)"
-        )
-    if checksum_error is not None and not degraded_ok:
-        raise checksum_error
-
-    namer = namer_from_document(
-        document, label=f"file {path}", degraded_ok=degraded_ok
-    )
-    if checksum_error is not None:
-        # Patterns/stats decoded despite the bad stamp; serve them, but
-        # drop the classifier and say why.
-        namer.classifier = None
-        namer.degraded_reasons.append(str(checksum_error))
-    return namer
+        return load_frozen_namer(default_frozen_path(path), degraded_ok=degraded_ok)
+    except FrozenError as exc:
+        raise PersistenceError(str(exc)) from exc

@@ -283,10 +283,10 @@ def namer_fingerprint(namer: Namer) -> str | None:
     and the serving tier's persistent cache key on (``None`` for a
     namer that was never mined).
 
-    Namers loaded from a frozen blob carry the checksum precomputed in
-    the blob header (stamped at freeze time from the same JSON
-    document), so they skip the full document re-encode — which is a
-    large fraction of a cold start by itself."""
+    Namers loaded from an artifact carry the checksum precomputed in
+    its frozen blob's header (stamped at freeze time from the JSON
+    export), so only a namer that was never saved pays the full
+    document re-encode."""
     precomputed = getattr(namer, "frozen_fingerprint", None)
     if precomputed:
         return precomputed

@@ -1,35 +1,35 @@
-"""Frozen matcher artifacts: compile once, mmap instantly, share pages.
+"""Frozen artifacts: the one on-disk form a fitted Namer is loaded from.
 
-Every engine restart, replica spawn, and rolling rollout used to pay
-the full artifact decode — JSON parse, pattern materialization,
-automaton compile, per-ID table resolution, and a statistics decode
-that dwarfs all of them — and N replicas on one host paid it N times
-over, each holding a private copy of the result.
-
-A *frozen artifact* is the already-compiled form flattened to disk: a
-small JSON header (schema stamps, config, string/step pools, the array
-manifest) followed by contiguous, 64-byte-aligned, CRC-checksummed
-numpy arrays — the automaton's trie in CSR form (node offsets / edge
-arrays / accept-set ranges), multi-word step-kind and required-bit
-masks, the per-ID tables, the interner vocabulary with its
+A *frozen artifact* is the already-compiled namer flattened to disk: a
+small JSON header (schema stamps, config, confusing pairs, string/step
+pools, the array manifest) followed by contiguous, 64-byte-aligned,
+CRC-checksummed numpy arrays — the automaton's trie in CSR form (node
+offsets / edge arrays / accept-set ranges), multi-word step-kind and
+required-bit masks, the per-ID tables, the interner vocabulary with its
 sym/rank/fold/name_ok tables, every pattern's condition/deduction CSR,
 the statistics counters in insertion order, and the classifier
-matrices.  ``repro mine --freeze`` writes one next to the JSON
-artifact; loading is an mmap plus a header parse, and because the maps
-are read-only every replica on the host shares one page-cache copy.
+matrices.  ``repro mine`` writes one next to its JSON export
+(:func:`default_frozen_path`); loading is an mmap plus a header parse,
+and because the maps are read-only every replica on the host shares
+one page-cache copy.  :func:`repro.core.persistence.load_namer` is the
+only artifact reader, and it reads this blob.
 
 Three properties the rest of the system leans on:
 
-* **Byte-identity.**  A namer loaded from the frozen blob produces the
-  same artifacts, reports, and quarantine records as one decoded from
-  the JSON artifact — counters rebuild in their original insertion
-  order, accept sets and candidate enumeration are pinned, and the
-  precomputed artifact fingerprint equals the JSON document checksum.
-  ``tests/test_frozen.py`` hard-fails on any drift.
-* **Damage is a miss.**  Truncation, bit flips, or a bad header raise
-  :class:`FrozenError`; callers (the serving engine, pool workers) fall
-  back to the JSON artifact or to in-memory compilation with a logged
-  warning.  The ``frozen.load`` fault site injects exactly this path.
+* **Byte-identity.**  A namer loaded from the blob produces the same
+  reports and quarantine records as the namer that was frozen, and
+  re-encodes to the same JSON document and the same blob — counters
+  rebuild in their original insertion order, accept sets and candidate
+  enumeration are pinned, and the precomputed artifact fingerprint
+  equals the JSON document checksum.  ``tests/test_frozen.py``
+  hard-fails on any drift.
+* **Damage is a load error.**  The preamble carries a CRC of the
+  header and the manifest a CRC of every array, so truncation, a bit
+  flip anywhere, a bad magic or another layout version raise
+  :class:`FrozenError`.  The one exception is opt-in: with
+  ``degraded_ok``, failures confined to the classifier (``clf_*``)
+  arrays load the namer pattern-only and say why in
+  ``degraded_reasons``.
 * **Plain structures after load.**  The loader rebuilds the automaton
   as the same Python lists and dicts a compile produces, so pool
   workers receive it by pickle like any other automaton (its per-ID
@@ -37,7 +37,7 @@ Three properties the rest of the system leans on:
   stays array-backed and pickles as its blob path.
 
 The header records :data:`repro.mining.PIPELINE_VERSION`, the blob
-layout version; a blob written under another layout is a load miss.
+layout version; a blob written under another layout is a load error.
 Bump the version whenever the blob's bytes change shape.
 """
 
@@ -61,7 +61,6 @@ from repro.mining import PIPELINE_VERSION
 from repro.mining.automaton import MatchAutomaton
 from repro.mining.interner import PathInterner
 from repro.mining.matcher import PatternMatcher
-from repro.resilience.faults import fault_check
 
 __all__ = [
     "FrozenError",
@@ -74,18 +73,22 @@ __all__ = [
 
 _MAGIC = b"REPROFZ1"
 _ALIGN = 64
+#: magic, then the header's byte length and CRC-32 (two little-endian
+#: uint32 words), then the header itself
+_PREAMBLE = len(_MAGIC) + 8
 
 
 class FrozenError(Exception):
     """A frozen blob that cannot be used: unreadable, truncated,
-    checksum-damaged, or stamped with another schema era.  Always
-    recoverable — the caller falls back to the JSON artifact."""
+    checksum-damaged, or stamped with another layout version.
+    :func:`repro.core.persistence.load_namer` reports it as a
+    :class:`~repro.core.persistence.PersistenceError`."""
 
 
 def default_frozen_path(artifact_path: str | Path) -> Path:
-    """Where the frozen twin of a JSON artifact lives: ``<path>.frozen``
-    (sibling file, so rollouts that ship an artifact directory carry
-    both)."""
+    """Where the blob of the artifact saved at ``artifact_path`` lives:
+    ``<path>.frozen``, a sibling of the JSON export, so rollouts that
+    ship an artifact directory carry both."""
     return Path(f"{artifact_path}.frozen")
 
 
@@ -405,7 +408,12 @@ def _write_blob(
     header = dict(header)
     header["arrays"] = manifest
     hjson = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    head = _MAGIC + len(hjson).to_bytes(8, "little") + hjson
+    head = (
+        _MAGIC
+        + len(hjson).to_bytes(4, "little")
+        + zlib.crc32(hjson).to_bytes(4, "little")
+        + hjson
+    )
     head += b"\0" * ((-len(head)) % _ALIGN)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -440,16 +448,28 @@ class FrozenArtifact:
     """A mapped, checksum-verified frozen blob: the parsed header plus
     zero-copy array views into the file's page cache."""
 
-    __slots__ = ("path", "header", "arrays", "_raw")
+    __slots__ = ("path", "header", "arrays", "degraded_reasons", "_raw")
 
-    def __init__(self, path: str, header: dict, arrays: dict, raw) -> None:
+    def __init__(
+        self, path: str, header: dict, arrays: dict, raw, degraded_reasons=()
+    ) -> None:
         self.path = path
         self.header = header
         self.arrays = arrays
+        #: why the classifier arrays were dropped (``degraded_ok`` only)
+        self.degraded_reasons = list(degraded_reasons)
         self._raw = raw
 
     @classmethod
-    def open(cls, path: str | Path, *, verify: bool = True) -> "FrozenArtifact":
+    def open(
+        cls, path: str | Path, *, degraded_ok: bool = False
+    ) -> "FrozenArtifact":
+        """Map and verify the blob at ``path``.
+
+        Raises :class:`FrozenError` on any damage.  With ``degraded_ok``
+        a blob whose only CRC failures are in classifier (``clf_*``)
+        arrays opens without them, the failures recorded in
+        :attr:`degraded_reasons`."""
         raw, header, payload = _open_raw(path)
         if header.get("pipeline_version") != PIPELINE_VERSION:
             raise FrozenError(
@@ -457,8 +477,19 @@ class FrozenArtifact:
                 f"{header.get('pipeline_version')!r}, this build reads "
                 f"{PIPELINE_VERSION}"
             )
-        arrays = _map_arrays(raw, header, payload, str(path), verify=verify)
-        return cls(str(path), header, arrays, raw)
+        arrays, damaged = _map_arrays(raw, header, payload, str(path))
+        reasons = []
+        if damaged:
+            message = (
+                f"frozen artifact {path} failed its CRC check "
+                f"(array {damaged[0]!r})"
+            )
+            if not degraded_ok or not all(n.startswith("clf_") for n in damaged):
+                raise FrozenError(message)
+            for name in [n for n in arrays if n.startswith("clf_")]:
+                del arrays[name]
+            reasons.append(f"{message}; serving pattern-only results")
+        return cls(str(path), header, arrays, raw, reasons)
 
     def to_namer(self):
         try:
@@ -475,64 +506,68 @@ def _open_raw(path: str | Path):
     try:
         raw = np.memmap(path, dtype=np.uint8, mode="r")
     except (OSError, ValueError) as exc:
-        raise FrozenError(f"cannot map frozen artifact {path}: {exc}") from exc
-    if len(raw) < 16 or bytes(raw[:8]) != _MAGIC:
+        raise FrozenError(f"cannot read frozen artifact {path}: {exc}") from exc
+    if len(raw) < _PREAMBLE or bytes(raw[: len(_MAGIC)]) != _MAGIC:
         raise FrozenError(f"frozen artifact {path} has a bad magic header")
-    hlen = int.from_bytes(bytes(raw[8:16]), "little")
-    if hlen <= 0 or 16 + hlen > len(raw):
+    hlen = int.from_bytes(bytes(raw[8:12]), "little")
+    if hlen <= 0 or _PREAMBLE + hlen > len(raw):
         raise FrozenError(f"frozen artifact {path} has a truncated header")
+    hjson = bytes(raw[_PREAMBLE : _PREAMBLE + hlen])
+    if zlib.crc32(hjson) != int.from_bytes(bytes(raw[12:16]), "little"):
+        raise FrozenError(f"frozen artifact {path} failed its header CRC check")
     try:
-        header = json.loads(bytes(raw[16 : 16 + hlen]).decode("utf-8"))
+        header = json.loads(hjson.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrozenError(
             f"frozen artifact {path} has a corrupt header: {exc}"
         ) from exc
     if not isinstance(header, dict) or "arrays" not in header:
         raise FrozenError(f"frozen artifact {path} has a malformed header")
-    payload = 16 + hlen + ((-(16 + hlen)) % _ALIGN)
+    payload = _PREAMBLE + hlen + ((-(_PREAMBLE + hlen)) % _ALIGN)
     return raw, header, payload
 
 
 def _map_arrays(
-    raw, header: dict, payload: int, label: str, *, verify: bool
-) -> dict[str, np.ndarray]:
+    raw, header: dict, payload: int, label: str
+) -> tuple[dict[str, np.ndarray], list[str]]:
+    """Every manifest entry as a view into ``raw``, and the names of
+    the arrays that failed their CRC."""
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        try:
+    damaged: list[str] = []
+    try:
+        for entry in header["arrays"]:
             dtype = np.dtype(entry["dtype"])
             shape = tuple(int(d) for d in entry["shape"])
-            name = entry["name"]
-            offset = int(entry["offset"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FrozenError(
-                f"frozen artifact {label} has a malformed array manifest: {exc!r}"
-            ) from exc
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        start = payload + offset
-        if start < 0 or start + nbytes > len(raw):
-            raise FrozenError(
-                f"frozen artifact {label} is truncated (array {name!r})"
-            )
-        view = raw[start : start + nbytes]
-        if verify and (zlib.crc32(view) & 0xFFFFFFFF) != entry.get("crc32"):
-            raise FrozenError(
-                f"frozen artifact {label} failed its CRC check (array {name!r})"
-            )
-        arrays[name] = view.view(dtype).reshape(shape)
-    return arrays
+            name = str(entry["name"])
+            start = payload + int(entry["offset"])
+            nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+            if min(shape, default=0) < 0 or start < payload:
+                raise ValueError(f"array {name!r} has shape {shape} at {start}")
+            if start + nbytes > len(raw):
+                raise FrozenError(
+                    f"frozen artifact {label} is truncated (array {name!r})"
+                )
+            view = raw[start : start + nbytes]
+            if zlib.crc32(view) != entry.get("crc32"):
+                damaged.append(name)
+            arrays[name] = view.view(dtype).reshape(shape)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FrozenError(
+            f"frozen artifact {label} has a malformed array manifest: {exc!r}"
+        ) from exc
+    return arrays, damaged
 
 
-def load_frozen_namer(path: str | Path):
-    """Reconstruct a fitted Namer from a frozen blob.
+def load_frozen_namer(path: str | Path, *, degraded_ok: bool = False):
+    """Reconstruct a fitted Namer from the frozen blob at ``path``.
 
-    Raises :class:`FrozenError` for anything that is not a healthy
-    blob of the current schema era — callers treat that as a cache
-    miss and fall back to the JSON artifact.  The ``frozen.load`` fault
-    site injects exactly this failure.
+    Raises :class:`FrozenError` for anything that is not a healthy blob
+    of the current layout version (see :meth:`FrozenArtifact.open` for
+    what ``degraded_ok`` relaxes).  Callers load artifacts through
+    :func:`repro.core.persistence.load_namer`, which takes the JSON
+    export's path and reports the error as a ``PersistenceError``.
     """
-    fault_check("frozen.load", key=str(path))
-    art = FrozenArtifact.open(path)
-    return art.to_namer()
+    return FrozenArtifact.open(path, degraded_ok=degraded_ok).to_namer()
 
 
 def _namer_from_artifact(art: FrozenArtifact):
@@ -718,7 +753,8 @@ def _namer_from_artifact(art: FrozenArtifact):
     namer.stats.bind(matcher)
 
     clf_header = header.get("classifier")
-    if clf_header is None:
+    namer.degraded_reasons.extend(art.degraded_reasons)
+    if clf_header is None or art.degraded_reasons:
         namer.classifier = None
     else:
         pipeline = ClassifierPipeline(LinearSVM(), n_components=None)
@@ -736,9 +772,8 @@ def _namer_from_artifact(art: FrozenArtifact):
         pipeline.classifier.intercept_ = clf_header["intercept"]
         namer.classifier = pipeline
 
-    # The precomputed JSON-document checksum: engines and index tiers
-    # read it instead of re-encoding the whole namer (~40% of a
-    # JSON-artifact cold start by itself).
+    # The JSON export's document checksum: engines and index tiers key
+    # on it instead of re-encoding the whole namer.
     namer.frozen_fingerprint = header.get("fingerprint")
     namer.frozen_path = art.path
     return namer
@@ -777,7 +812,9 @@ class FrozenStats(StatsIndex):
     def _materialize(self) -> dict:
         art = self._artifact
         if art is None:
-            art = FrozenArtifact.open(self._path)
+            # A pool worker re-mapping the blob needs only the counters,
+            # so damage to the classifier arrays is no concern here.
+            art = FrozenArtifact.open(self._path, degraded_ok=True)
         self._artifact = None
         strings = art.header["strings"]
         arrays = art.arrays

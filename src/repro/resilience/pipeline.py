@@ -9,6 +9,9 @@ hours; a process killed at hour three must not restart at minute zero.
   (patterns, confusing pairs, statistics; no classifier yet);
 * ``train`` — the complete document including the trained classifier.
 
+The run ends by writing the JSON export to ``out`` and the frozen blob
+(:mod:`repro.mining.frozen`) that every loader reads next to it.
+
 Each checkpoint is written atomically with a SHA-256 stamp
 (:class:`~repro.resilience.checkpoint.CheckpointStore`), so a resumed
 run never trusts torn state.  Resuming replays only the missing stages,
@@ -38,6 +41,7 @@ from repro.core.persistence import (
     save_document,
 )
 from repro.corpus.model import Corpus
+from repro.mining.frozen import default_frozen_path
 from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointStore,
@@ -61,7 +65,7 @@ class MinePipelineResult:
     trained_on: int | None = None
     resumed_stages: list[str] = field(default_factory=list)
     quarantined_files: int = 0
-    #: path of the frozen matcher blob (``freeze=True``), else None
+    #: path of the frozen blob written next to ``out``
     frozen_out: str | None = None
     #: key of the ``train`` cache entry the outputs were replayed from
     #: (nothing was mined or trained), else None
@@ -82,7 +86,6 @@ def run_mine_pipeline(
     training_size: int = 120,
     seed: int = 7,
     keep_checkpoints: bool = False,
-    freeze: bool = False,
     log: Callable[[str], None] = lambda message: None,
 ) -> MinePipelineResult:
     """Run (or resume) mine → train → save, checkpointing each stage.
@@ -110,11 +113,7 @@ def run_mine_pipeline(
     inputs = sha256_of(
         config_fingerprint(corpus_settings, output_config, train, training_size, seed)
     )
-    frozen_path = None
-    if freeze:
-        from repro.mining.frozen import default_frozen_path
-
-        frozen_path = default_frozen_path(out)
+    frozen_path = default_frozen_path(out)
 
     corpus: Corpus | None = None
 
@@ -146,15 +145,14 @@ def run_mine_pipeline(
         index: PreparedIndex | None = None
         if cache is not None:
             index = miner.index_prepared(get_corpus())
-            replay_key = train_key(inputs, index, get_corpus(), freeze)
+            replay_key = train_key(inputs, index, get_corpus())
             entry = cache.get("train", replay_key)
             if entry is not None:
                 artifact, frozen = entry
                 fault_check("persistence.write", key=out)
                 atomic_write_bytes(out, artifact)
-                if frozen_path is not None:
-                    atomic_write_bytes(frozen_path, frozen)
-                    result.frozen_out = str(frozen_path)
+                atomic_write_bytes(frozen_path, frozen)
+                result.frozen_out = str(frozen_path)
                 result.replayed_from = replay_key
                 result.quarantined_files = len(index.quarantine)
                 result.cache_stats = cache.stats_json()
@@ -229,22 +227,22 @@ def run_mine_pipeline(
         fault_check("pipeline.after_train", key=out)
 
     checksum = save_document(final_document, out)
-    if frozen_path is not None:
-        # The compiled-matcher blob next to the JSON artifact: serving
-        # tiers mmap it for near-instant cold starts, and fall back to
-        # the JSON decode if it is ever damaged.
-        from repro.mining.frozen import freeze_namer
+    # The frozen blob next to the JSON export: it is what every loader
+    # maps (`load_namer`); the JSON document is written for export only.
+    # Looked up at call time, so a tracer wrapping `freeze_namer` in its
+    # module (namerbench's `mining.freeze` layer) sees this call.
+    from repro.mining.frozen import freeze_namer
 
-        if namer is None:
-            # Resumed straight from the 'train' checkpoint: the fitted
-            # namer was never materialized, so decode it once to freeze.
-            namer = namer_from_document(final_document, label=f"artifact {out}")
-        frozen = freeze_namer(namer, frozen_path, checksum)
-        result.frozen_out = str(frozen_path)
-        log(
-            f"frozen matcher blob saved to {frozen_path} "
-            f"({frozen['bytes']} bytes, {frozen['arrays']} arrays)"
-        )
+    if namer is None:
+        # Resumed straight from the 'train' checkpoint: the fitted namer
+        # was never materialized, so decode it once to freeze.
+        namer = namer_from_document(final_document, label=f"artifact {out}")
+    frozen = freeze_namer(namer, frozen_path, checksum)
+    result.frozen_out = str(frozen_path)
+    log(
+        f"frozen matcher blob saved to {frozen_path} "
+        f"({frozen['bytes']} bytes, {frozen['arrays']} arrays)"
+    )
     if cache is not None:
         # Stored only once both outputs are on disk: the exact bytes a
         # replay writes.  The document and the mined namer go first, so
@@ -252,8 +250,7 @@ def run_mine_pipeline(
         # run's peak.
         del final_document, namer, miner, index
         cache.put("train", replay_key, (
-            Path(out).read_bytes(),
-            frozen_path.read_bytes() if frozen_path is not None else None,
+            Path(out).read_bytes(), frozen_path.read_bytes()
         ))
         result.cache_stats = cache.stats_json()
     if not keep_checkpoints:
@@ -262,20 +259,17 @@ def run_mine_pipeline(
     return result
 
 
-def train_key(
-    inputs: str, index: PreparedIndex, corpus: Corpus, freeze: bool
-) -> str:
+def train_key(inputs: str, index: PreparedIndex, corpus: Corpus) -> str:
     """The ``train`` cache key: everything the written artifact and
     frozen blob are a function of — the run's ``inputs`` fingerprint,
     each prepared file's payload digest in corpus order, the commit
-    texts the confusing pairs are mined from, the ground truth the
-    training oracle labels with, and whether a blob is written.  The
-    key also hashes the code that mines, trains and encodes them, so a
-    replay never writes the bytes an older build made."""
+    texts the confusing pairs are mined from, and the ground truth the
+    training oracle labels with.  The key also hashes the code that
+    mines, trains and encodes them, so a replay never writes the bytes
+    an older build made."""
     return ContentCache.key(
         inputs,
         fingerprint_of(index.digests),
         Namer.pairs_key(corpus),
         fingerprint_of(corpus.ground_truth),
-        repr(freeze),
     )

@@ -736,9 +736,8 @@ class ClusterCoordinator:
                 handle.artifact_path = artifact_path
                 handle.set_state(READY if was_ready or handle.alive() else DOWN)
                 step["reloaded"] = True
-                # Which tier served the new artifact on this replica —
-                # "frozen" when the rollout shipped a healthy sibling
-                # blob, "json" when the replica fell back to the decode.
+                # How the replica loaded the new artifact, and how long
+                # the load took, as its /reload answer reports them.
                 step["artifact_source"] = body.get("artifact_source")
                 handle.artifact_load_seconds = body.get("artifact_load_seconds")
                 handle.artifact_source = body.get("artifact_source")

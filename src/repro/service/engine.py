@@ -20,23 +20,13 @@ prepares them and classifies them in a single ``detect_many`` pass.
 from __future__ import annotations
 
 import gc
-import logging
 import threading
 import time
 from dataclasses import dataclass, field, replace
 
 from repro.cache import ContentCache
 from repro.core.namer import Namer
-from repro.mining.frozen import (
-    FrozenError,
-    default_frozen_path,
-    load_frozen_namer,
-)
-from repro.core.persistence import (
-    PersistenceError,
-    artifact_checksum,
-    load_namer,
-)
+from repro.core.persistence import load_namer
 # Kept importable here: namerbench's layer table names this binding.
 from repro.core.prepare import prepare_file_checked  # noqa: F401
 from repro.corpus.model import SourceFile
@@ -53,8 +43,6 @@ __all__ = [
     "EngineNotReady",
     "IndexNotAttached",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class EngineNotReady(RuntimeError):
@@ -155,8 +143,8 @@ class AnalysisEngine:
         self._start_monotonic = time.monotonic()
         self._startup_seconds: float | None = None
         self._artifact_load_seconds: float | None = None
-        #: "frozen" when the mmap'd blob served the load, "json" for the
-        #: legacy artifact decode, "inline" for an in-memory namer
+        #: "frozen" when the mmap'd blob served the load, "inline" for
+        #: an in-memory namer
         self._artifact_source: str | None = None
         self.degraded_ok = degraded_ok
         self.artifact_path = artifact_path
@@ -210,40 +198,11 @@ class AnalysisEngine:
         self._start_monotonic = monotonic_t0
 
     def _load_artifact(self, artifact_path: str) -> Namer:
-        """Load the serving artifact, preferring the frozen sibling.
-
-        The fallback ladder: a healthy ``<artifacts>.frozen`` blob
-        frozen from this very artifact (its fingerprint equals the
-        artifact's stamped checksum) maps in; a damaged, truncated,
-        era-mismatched or stale one logs a warning and falls back to
-        the JSON artifact (same reports either way — damage is a cache
-        miss, never an outage).  Timing is recorded for /metrics."""
+        """Load the serving artifact through :func:`load_namer` (raises
+        :class:`PersistenceError`); the time it took goes to /metrics."""
         started = time.monotonic()
-        namer: Namer | None = None
-        frozen_path = default_frozen_path(artifact_path)
-        if frozen_path.exists():
-            try:
-                namer = load_frozen_namer(frozen_path)
-                # A blob left by an earlier `mine --freeze` carries
-                # another document's fingerprint.
-                stamped = artifact_checksum(artifact_path)
-                if stamped is None or namer.frozen_fingerprint != stamped:
-                    raise FrozenError(
-                        f"fingerprint {namer.frozen_fingerprint!r} is not "
-                        f"the artifact's checksum {stamped!r}"
-                    )
-                self._artifact_source = "frozen"
-            except (FrozenError, InjectedFault) as exc:
-                namer = None
-                logger.warning(
-                    "frozen artifact %s unusable (%s); falling back to %s",
-                    frozen_path,
-                    exc,
-                    artifact_path,
-                )
-        if namer is None:
-            namer = load_namer(artifact_path, degraded_ok=self.degraded_ok)
-            self._artifact_source = "json"
+        namer = load_namer(artifact_path, degraded_ok=self.degraded_ok)
+        self._artifact_source = "frozen"
         self._artifact_load_seconds = time.monotonic() - started
         return namer
 
@@ -573,18 +532,16 @@ class AnalysisEngine:
     def reload(self, artifact_path: str) -> dict:
         """Hot-swap the loaded artifact (``POST /reload``).
 
-        The new file is fully loaded and schema-checked *before* the
-        swap, so a bad artifact leaves the running service untouched.
-        With ``degraded_ok`` (the default), an artifact whose patterns
-        decode but whose classifier section is corrupt is still swapped
-        in — pattern-only, flagged ``degraded`` — because stale-but-full
-        artifacts and fresh-but-degraded ones are both better than 500s.
-        In-flight requests finish on the old artifact but cannot write
-        into the new cache (generation fencing).
+        The new artifact's blob is fully mapped and verified *before*
+        the swap, so a bad artifact raises :class:`PersistenceError` and
+        leaves the running service untouched.  With ``degraded_ok`` (the
+        default), a blob whose only damage is in its classifier arrays
+        is still swapped in — pattern-only, flagged ``degraded`` —
+        because stale-but-full artifacts and fresh-but-degraded ones are
+        both better than 500s.  In-flight requests finish on the old
+        artifact but cannot write into the new cache (generation
+        fencing).
         """
-        # Raises PersistenceError when even a degraded load is
-        # impossible.  The frozen sibling is tried first, exactly like
-        # start-up; a damaged blob falls back to the JSON decode.
         namer = self._load_artifact(artifact_path)
         # The old pool's forked workers inherited the *old* artifact's
         # matcher; build a fresh warm pool for the new one and swap it
@@ -689,8 +646,8 @@ class AnalysisEngine:
         namer = self._namer
         body["ready"] = self.ready
         # Cold-start observability: process-start-to-ready, the
-        # artifact decode share of it, and which tier answered the load
-        # ("frozen" mmap, "json" decode, or an "inline" namer).
+        # artifact load share of it, and where the namer came from
+        # ("frozen" mmap or an "inline" namer).
         body["startup_seconds"] = self._startup_seconds
         body["artifact_load_seconds"] = self._artifact_load_seconds
         body["artifact_source"] = self._artifact_source

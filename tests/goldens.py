@@ -1,10 +1,10 @@
 """Golden digests: the byte-identity contract, pinned.
 
 Mining and detection must produce the same bytes whatever the worker
-count, cache temperature, artifact encoding (JSON document or frozen
-blob) or interner cap.  ``tests/golden_digests.json`` records those
-bytes as sha256 digests for the tier-1 corpora (the JSON artifacts and
-the frozen blobs frozen from them), together with every
+count, cache temperature, whether the namer was loaded from its blob,
+or interner cap.  ``tests/golden_digests.json`` records those bytes as
+sha256 digests for the tier-1 corpora (the JSON artifacts and the
+frozen blobs frozen from them), together with every
 file's points-to result (the Datalog solver's contract), and
 ``tests/test_goldens.py`` recomputes them through every supported
 configuration.

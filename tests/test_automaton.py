@@ -277,14 +277,10 @@ class TestFallbackFrequencies:
         assert automaton.deduction_prefix_counts() == expected
 
     def test_artifact_load_builds_automaton(self, trained_namer, tmp_path):
-        from repro.core.persistence import (
-            load_namer,
-            namer_to_document,
-            save_document,
-        )
+        from repro.core.persistence import load_namer, save_namer
 
         artifact = tmp_path / "namer.json"
-        save_document(namer_to_document(trained_namer), str(artifact))
+        save_namer(trained_namer, str(artifact))
         loaded = load_namer(str(artifact))
         assert loaded.matcher._automaton is not None
         expected = Counter(

@@ -171,10 +171,14 @@ class TestCommands:
 
     def test_mine_rerun_replays_from_the_cache(self, tmp_path, capsys):
         base = ["--repos", "6", "--min-support", "12", "--min-frequency", "5",
-                "--freeze", "--cache-dir", str(tmp_path / "cache")]
+                "--cache-dir", str(tmp_path / "cache")]
         out = tmp_path / "namer.json"
         uncached = tmp_path / "uncached.json"
-        assert main(["mine", "--out", str(uncached), "--no-cache", *base[:-2]]) == 0
+        # `--freeze` still parses and changes nothing: every mine
+        # writes the blob.
+        assert main(
+            ["mine", "--out", str(uncached), "--no-cache", "--freeze", *base[:-2]]
+        ) == 0
         assert main(["mine", "--out", str(out), *base]) == 0
         assert "replayed" not in capsys.readouterr().out
         assert main(["mine", "--out", str(out), "--profile", *base]) == 0
@@ -275,9 +279,10 @@ class TestFailureExitCodes:
     def test_scan_corrupt_artifacts(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
+        (tmp_path / "bad.json.frozen").write_text("{not a blob")
         code = main(["scan", str(tmp_path), "--artifacts", str(bad)])
         assert code == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        assert "bad magic header" in capsys.readouterr().err
 
     def test_scan_nonexistent_path(self, artifacts, tmp_path, capsys):
         code = main(

@@ -25,14 +25,14 @@ import types
 
 import pytest
 
-from repro.core.persistence import namer_to_document, save_document
+from repro.core.persistence import save_namer
+from repro.mining.frozen import default_frozen_path
 from repro.resilience.retry import CircuitBreaker
 from repro.evaluation.loadtest import (
     latency_percentile,
     reference_digests,
     run_load,
 )
-from repro.mining.frozen import default_frozen_path, freeze_namer
 from repro.resilience.faults import FAULTS, FaultPlan, FaultSpec
 from repro.service.client import HttpClient, ServiceError
 from repro.service.cluster import (
@@ -354,11 +354,8 @@ class TestAggregation:
 
 @pytest.fixture(scope="module")
 def artifact_file(fitted_namer, tmp_path_factory):
-    # Frozen beside the JSON, as ``mine --freeze`` leaves it: replicas
-    # serve the frozen blob.
     path = tmp_path_factory.mktemp("cluster") / "namer.json"
-    checksum = save_document(namer_to_document(fitted_namer), path)
-    freeze_namer(fitted_namer, default_frozen_path(path), checksum)
+    save_namer(fitted_namer, path)
     return path
 
 
@@ -452,6 +449,8 @@ class TestClusterEndToEnd:
     ):
         new_artifact = tmp_path_factory.mktemp("rollout") / "namer-v2.json"
         new_artifact.write_bytes(artifact_file.read_bytes())
+        blob = default_frozen_path(artifact_file).read_bytes()
+        default_frozen_path(new_artifact).write_bytes(blob)
         rollout_client = HttpClient(cluster.url, timeout=300.0)
         outcome: dict = {}
 
@@ -477,9 +476,14 @@ class TestClusterEndToEnd:
         assert status["artifact"] == str(new_artifact)
         assert all(r["artifacts"] == str(new_artifact) for r in status["replicas"])
 
-    def test_rollout_of_bad_artifact_rolls_back(self, cluster, tmp_path_factory):
+    def test_rollout_of_bad_artifact_rolls_back(
+        self, cluster, artifact_file, tmp_path_factory
+    ):
+        # A blob cut short, beside an intact JSON export.
         bad = tmp_path_factory.mktemp("rollout") / "bad.json"
-        bad.write_text("{\"not\": \"a namer artifact\"}")
+        bad.write_bytes(artifact_file.read_bytes())
+        blob = default_frozen_path(artifact_file).read_bytes()
+        default_frozen_path(bad).write_bytes(blob[: len(blob) // 2])
         before = HttpClient(cluster.url).request("GET", "/cluster/status")
         record = HttpClient(cluster.url, timeout=300.0).request(
             "POST", "/reload", {"artifacts": str(bad)}

@@ -273,11 +273,11 @@ class TestEngineParallelDetection:
     def test_detect_workers_equivalence(self, trained_namer, tmp_path):
         """The engine serves identical wire results with detection
         inline or fanned over a warm process pool."""
-        from repro.core.persistence import namer_to_document, save_document
+        from repro.core.persistence import save_namer
         from repro.service.engine import AnalysisEngine, AnalysisRequest
 
         artifact = tmp_path / "namer.json"
-        save_document(namer_to_document(trained_namer), str(artifact))
+        save_namer(trained_namer, str(artifact))
         requests = [
             AnalysisRequest(
                 source="def handle(packet):\n    return packet.payload\n",

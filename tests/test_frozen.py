@@ -1,33 +1,33 @@
 """Differential + damage suite for frozen matcher artifacts.
 
-The frozen blob (``repro.mining.frozen``) is a pure serving-side
-acceleration: a namer loaded from it must be indistinguishable — byte
-for byte — from one decoded out of the JSON artifact, for every worker
-count and interner cap.  And because blobs live on
-disks, every kind of damage (truncation, bit flips, bad magic, wrong
-schema era) must read as a *miss* that falls back to the JSON path,
-never as wrong output or a crash.
+The frozen blob (``repro.mining.frozen``) is the artifact every loader
+reads: a namer loaded from it must be indistinguishable — byte for
+byte — from the namer that was frozen, for every worker count and
+interner cap.  And because blobs live on disks, every kind of damage
+(truncation, bit flips in an array or the header, bad magic, another
+layout version) must be a load error, never wrong output or a crash;
+only damage confined to the classifier arrays may degrade a load to
+pattern-only, and only when the caller asks for that.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import pickle
-import time
 
 import pytest
 
 from repro.core.namer import Namer, NamerConfig
 from repro.__main__ import main
 from repro.core.namer import _match_file
+from repro.core.prepare import prepare_file
+from repro.core import persistence
 from repro.core.persistence import (
-    load_namer,
+    PersistenceError,
     namer_to_document,
     save_document,
     save_namer,
 )
-from repro.corpus.generator import GeneratorConfig, generate_python_corpus
 from repro.mining import PIPELINE_VERSION
 from repro.mining.frozen import (
     FrozenArtifact,
@@ -39,10 +39,9 @@ from repro.mining.frozen import (
 )
 from repro.mining.interner import PathInterner
 from repro.mining.matcher import PatternMatcher
-from repro.mining.miner import MiningConfig
 from repro.resilience.checkpoint import document_checksum
-from repro.resilience.faults import FAULTS, FaultPlan, FaultSpec
 from repro.service.engine import AnalysisEngine
+from tests import blobs
 
 pytestmark = pytest.mark.frozen
 
@@ -289,31 +288,60 @@ class TestDamage:
 
     def test_wrong_schema_era_raises(self, frozen_setup, tmp_path):
         _, _, frozen_path, _ = frozen_setup
-        blob = bytearray(frozen_path.read_bytes())
-        hlen = int.from_bytes(bytes(blob[8:16]), "little")
-        header = json.loads(bytes(blob[16 : 16 + hlen]))
-        header["pipeline_version"] = PIPELINE_VERSION + 1
-        # re-encode at the same length so offsets stay valid
-        encoded = json.dumps(header, separators=(",", ":")).encode()
         hurt = tmp_path / "era.frozen"
-        if len(encoded) == hlen:
-            blob[16 : 16 + hlen] = encoded
-            hurt.write_bytes(bytes(blob))
-            with pytest.raises(FrozenError, match="pipeline_version"):
-                FrozenArtifact.open(hurt)
-        else:  # header length shifted; truncated-header check catches it
-            blob[8:16] = (hlen + 10 ** 9).to_bytes(8, "little")
-            hurt.write_bytes(bytes(blob))
-            with pytest.raises(FrozenError):
-                FrozenArtifact.open(hurt)
+        blobs.rewrite_header(
+            frozen_path,
+            hurt,
+            lambda header: header.update(pipeline_version=PIPELINE_VERSION + 1),
+        )
+        with pytest.raises(FrozenError, match="pipeline_version"):
+            FrozenArtifact.open(hurt)
+
+    def test_header_edit_raises(self, frozen_setup, tmp_path):
+        _, _, frozen_path, _ = frozen_setup
+        hurt = tmp_path / "edit.frozen"
+        blobs.change_header_digit(frozen_path, hurt, r'"total_statements":\d*(\d)')
+        with pytest.raises(FrozenError, match="header CRC"):
+            load_frozen_namer(hurt)
+
+    @pytest.mark.parametrize("array", ["clf_coef", "st_matches_file_cnt"])
+    def test_degraded_ok_forgives_only_classifier_arrays(
+        self, frozen_setup, tmp_path, array
+    ):
+        namer, _, frozen_path, _ = frozen_setup
+        hurt = tmp_path / "flip.frozen"
+        blobs.flip_array_byte(frozen_path, hurt, array)
+        with pytest.raises(FrozenError, match=array):
+            load_frozen_namer(hurt)
+        if not array.startswith("clf_"):
+            with pytest.raises(FrozenError, match=array):
+                load_frozen_namer(hurt, degraded_ok=True)
+            return
+        loaded = load_frozen_namer(hurt, degraded_ok=True)
+        assert loaded.classifier is None
+        assert loaded.degraded_reasons
+        # Pool workers re-map the degraded blob for its counters.
+        clone = pickle.loads(pickle.dumps(loaded.stats))
+        assert clone.matches == namer.stats.matches
+        prepared = list(namer.prepared)
+        assert [
+            [(r.observed, r.suggested) for r in group]
+            for group in loaded.detect_many(prepared)
+        ] == [
+            [(v.observed, v.suggested) for v in namer.violations_in(pf)]
+            for pf in prepared
+        ]
 
 
 # ----------------------------------------------------------------------
-# The serving fallback ladder
+# Serving loads the blob, and only the blob
 # ----------------------------------------------------------------------
 
 
 class TestEngineFallback:
+    """Serving loads the blob and only the blob: a damaged one is a
+    load error that leaves a running engine on its old artifact."""
+
     def test_engine_prefers_frozen(self, frozen_setup):
         _, artifact, _, summary = frozen_setup
         engine = AnalysisEngine(artifact_path=str(artifact), workers=1)
@@ -326,20 +354,17 @@ class TestEngineFallback:
         finally:
             engine.shutdown(drain=False)
 
-    def test_damaged_blob_falls_back_to_json(
-        self, frozen_setup, tmp_path, caplog
-    ):
+    def test_damaged_blob_is_a_load_error(self, frozen_setup, tmp_path):
         namer, artifact, frozen_path, _ = frozen_setup
         twin = _copy(artifact, tmp_path / "namer.json")
-        hurt = _copy(frozen_path, default_frozen_path(twin))
-        blob = bytearray(hurt.read_bytes())
-        blob[-9] ^= 0x01
-        hurt.write_bytes(bytes(blob))
-        with caplog.at_level(logging.WARNING, logger="repro.service.engine"):
-            engine = AnalysisEngine(artifact_path=str(twin), workers=1)
+        blobs.flip_array_byte(frozen_path, default_frozen_path(twin), "trie_child")
+        with pytest.raises(PersistenceError, match="CRC"):
+            AnalysisEngine(artifact_path=str(twin), workers=1)
+        engine = AnalysisEngine(artifact_path=str(artifact), workers=1)
         try:
-            assert engine.metrics_json()["artifact_source"] == "json"
-            assert any("falling back" in r.message for r in caplog.records)
+            with pytest.raises(PersistenceError, match="CRC"):
+                engine.reload(str(twin))
+            assert engine.artifact_path == str(artifact)
             prepared = list(namer.prepared)
             assert report_blob(
                 engine._namer.detect_many(prepared)
@@ -347,95 +372,47 @@ class TestEngineFallback:
         finally:
             engine.shutdown(drain=False)
 
-    def test_stale_blob_falls_back_to_json(self, frozen_setup, tmp_path, caplog):
-        """``mine --freeze --out X`` then ``mine --out X`` leaves the first
-        run's blob beside the second run's JSON: the engine must see
-        that the blob is not this artifact's own and serve the JSON."""
-        namer = frozen_setup[0]
-        out = tmp_path / "namer.json"
-        base = ["--out", str(out), "--repos", "8", "--min-frequency", "5",
-                "--seed", "3", "--no-cache"]
-        assert main(["mine", *base, "--min-support", "10", "--freeze"]) == 0
-        # The CLI's own blob is served beside the artifact it froze ...
-        engine = AnalysisEngine(artifact_path=str(out), workers=1)
+    def test_blob_alone_serves_without_the_json(
+        self, frozen_setup, small_corpus, tmp_path, monkeypatch, capsys
+    ):
+        """A directory holding only ``namer.json.frozen`` serves engine
+        start, ``/reload`` and ``repro analyze``; no load path decodes a
+        JSON document."""
+        from repro.service.client import HttpClient
+        from repro.service.server import AnalysisServer
+
+        namer, _, frozen_path, _ = frozen_setup
+        artifact = tmp_path / "namer.json"
+        _copy(frozen_path, default_frozen_path(artifact))
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("a load path decoded the JSON document")
+
+        monkeypatch.setattr(persistence, "namer_from_document", no_decode)
+        prepared = list(namer.prepared)
+        expected = report_blob(namer.detect_many(prepared))
+        engine = AnalysisEngine(artifact_path=str(artifact), workers=1)
+        server = AnalysisServer(engine, port=0).start()
         try:
             assert engine.metrics_json()["artifact_source"] == "frozen"
+            assert report_blob(engine._namer.detect_many(prepared)) == expected
+            outcome = HttpClient(server.url, timeout=30).reload(artifact)
+            assert outcome["artifact_source"] == "frozen"
+            assert report_blob(engine._namer.detect_many(prepared)) == expected
         finally:
-            engine.shutdown(drain=False)
-        # ... and left stale by a second mine without --freeze.
-        assert main(["mine", *base, "--min-support", "14"]) == 0
-        stale = load_frozen_namer(default_frozen_path(out))
-        fresh = load_namer(out)
-        assert len(stale.matcher.patterns) != len(fresh.matcher.patterns)
-        with caplog.at_level(logging.WARNING, logger="repro.service.engine"):
-            engine = AnalysisEngine(artifact_path=str(out), workers=1)
-        try:
-            assert engine.metrics_json()["artifact_source"] == "json"
-            assert any("falling back" in r.message for r in caplog.records)
-            prepared = list(namer.prepared)
-            assert report_blob(
-                engine._namer.detect_many(prepared)
-            ) == report_blob(fresh.detect_many(prepared))
-        finally:
-            engine.shutdown(drain=False)
+            server.stop(drain=False)
 
-    def test_frozen_load_fault_site_forces_fallback(
-        self, frozen_setup, caplog
-    ):
-        _, artifact, _, _ = frozen_setup
-        plan = FaultPlan([FaultSpec(site="frozen.load")], seed=1)
-        with caplog.at_level(logging.WARNING, logger="repro.service.engine"):
-            with FAULTS.armed(plan):
-                engine = AnalysisEngine(artifact_path=str(artifact), workers=1)
-                try:
-                    assert engine.metrics_json()["artifact_source"] == "json"
-                finally:
-                    engine.shutdown(drain=False)
-        assert any("falling back" in r.message for r in caplog.records)
-
-
-# ----------------------------------------------------------------------
-# Cold start: the reason the blob exists
-# ----------------------------------------------------------------------
-
-#: The mmap load must beat the JSON decode by at least this factor.  A
-#: 30-repo artifact loads ~10-13x faster on a 2-vCPU Xeon; the floor
-#: leaves room for slower and noisier machines.
-COLD_START_FLOOR = 3.0
-
-
-def _best_seconds(load, rounds: int = 5) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
-        load()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def test_frozen_cold_start_beats_json_decode(tmp_path):
-    """The JSON decode grows with the statistics tables, which the blob
-    maps lazily, so the floor is measured on a corpus larger than the
-    tier-1 fixture's."""
-    corpus = generate_python_corpus(
-        GeneratorConfig(num_repos=30, issue_rate=0.12, seed=7)
-    )
-    namer = Namer(
-        NamerConfig(
-            mining=MiningConfig(min_pattern_support=20, min_path_frequency=8)
+        source = next(
+            source
+            for repo, source in small_corpus.files()
+            if namer.detect(prepare_file(source, repo=repo.name))
         )
-    )
-    namer.mine(corpus)
-    artifact = tmp_path / "namer.json"
-    checksum = save_document(namer_to_document(namer), artifact)
-    frozen_path = default_frozen_path(artifact)
-    freeze_namer(namer, frozen_path, checksum)
-
-    json_seconds = _best_seconds(lambda: load_namer(artifact))
-    frozen_seconds = _best_seconds(lambda: load_frozen_namer(frozen_path))
-    speedup = json_seconds / frozen_seconds
-    assert speedup >= COLD_START_FLOOR, (
-        f"frozen load {frozen_seconds * 1000:.1f} ms vs JSON decode "
-        f"{json_seconds * 1000:.1f} ms: {speedup:.1f}x, "
-        f"below the {COLD_START_FLOOR}x floor"
-    )
+        target = tmp_path / "target.py"
+        target.write_text(source.source)
+        capsys.readouterr()
+        code = main(["analyze", str(target), "--artifacts", str(artifact),
+                     "--workers", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "0 naming issue" not in out
+        assert "across 1 file(s)" in out

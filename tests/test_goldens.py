@@ -7,8 +7,8 @@ the quarantine records under one seeded fault plan, for the tier-1
 Python and Java corpora (see :mod:`tests.goldens` for how each digest
 is computed and how to regenerate the file on purpose).  These tests
 recompute them through each arm the pipeline offers — worker counts,
-cache temperatures, JSON vs frozen artifacts, capped interners — so a
-change that moves any output byte fails here.
+cache temperatures, in-memory vs loaded namers, capped interners — so
+a change that moves any output byte fails here.
 """
 
 from __future__ import annotations
@@ -65,11 +65,13 @@ def test_trained_artifact(served):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("source", ["json", "frozen"])
+@pytest.mark.parametrize("source", ["inline", "frozen"])
 def test_reports(served, source, workers):
-    language, namer, artifact, _, frozen = served
-    loaded = load_namer(artifact) if source == "json" else frozen
-    got = g.report_digests(loaded, namer.prepared, workers=workers)
+    """The trained namer itself, and the one loaded from its blob."""
+    language, namer, _, _, frozen = served
+    got = g.report_digests(
+        namer if source == "inline" else frozen, namer.prepared, workers=workers
+    )
     assert got == GOLDENS[language]["reports"]
 
 

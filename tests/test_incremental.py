@@ -322,7 +322,6 @@ PIPELINE = dict(
     corpus_settings=("python", "incremental-test-corpus"),
     training_size=40,
     seed=7,
-    freeze=True,
 )
 
 
@@ -341,10 +340,8 @@ def run_pipeline(corpus, out_dir, cache_dir=None, **changes):
         out=out,
         **kwargs,
     )
-    frozen = out.with_name(out.name + ".frozen")
     return result, (
-        out.read_bytes(),
-        frozen.read_bytes() if kwargs["freeze"] else None,
+        out.read_bytes(), out.with_name(out.name + ".frozen").read_bytes()
     )
 
 
@@ -439,10 +436,9 @@ class TestTrainReplay:
         [
             {"training_size": 30},
             {"seed": 8},
-            {"freeze": False},
             {"train": False},
         ],
-        ids=["training_size", "seed", "freeze", "train"],
+        ids=["training_size", "seed", "train"],
     )
     def test_run_settings_miss_the_train_level(
         self, corpus, tmp_path, cache_dir, changes
@@ -566,7 +562,7 @@ def test_a_module_edit_misses_every_level_then_replays(tmp_path):
         out = tmp_path / name / "namer.json"
         out.parent.mkdir()
         done = subprocess.run(
-            [sys.executable, "-c", MINE, "mine", "--repos", "4", "--freeze",
+            [sys.executable, "-c", MINE, "mine", "--repos", "4",
              "--workers", "1", "--out", str(out), "--cache-dir", str(cache)],
             env=env, capture_output=True, text=True, timeout=300,
         )

@@ -1,6 +1,8 @@
-"""Round-trip tests for Namer artifact persistence."""
+"""Round-trip and damage tests for Namer artifact persistence."""
 
 import json
+import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from repro.core.persistence import (
 )
 from repro.core.prepare import prepare_file
 from repro.corpus.model import SourceFile
+from repro.mining.frozen import default_frozen_path
+from tests import blobs
 
 BUGGY = (
     "from unittest import TestCase\n"
@@ -25,6 +29,15 @@ BUGGY = (
     "        item = self.build_item()\n"
     "        self.assertTrue(item.count, 5)\n"
 )
+
+
+@pytest.fixture(scope="module")
+def saved(fitted_namer, tmp_path_factory):
+    """The frozen blob of the fitted namer, for tests to damage copies
+    of."""
+    path = tmp_path_factory.mktemp("saved") / "namer.json"
+    save_namer(fitted_namer, path)
+    return default_frozen_path(path)
 
 
 @pytest.fixture(scope="module")
@@ -99,22 +112,22 @@ class TestErrors:
         doc = json.loads(path.read_text())
         assert doc["schema_version"] == SCHEMA_VERSION
 
-    def test_mismatched_version_raises(self, tmp_path, fitted_namer):
+    def test_mismatched_version_raises(self, tmp_path, saved):
         path = tmp_path / "namer.json"
-        save_namer(fitted_namer, path)
-        doc = json.loads(path.read_text())
-        doc["schema_version"] = 999
-        path.write_text(json.dumps(doc))
-        with pytest.raises(PersistenceError, match="schema_version 999"):
+        blobs.rewrite_header(
+            saved, default_frozen_path(path),
+            lambda header: header.update(pipeline_version=999),
+        )
+        with pytest.raises(PersistenceError, match="pipeline_version 999"):
             load_namer(path)
 
-    def test_missing_version_raises(self, tmp_path, fitted_namer):
+    def test_missing_version_raises(self, tmp_path, saved):
         path = tmp_path / "namer.json"
-        save_namer(fitted_namer, path)
-        doc = json.loads(path.read_text())
-        del doc["schema_version"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(PersistenceError, match="no schema_version stamp"):
+        blobs.rewrite_header(
+            saved, default_frozen_path(path),
+            lambda header: header.pop("pipeline_version"),
+        )
+        with pytest.raises(PersistenceError, match="pipeline_version None"):
             load_namer(path)
 
     def test_persistence_error_is_a_value_error(self):
@@ -126,40 +139,38 @@ class TestErrors:
         with pytest.raises(PersistenceError, match="cannot read"):
             load_namer(tmp_path / "does-not-exist.json")
 
-    def test_invalid_json_raises_persistence_error(self, tmp_path):
-        path = tmp_path / "garbage.json"
-        path.write_text("{not json")
-        with pytest.raises(PersistenceError, match="not valid JSON"):
+    def test_invalid_json_raises_persistence_error(self, tmp_path, saved):
+        # A header that passes its CRC but is not JSON (a writer bug,
+        # not disk damage) is still a load error.
+        garbage = b"{not json"
+        path = tmp_path / "namer.json"
+        default_frozen_path(path).write_bytes(
+            saved.read_bytes()[:8]
+            + len(garbage).to_bytes(4, "little")
+            + zlib.crc32(garbage).to_bytes(4, "little")
+            + garbage
+        )
+        with pytest.raises(PersistenceError, match="corrupt header"):
             load_namer(path)
 
-    def test_truncated_document_fails_checksum(self, tmp_path, fitted_namer):
-        # Deleting a section leaves valid JSON; the SHA-256 stamp is
-        # what catches it (the pre-checksum failure mode this fixes).
+    def test_truncated_document_fails_checksum(self, tmp_path, saved):
+        # The blob cut short inside its arrays: the manifest no longer
+        # fits the file.
         path = tmp_path / "namer.json"
-        save_namer(fitted_namer, path)
-        doc = json.loads(path.read_text())
-        del doc["stats"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(PersistenceError, match="SHA-256"):
+        default_frozen_path(path).write_bytes(
+            saved.read_bytes()[: saved.stat().st_size // 2]
+        )
+        with pytest.raises(PersistenceError, match="truncated"):
             load_namer(path)
 
-    def test_truncated_document_with_restamped_checksum(
-        self, tmp_path, fitted_namer
-    ):
-        # Even a re-stamped (checksum-consistent) but incomplete
-        # document fails with the decode-layer error.
-        from repro.resilience.checkpoint import document_checksum
-
+    def test_truncated_document_with_restamped_checksum(self, tmp_path, saved):
+        # A header missing a section but carrying a matching CRC fails
+        # in the decode layer instead.
         path = tmp_path / "namer.json"
-        save_namer(fitted_namer, path)
-        doc = json.loads(path.read_text())
-        del doc["stats"]
-        del doc["checksum"]
-        doc = {"schema_version": doc["schema_version"],
-               "checksum": document_checksum(doc),
-               **{k: v for k, v in doc.items() if k != "schema_version"}}
-        path.write_text(json.dumps(doc))
-        with pytest.raises(PersistenceError, match="truncated or malformed"):
+        blobs.rewrite_header(
+            saved, default_frozen_path(path), lambda header: header.pop("pairs")
+        )
+        with pytest.raises(PersistenceError, match="malformed"):
             load_namer(path)
 
     def test_checksum_stamped_next_to_schema_version(self, tmp_path, fitted_namer):
@@ -170,51 +181,63 @@ class TestErrors:
         assert keys[:2] == ["schema_version", "checksum"]
         assert len(doc["checksum"]) == 64
 
-    def test_missing_checksum_raises(self, tmp_path, fitted_namer):
+    def test_missing_checksum_raises(self, tmp_path, saved):
         path = tmp_path / "namer.json"
-        save_namer(fitted_namer, path)
-        doc = json.loads(path.read_text())
-        del doc["checksum"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(PersistenceError, match="no checksum stamp"):
+        blobs.rewrite_header(
+            saved,
+            default_frozen_path(path),
+            lambda header: header["arrays"][0].pop("crc32"),
+        )
+        with pytest.raises(PersistenceError, match="CRC"):
             load_namer(path)
 
-    def test_single_flipped_value_fails_checksum(self, tmp_path, fitted_namer):
+    def test_single_flipped_value_fails_checksum(self, tmp_path, saved):
         path = tmp_path / "namer.json"
-        save_namer(fitted_namer, path)
-        doc = json.loads(path.read_text())
-        doc["patterns"][0]["support"] += 1
-        path.write_text(json.dumps(doc))
-        with pytest.raises(PersistenceError, match="SHA-256"):
+        blobs.flip_array_byte(saved, default_frozen_path(path), "pat_support")
+        with pytest.raises(PersistenceError, match="CRC"):
             load_namer(path)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            r'"intercept":-?\d+\.\d*(\d)',
+            r'"max_paths_per_statement":\d*(\d)',
+            r'"pairs":\[\["[^"]*","[^"]*",\d*(\d)\]',
+        ],
+        ids=["intercept", "config", "pairs"],
+    )
+    def test_one_changed_header_digit_raises(self, tmp_path, saved, pattern):
+        """The header is checksummed like the arrays: one digit changed
+        in a value only the header holds is a load error, not a namer
+        that serves different reports under the same fingerprint."""
+        path = tmp_path / "namer.json"
+        shutil.copy(saved.with_suffix(""), path)  # the intact JSON export
+        blobs.change_header_digit(saved, default_frozen_path(path), pattern)
+        with pytest.raises(PersistenceError, match="header CRC"):
+            load_namer(path)
+        with pytest.raises(PersistenceError):
+            load_namer(path, degraded_ok=True)
 
 
 class TestDegradedLoad:
-    """`degraded_ok` keeps the pattern half alive through a corrupt
-    classifier section (the serving layer's no-500s guarantee)."""
+    """`degraded_ok` keeps the pattern half alive through damaged
+    classifier arrays (the serving layer's no-500s guarantee); damage
+    anywhere else is always a load error."""
 
-    def _corrupt_classifier(self, path):
-        from repro.resilience.checkpoint import document_checksum
+    def _corrupt_classifier(self, saved, path, array="clf_scaler_mean"):
+        blobs.flip_array_byte(saved, default_frozen_path(path), array)
 
-        doc = json.loads(path.read_text())
-        doc["classifier"] = {"scaler_mean": "garbage"}
-        del doc["checksum"]
-        doc["checksum"] = document_checksum(doc)
-        path.write_text(json.dumps(doc))
-
-    def test_strict_load_rejects_corrupt_classifier(self, tmp_path, fitted_namer):
+    def test_strict_load_rejects_corrupt_classifier(self, tmp_path, saved):
         path = tmp_path / "namer.json"
-        save_namer(fitted_namer, path)
-        self._corrupt_classifier(path)
-        with pytest.raises(PersistenceError, match="classifier"):
+        self._corrupt_classifier(saved, path)
+        with pytest.raises(PersistenceError, match="clf_scaler_mean"):
             load_namer(path)
 
     def test_degraded_load_drops_classifier_keeps_patterns(
-        self, tmp_path, fitted_namer
+        self, tmp_path, fitted_namer, saved
     ):
         path = tmp_path / "namer.json"
-        save_namer(fitted_namer, path)
-        self._corrupt_classifier(path)
+        self._corrupt_classifier(saved, path)
         loaded = load_namer(path, degraded_ok=True)
         assert loaded.classifier is None
         assert loaded.degraded_reasons
@@ -222,25 +245,17 @@ class TestDegradedLoad:
             p.key() for p in fitted_namer.matcher.patterns
         }
 
-    def test_degraded_load_survives_bad_checksum(self, tmp_path, fitted_namer):
+    def test_degraded_load_survives_bad_checksum(self, tmp_path, saved):
         path = tmp_path / "namer.json"
-        save_namer(fitted_namer, path)
-        doc = json.loads(path.read_text())
-        doc["checksum"] = "0" * 64
-        path.write_text(json.dumps(doc))
+        self._corrupt_classifier(saved, path, array="clf_coef")
         loaded = load_namer(path, degraded_ok=True)
         assert loaded.classifier is None  # untrusted bytes: pattern-only
-        assert any("SHA-256" in r for r in loaded.degraded_reasons)
+        assert any("CRC" in r and "clf_coef" in r for r in loaded.degraded_reasons)
 
-    def test_degraded_load_still_rejects_corrupt_patterns(
-        self, tmp_path, fitted_namer
-    ):
+    def test_degraded_load_still_rejects_corrupt_patterns(self, tmp_path, saved):
         path = tmp_path / "namer.json"
-        save_namer(fitted_namer, path)
-        doc = json.loads(path.read_text())
-        doc["patterns"] = "nonsense"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(PersistenceError):
+        blobs.flip_array_byte(saved, default_frozen_path(path), "pat_cond")
+        with pytest.raises(PersistenceError, match="pat_cond"):
             load_namer(path, degraded_ok=True)
 
 
@@ -269,7 +284,7 @@ class TestHashSeedIndependence:
         import subprocess
         import sys
 
-        blobs = []
+        outputs = []
         for seed in ("1", "2"):
             out = tmp_path / f"seed{seed}.json"
             env = dict(os.environ, PYTHONHASHSEED=seed)
@@ -279,5 +294,5 @@ class TestHashSeedIndependence:
                 check=True,
                 timeout=300,
             )
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1]
+            outputs.append((out.read_bytes(), default_frozen_path(out).read_bytes()))
+        assert outputs[0] == outputs[1]

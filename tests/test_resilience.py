@@ -18,6 +18,7 @@ import pytest
 from repro.core.namer import Namer, NamerConfig
 from repro.core.persistence import save_namer
 from repro.corpus.generator import GeneratorConfig, generate_python_corpus
+from repro.mining.frozen import default_frozen_path
 from repro.resilience.checkpoint import (
     CheckpointError,
     CheckpointStore,
@@ -35,6 +36,7 @@ from repro.resilience.pipeline import run_mine_pipeline
 from repro.resilience.quarantine import ErrorRecord, Quarantine
 from repro.resilience.retry import CircuitBreaker, CircuitOpenError, RetryPolicy
 
+from tests import blobs
 from tests.conftest import SMALL_MINING
 
 
@@ -372,12 +374,19 @@ _PIPELINE_KWARGS = dict(
 
 
 @pytest.fixture(scope="module")
-def baseline_artifact(tmp_path_factory):
-    """One uninterrupted pipeline run; resumed runs must match its bytes."""
+def baseline_out(tmp_path_factory):
+    """Where one uninterrupted pipeline run saved its artifact."""
     out = tmp_path_factory.mktemp("pipeline") / "baseline.json"
     result = run_mine_pipeline(out=out, **_PIPELINE_KWARGS)
     assert result.resumed_stages == []
-    return out.read_bytes()
+    return out
+
+
+@pytest.fixture(scope="module")
+def baseline_artifact(baseline_out):
+    """The uninterrupted run's JSON export; resumed runs must match its
+    bytes."""
+    return baseline_out.read_bytes()
 
 
 class TestCheckpointResume:
@@ -389,7 +398,9 @@ class TestCheckpointResume:
         assert not (tmp_path / "namer.json.ckpt").exists()
         assert out.read_bytes() == baseline_artifact
 
-    def test_resume_after_kill_past_training(self, tmp_path, baseline_artifact):
+    def test_resume_after_kill_past_training(
+        self, tmp_path, baseline_out, baseline_artifact
+    ):
         out = tmp_path / "namer.json"
         plan = FaultPlan([FaultSpec(site="pipeline.after_train", max_trips=1)])
         with FAULTS.armed(plan):
@@ -404,6 +415,12 @@ class TestCheckpointResume:
         assert result.resumed_stages == ["train"]
         assert any("resumed" in m for m in messages)
         assert out.read_bytes() == baseline_artifact
+        # The blob is frozen from the decoded checkpoint: the same
+        # document's fingerprint, loadable.
+        from repro.core.persistence import load_namer
+
+        resumed, baseline = load_namer(out), load_namer(baseline_out)
+        assert resumed.frozen_fingerprint == baseline.frozen_fingerprint
         assert not (tmp_path / "namer.json.ckpt").exists()  # cleaned up
 
     def test_resume_after_kill_past_mining(self, tmp_path, baseline_artifact):
@@ -474,12 +491,10 @@ class TestCheckpointResume:
         assert result.resumed_stages == []
         assert out.read_bytes() == baseline_artifact
 
-    def test_final_artifact_loads(self, tmp_path, baseline_artifact):
+    def test_final_artifact_loads(self, baseline_out):
         from repro.core.persistence import load_namer
 
-        out = tmp_path / "namer.json"
-        out.write_bytes(baseline_artifact)
-        namer = load_namer(out)
+        namer = load_namer(baseline_out)
         assert namer.matcher is not None and namer.matcher.patterns
 
 
@@ -570,11 +585,11 @@ def healthy_artifact(fitted_namer, tmp_path_factory):
 
 
 def _corrupt_classifier_section(src, dst):
-    doc = json.loads(src.read_text())
-    doc["classifier"] = {"scaler_mean": "garbage"}
-    del doc["checksum"]
-    doc["checksum"] = document_checksum(doc)
-    dst.write_text(json.dumps(doc))
+    """``dst`` names an artifact whose blob is ``src``'s with one byte
+    of a classifier array flipped."""
+    blobs.flip_array_byte(
+        default_frozen_path(src), default_frozen_path(dst), "clf_scaler_mean"
+    )
 
 
 @pytest.mark.service

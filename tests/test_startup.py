@@ -22,17 +22,15 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.persistence import namer_to_document, save_namer
+from repro.core.persistence import save_namer
 from repro.core.prepare import prepare_file
-from repro.mining.frozen import default_frozen_path, freeze_namer
-from repro.resilience.checkpoint import document_checksum
 
 pytestmark = pytest.mark.service
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-#: runs in a fresh interpreter: serve from a JSON artifact and from a
-#: frozen blob, fit a classifier, then check scipy never loaded
+#: runs in a fresh interpreter: serve a saved artifact, fit a
+#: classifier, then check scipy never loaded
 SERVE_THEN_FIT = """
 import json, sys
 import numpy as np
@@ -40,22 +38,18 @@ import repro.__main__, repro.service.engine, repro.service.server
 from repro.service.engine import AnalysisEngine, AnalysisRequest
 
 spec = json.load(open(sys.argv[1]))
-for artifact, source in (
-    (spec["json_artifact"], "json"),
-    (spec["frozen_artifact"], "frozen"),
-):
-    engine = AnalysisEngine(artifact_path=artifact, workers=1)
-    try:
-        assert engine.metrics_json()["artifact_source"] == source
-        result = engine.analyze(AnalysisRequest(**spec["files"][0]))
-        assert result.reports, "the served file must reach the classifier"
-    finally:
-        engine.shutdown(drain=False)
+engine = AnalysisEngine(artifact_path=spec["artifact"], workers=1)
+try:
+    assert engine.metrics_json()["artifact_source"] == "frozen"
+    result = engine.analyze(AnalysisRequest(**spec["files"][0]))
+    assert result.reports, "the served file must reach the classifier"
+finally:
+    engine.shutdown(drain=False)
 from repro.core.persistence import load_namer
 from repro.core.prepare import prepare_file
 from repro.corpus.model import SourceFile
 
-namer = load_namer(spec["json_artifact"])
+namer = load_namer(spec["artifact"])
 violations = [
     v
     for f in spec["files"]
@@ -91,25 +85,11 @@ def served_files(fitted_namer, small_corpus):
 def test_no_process_imports_scipy(
     fitted_namer, served_files, tmp_path
 ):
-    json_dir = tmp_path / "json"
-    frozen_dir = tmp_path / "frozen"
-    json_dir.mkdir()
-    frozen_dir.mkdir()
-    save_namer(fitted_namer, json_dir / "namer.json")
-    save_namer(fitted_namer, frozen_dir / "namer.json")
-    freeze_namer(
-        fitted_namer,
-        default_frozen_path(frozen_dir / "namer.json"),
-        document_checksum(namer_to_document(fitted_namer)),
-    )
+    save_namer(fitted_namer, tmp_path / "namer.json")
     spec = tmp_path / "spec.json"
     spec.write_text(
         json.dumps(
-            {
-                "json_artifact": str(json_dir / "namer.json"),
-                "frozen_artifact": str(frozen_dir / "namer.json"),
-                "files": served_files,
-            }
+            {"artifact": str(tmp_path / "namer.json"), "files": served_files}
         )
     )
     env = dict(os.environ)
